@@ -16,10 +16,10 @@
 // DESIGN.md). Reads take the metadata lock shared, pin the cached bytes,
 // and copy them to the caller outside any engine lock. Cache misses are
 // deduplicated per inode (one disk read no matter how many concurrent
-// readers miss on the same file) and the disk read itself runs with no
-// engine lock held. Create holds the metadata lock only for its short
-// allocation phase; the replica write-through — parallel across disks —
-// happens outside it.
+// readers miss on the same file) and the disk read itself lands in a
+// reserved cache slot with no engine or cache lock held. Create holds the
+// metadata lock only for its short allocation phase; the replica
+// write-through — parallel across disks — happens outside it.
 package bullet
 
 import (
@@ -144,8 +144,8 @@ type engineMetrics struct {
 	checksumFaults  *stats.Counter     // fault-ins that hit a checksum mismatch
 	scrubRepairs    *stats.Counter     // replica extents rewritten by scrub
 	scrubUnfixable  *stats.Counter     // objects no replica could verify
-	leasePinned     *stats.Counter     // read leases served off a cache pin (zero-copy)
-	leaseOwned      *stats.Counter     // read leases owning a fresh fault buffer
+	leasePinned     *stats.Counter     // read leases served off a cache pin (zero-copy), hit or fault
+	leaseOwned      *stats.Counter     // read leases owning a heap buffer: the cache refused the fault
 	readCopies      *stats.Counter     // payload copies performed by the read path
 	commit          []*stats.Histogram // commit-to-disk latency, indexed by p-factor
 }
@@ -181,15 +181,15 @@ func newEngineMetrics(reg *stats.Registry, replicas int) engineMetrics {
 // faultCall is the per-inode singleflight state for one cache-miss disk
 // fault. The first miss on an uncached inode becomes the leader and does
 // the disk read; every concurrent miss on the same inode becomes a waiter
-// on done and shares the leader's result. random pins the fault to one
-// incarnation of the inode number, so a waiter whose file was deleted and
-// whose inode slot was reused never receives the other file's bytes.
+// on done, and once the leader has published the file pins the cached copy
+// like any other hit. random pins the fault to one incarnation of the
+// inode number, so a waiter whose file was deleted and whose inode slot
+// was reused never merges onto the other file's fault.
 type faultCall struct {
 	random  capability.Random
 	done    chan struct{}
-	waiters int    // mutated under the server's faultMu
-	data    []byte // written by the leader before done closes
-	err     error  // written by the leader before done closes
+	waiters int   // merged callers parked on done; under faultMu. Tests poll it to know a merge happened
+	err     error // written by the leader before done closes
 }
 
 // Server is one Bullet file server instance over a replica set.
@@ -209,6 +209,8 @@ type Server struct {
 	table  *layout.Table
 	dalloc *alloc.Allocator // data-area blocks
 	cache  *cache.Cache
+
+	maxFile int64 // the cache arena size (Options.CacheBytes); immutable after New
 
 	// committer batches concurrent creates into shared replica fan-outs
 	// (Options.GroupCommitWindow); nil when grouping is disabled. Queued
@@ -236,12 +238,15 @@ type Server struct {
 
 	// capCache remembers successfully verified capabilities so repeat
 	// requests skip the check-field computation — "Capabilities can be
-	// cached to avoid decryption for each access" (paper §2.1). Entries
-	// for an object are dropped when it is deleted; the whole cache is
-	// bounded and evicted wholesale when full (verification is cheap, the
-	// cache is an optimization, simplicity wins).
+	// cached to avoid decryption for each access" (paper §2.1). The cache
+	// is keyed by object number first, so dropping an object's entries when
+	// it is deleted is one map delete, not a scan. capCount is the total
+	// across objects: the whole cache is bounded and evicted wholesale when
+	// full (verification is cheap, the cache is an optimization, simplicity
+	// wins).
 	capMu    sync.RWMutex
-	capCache map[capability.Capability]capability.Rights // guarded by capMu
+	capCache map[uint32]map[capability.Capability]capability.Rights // guarded by capMu
+	capCount int                                                    // guarded by capMu
 
 	// faults is the per-inode singleflight table for in-flight cache-miss
 	// disk reads. faultMu is a leaf lock: never held while acquiring mu.
@@ -337,10 +342,11 @@ func New(replicas *disk.ReplicaSet, opts Options) (*Server, error) {
 		table:    table,
 		dalloc:   dalloc,
 		cache:    fileCache,
+		maxFile:  opts.CacheBytes,
 		inoMu:    make([]sync.Mutex, replicas.N()),
 		metrics:  reg,
 		m:        newEngineMetrics(reg, replicas.N()),
-		capCache: make(map[capability.Capability]capability.Rights),
+		capCache: make(map[uint32]map[capability.Capability]capability.Rights),
 		faults:   make(map[uint32]*faultCall),
 	}
 	fileCache.AttachMetrics(reg)
@@ -370,7 +376,7 @@ func (s *Server) Port() capability.Port { return s.port }
 
 // MaxFileSize returns the largest file this server accepts: it must fit in
 // the RAM cache whole.
-func (s *Server) MaxFileSize() int64 { return s.cache.Stats().TotalBytes }
+func (s *Server) MaxFileSize() int64 { return s.maxFile }
 
 // verify resolves a capability to its inode, checking the check field and
 // the required rights. Successful check-field validations are remembered
@@ -389,7 +395,7 @@ func (s *Server) verify(c capability.Capability, want capability.Rights) (uint32
 		return 0, layout.Inode{}, fmt.Errorf("object %d: %w", c.Object, ErrNoSuchFile)
 	}
 	s.capMu.RLock()
-	rights, ok := s.capCache[c]
+	rights, ok := s.capCache[c.Object][c]
 	s.capMu.RUnlock()
 	if ok {
 		s.m.capCacheHits.Inc()
@@ -404,10 +410,19 @@ func (s *Server) verify(c capability.Capability, want capability.Rights) (uint32
 		return 0, layout.Inode{}, err
 	}
 	s.capMu.Lock()
-	if len(s.capCache) >= maxCapCache {
+	if s.capCount >= maxCapCache {
 		clear(s.capCache)
+		s.capCount = 0
 	}
-	s.capCache[c] = rights
+	byCap := s.capCache[c.Object]
+	if byCap == nil {
+		byCap = make(map[capability.Capability]capability.Rights, 1)
+		s.capCache[c.Object] = byCap
+	}
+	if _, dup := byCap[c]; !dup { // two verifies of one capability can race here
+		s.capCount++
+	}
+	byCap[c] = rights
 	s.capMu.Unlock()
 	if !rights.Has(want) {
 		return 0, layout.Inode{}, fmt.Errorf("need rights %08b, have %08b: %w",
@@ -423,11 +438,8 @@ func (s *Server) verify(c capability.Capability, want capability.Rights) (uint32
 func (s *Server) forgetCaps(obj uint32) {
 	s.capMu.Lock()
 	defer s.capMu.Unlock()
-	for c := range s.capCache {
-		if c.Object == obj {
-			delete(s.capCache, c)
-		}
-	}
+	s.capCount -= len(s.capCache[obj])
+	delete(s.capCache, obj)
 }
 
 // blocksFor returns the data-area blocks needed for a file of n bytes.
@@ -662,8 +674,8 @@ func (s *Server) ReadRange(c capability.Capability, offset, n int64) ([]byte, er
 // fetchSpan returns [offset, offset+n) of the file c names (n < 0 means
 // to the end) plus the file's total size. The returned slice is owned by
 // the caller: a pinned lease is copied out (and released) here, an owned
-// fault buffer is handed straight through. The zero-copy alternative is
-// fetchLease (lease.go), which this wraps.
+// buffer (the cache refused the fault) is handed straight through. The
+// zero-copy alternative is fetchLease (lease.go), which this wraps.
 func (s *Server) fetchSpan(tc *trace.Ctx, parent *trace.Span, c capability.Capability, want capability.Rights, offset, n int64) ([]byte, int64, error) {
 	l, err := s.fetchLease(tc, parent, c, want, offset, n)
 	if err != nil {
@@ -676,7 +688,7 @@ func (s *Server) fetchSpan(tc *trace.Ctx, parent *trace.Span, c capability.Capab
 		return out, size, nil
 	}
 	// append instead of make+copy: the runtime skips zeroing the fresh
-	// slice, one full memory pass saved on every cached read.
+	// slice, one full memory pass saved on every read.
 	out := append([]byte(nil), l.Bytes()...)
 	l.Release()
 	s.m.readCopies.Inc()
@@ -692,16 +704,18 @@ func sameRandom(a, b capability.Random) bool {
 }
 
 // faultIn coalesces concurrent cache misses on one inode into a single
-// disk read. The first caller becomes the leader and reads the disk; the
-// rest wait for its result. shared reports whether the returned slice is
-// visible to other callers (waiters always; the leader only when someone
-// merged with it) — shared data must be copied, never handed out. waited
-// reports whether THIS caller merged onto another request's in-flight
-// load (the trace's fault-merged attribute: the leader's span is not
-// merged, so two concurrent cold reads show the attribute exactly once).
-// The leader's disk and cache spans are recorded into the leader's own
-// trace; a waiter's trace shows only the merged fault span.
-func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random capability.Random) (data []byte, shared, waited bool, err error) {
+// disk read. The first caller becomes the leader and runs loadFile; the
+// rest wait for it and then pin the slot it published, so every caller
+// gets its own pin on the one cached copy and nobody copies. A waiter that
+// finds nothing to pin (the cache refused the leader's reservation, or the
+// slot is already evicted) faults afresh. waited reports whether THIS
+// caller merged onto another request's in-flight load (the trace's
+// fault-merged attribute: the leader's span is not merged, so two
+// concurrent cold reads show the attribute exactly once). The leader's
+// disk and cache spans are recorded into the leader's own trace; a
+// waiter's trace shows the merged fault span and its own cache lookup.
+// The returned lease covers the whole file.
+func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random capability.Random) (l *ReadLease, waited bool, err error) {
 	for {
 		s.faultMu.Lock()
 		if fc, ok := s.faults[inode]; ok {
@@ -711,64 +725,110 @@ func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random
 			}
 			s.faultMu.Unlock()
 			<-fc.done
-			if merged {
-				s.m.faultMerges.Inc()
-				// Deadline checkpoint: a waiter that outlived its budget in
-				// the merge queue sheds now — its caller has already given
-				// up, and handing back the data would only be thrown away.
-				// The leader's load is unaffected (the data is cached).
-				if tc.DeadlineExceeded() {
-					return nil, true, true, fmt.Errorf("bullet: fault wait outlived the caller's budget: %w", trace.ErrDeadlineExceeded)
-				}
-				return fc.data, true, true, fc.err
+			if !merged {
+				// The in-flight fault served a previous incarnation of this
+				// inode number (deleted and reused); run our own.
+				continue
 			}
-			// The in-flight fault served a previous incarnation of this
-			// inode number (deleted and reused); run our own.
+			waited = true
+			s.m.faultMerges.Inc()
+			// Deadline checkpoint: a waiter that outlived its budget in
+			// the merge queue sheds now — its caller has already given
+			// up, and handing back the data would only be thrown away.
+			// The leader's load is unaffected (the data is cached).
+			if tc.DeadlineExceeded() {
+				return nil, true, fmt.Errorf("bullet: fault wait outlived the caller's budget: %w", trace.ErrDeadlineExceeded)
+			}
+			if fc.err != nil {
+				return nil, true, fc.err
+			}
+			pinned, _, perr := s.pinCached(tc, parent, inode, random)
+			if perr != nil || pinned != nil {
+				return pinned, true, perr
+			}
 			continue
 		}
 		fc := &faultCall{random: random, done: make(chan struct{})}
 		s.faults[inode] = fc
 		s.faultMu.Unlock()
 
-		fc.data, fc.err = s.loadFile(tc, parent, inode, random)
+		l, fc.err = s.loadFile(tc, parent, inode, random)
 
 		s.faultMu.Lock()
 		delete(s.faults, inode)
-		w := fc.waiters
 		s.faultMu.Unlock()
 		close(fc.done)
-		return fc.data, w > 0, false, fc.err
+		return l, waited, fc.err
 	}
 }
 
+// pinCached pins the cached copy of inode, provided the inode still
+// belongs to the incarnation random names. A nil lease with a nil error
+// means the file is live but not cached; ino is the snapshot that says
+// so. The metadata lock is held shared across check and pin, so a Delete
+// cannot slip between them and hand back a reused slot's bytes.
+func (s *Server) pinCached(tc *trace.Ctx, parent *trace.Span, inode uint32, random capability.Random) (*ReadLease, layout.Inode, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ino, err := s.table.Get(inode)
+	if err != nil || !sameRandom(ino.Random, random) {
+		return nil, ino, fmt.Errorf("object %d vanished during fault: %w", inode, ErrNoSuchFile)
+	}
+	if ino.CacheIndex == 0 {
+		return nil, ino, nil
+	}
+	view, verr := s.cache.GetViewTraced(tc, parent, ino.CacheIndex, inode)
+	if verr != nil {
+		// Stale index (evicted, not yet cleared): clear it ourselves.
+		_, _ = s.table.SetCacheIndexIf(inode, ino.CacheIndex, 0)
+		ino.CacheIndex = 0
+		return nil, ino, nil
+	}
+	return pinnedLease(view), ino, nil
+}
+
+// abandon gives back a reservation that will not be published: Remove
+// dooms the slot and dropping the only pin reclaims its extent. A nil
+// view (the cache refused the reservation) is a no-op.
+func (s *Server) abandon(view *cache.View, inode uint32) {
+	if view == nil {
+		return
+	}
+	_ = s.cache.Remove(view.Slot(), inode)
+	view.Release()
+}
+
 // loadFile is the fault leader's body: read the whole file contiguously
-// from disk (§3: "the file can be read into the RAM cache" in one
-// transfer) with no engine lock held, then publish it to the cache under
-// the shared metadata lock. Delete and disk compaction hold the lock
-// exclusively, so an inode revalidated under it cannot have moved or died
-// between the check and the publish; if the file moved during the
-// unlocked disk read, the read is retried against the new extent.
-func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, random capability.Random) ([]byte, error) {
+// from disk straight into the cache arena (§3: "the file can be read into
+// the RAM cache" in one transfer), then publish it. The protocol is
+// reserve → fill → revalidate → publish:
+//
+//   - reserve: after the drain, claim a pinned, unfilled, unpublished slot
+//     of the file's size (cache.Reserve). Nobody else knows its number and
+//     lookups refuse it, so its bytes are this goroutine's alone.
+//   - fill: the replica read (and, for checksummed files, the CRC32C
+//     verification with failover and repair) runs on those bytes with no
+//     engine or cache lock held.
+//   - revalidate: under the shared metadata lock, which excludes Delete
+//     and disk compaction, the inode must still be the same incarnation at
+//     the same extent; if the file moved during the unlocked read the
+//     reservation is given back and the read retried.
+//   - publish: still under that lock, mark the slot filled and name it in
+//     the inode with a compare-and-set from 0.
+//
+// Every other exit — vanished, moved, read or checksum failure, lost CAS —
+// abandons the slot, so bytes that failed verification are never named in
+// an inode. The leader's lease is its reservation pin: a miss leaves for
+// the socket from the arena exactly as a hit does. Only when the cache
+// refuses the reservation (arena pinned solid) does the file travel in a
+// heap buffer the lease owns, uncached.
+func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, random capability.Random) (*ReadLease, error) {
 	s.cache.NoteMiss()
 	for attempt := 0; attempt < maxFaultRetries; attempt++ {
-		s.mu.RLock()
-		ino, err := s.table.Get(inode)
-		s.mu.RUnlock()
-		if err != nil || !sameRandom(ino.Random, random) {
-			return nil, fmt.Errorf("object %d vanished during fault: %w", inode, ErrNoSuchFile)
-		}
-		if ino.CacheIndex != 0 {
-			// Cached while we queued for fault leadership.
-			s.mu.RLock()
-			view, verr := s.cache.GetViewTraced(tc, parent, ino.CacheIndex, inode)
-			s.mu.RUnlock()
-			if verr == nil {
-				out := append([]byte(nil), view.Bytes()...)
-				view.Release()
-				return out, nil
-			}
-			_, _ = s.table.SetCacheIndexIf(inode, ino.CacheIndex, 0)
-			continue
+		// Cached while we queued for fault leadership?
+		l, ino, err := s.pinCached(tc, parent, inode, random)
+		if err != nil || l != nil {
+			return l, err
 		}
 
 		// Deadline checkpoint: the cache fault is about to commit to a
@@ -781,10 +841,21 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 
 		// In-flight background write-throughs (an uncached create, or
 		// replicas still catching up past the P-FACTOR) must land before
-		// the disk is readable.
+		// the disk is readable. The reservation comes after, so its pin —
+		// which blocks cache compaction and shrinks what a create can evict
+		// — is never held across a wait for background writes.
 		s.flushCommits()
 		s.replicas.Drain()
-		data := make([]byte, ino.Size)
+
+		view, evicted, cerr := s.cache.ReserveTraced(tc, parent, inode, int64(ino.Size))
+		s.clearEvicted(evicted)
+		var data []byte
+		if cerr != nil {
+			// Cache refusal is not fatal to the read itself; serve uncached.
+			data = make([]byte, ino.Size)
+		} else {
+			data = view.Bytes()
+		}
 		var rerr error
 		if ino.Size > 0 {
 			off := s.desc.DataOffset(int64(ino.FirstBlock))
@@ -805,14 +876,17 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 		cur, gerr := s.table.Get(inode)
 		if gerr != nil || !sameRandom(cur.Random, random) {
 			s.mu.RUnlock()
+			s.abandon(view, inode)
 			return nil, fmt.Errorf("object %d vanished during fault: %w", inode, ErrNoSuchFile)
 		}
 		if cur.FirstBlock != ino.FirstBlock || cur.Size != ino.Size {
 			s.mu.RUnlock()
+			s.abandon(view, inode)
 			continue // compaction moved the file mid-read; reread
 		}
 		if rerr != nil {
 			s.mu.RUnlock()
+			s.abandon(view, inode)
 			// The inode did not move, so a checksum failure here means
 			// every replica really holds corrupt data (not a stale read
 			// racing compaction).
@@ -829,16 +903,21 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 				s.m.sumBackfills.Inc()
 			}
 		}
-		if cur.CacheIndex == 0 {
-			// Cache refusal (e.g. arena pinned solid) is not fatal to the
-			// read itself; serve uncached.
-			if idx, evicted, cerr := s.cache.InsertTraced(tc, parent, inode, data); cerr == nil {
-				s.clearEvicted(evicted)
-				_, _ = s.table.SetCacheIndexIf(inode, 0, idx)
+		l = &ReadLease{data: data, size: int64(len(data))}
+		if view != nil {
+			view.Publish()
+			if ok, _ := s.table.SetCacheIndexIf(inode, 0, view.Slot()); !ok {
+				// The inode names another slot. The singleflight makes this
+				// leader the only publisher for the inode, so it should not
+				// happen; if it does, the bytes are good but the slot is an
+				// orphan — doom it, and the lease's pin carries it until the
+				// reply is written.
+				_ = s.cache.Remove(view.Slot(), inode)
 			}
+			l.view = view
 		}
 		s.mu.RUnlock()
-		return data, nil
+		return l, nil
 	}
 	return nil, fmt.Errorf("bullet: object %d kept moving during fault: %w", inode, ErrNoSuchFile)
 }

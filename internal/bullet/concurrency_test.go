@@ -19,7 +19,21 @@ import (
 // to run under -race (see the CI race-stress step).
 
 func TestConcurrentReadersCreatorsDeleterCompaction(t *testing.T) {
-	w := newWorld(t, 2, Options{})
+	stressReadersCreatorsDeleterCompaction(t, Options{}, false)
+}
+
+// TestConcurrentColdReadersDeleterCompactorEvictions is the same stress
+// over a cache a fraction of the stable set: nearly every read is a fault
+// that reserves, fills and publishes a slot while other readers'
+// reservations evict it, creates insert over it, the deleter dooms
+// published slots and the disk compactor moves extents under in-flight
+// fills.
+func TestConcurrentColdReadersDeleterCompactorEvictions(t *testing.T) {
+	stressReadersCreatorsDeleterCompaction(t, Options{CacheBytes: 2 << 10, MaxCachedFiles: 4}, true)
+}
+
+func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold bool) {
+	w := newWorld(t, 2, opts)
 
 	type entry struct {
 		cap  capability.Capability
@@ -50,7 +64,19 @@ func TestConcurrentReadersCreatorsDeleterCompaction(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 400; i++ {
 				e := stable[rng.Intn(len(stable))]
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
+				case 3:
+					l, err := w.srv.ReadView(e.cap)
+					if err != nil {
+						t.Errorf("ReadView(stable): %v", err)
+						return
+					}
+					ok := bytes.Equal(l.Bytes(), e.data)
+					l.Release()
+					if !ok {
+						t.Errorf("ReadView(stable): wrong bytes")
+						return
+					}
 				case 0:
 					got, err := w.srv.Read(e.cap)
 					if err != nil {
@@ -210,6 +236,28 @@ func TestConcurrentReadersCreatorsDeleterCompaction(t *testing.T) {
 		if got := mustRead(t, w.srv, e.cap); !bytes.Equal(got, e.data) {
 			t.Fatalf("stable file %d corrupted by final compaction", i)
 		}
+	}
+
+	// The cache's own books: no pin outlived its reader, and every slot
+	// still cached is named by the inode it belongs to — no reservation
+	// was orphaned by a fault that did not publish.
+	st := w.srv.CacheStats()
+	if st.PinnedViews != 0 {
+		t.Fatalf("pins leaked: %+v", st)
+	}
+	if cold && (st.Misses == 0 || st.Evictions == 0) {
+		t.Fatalf("the cold stress never missed or evicted: %+v", st)
+	}
+	named := 0
+	for _, obj := range w.srv.Objects() {
+		if idx := cacheIndex(t, w.srv, obj); idx != 0 {
+			if _, err := w.srv.cache.Get(idx, obj); err == nil {
+				named++
+			}
+		}
+	}
+	if st.Files != named {
+		t.Fatalf("%d files cached but %d named by live inodes", st.Files, named)
 	}
 }
 

@@ -169,3 +169,66 @@ func TestModifyRejectsAbsurdNewSize(t *testing.T) {
 		t.Fatalf("huge newSize err = %v, want ErrTooLarge", err)
 	}
 }
+
+// TestCapabilityCacheIndexedByObject: the verified-capability cache is
+// keyed by object first, so a delete drops every validation for its object
+// in one step and leaves the others alone, and the 4 096-entry bound counts
+// entries across all objects.
+func TestCapabilityCacheIndexedByObject(t *testing.T) {
+	w := newWorld(t, 2, Options{})
+	capCount := func() (total, sum int) {
+		w.srv.capMu.RLock()
+		defer w.srv.capMu.RUnlock()
+		for _, byCap := range w.srv.capCache {
+			sum += len(byCap)
+		}
+		return w.srv.capCount, sum
+	}
+	var owners []capability.Capability
+	for i := 0; i < 3; i++ {
+		c := mustCreate(t, w.srv, []byte{byte(i)}, 2)
+		ro, err := capability.Restrict(c, RightRead)
+		if err != nil {
+			t.Fatalf("Restrict: %v", err)
+		}
+		mustRead(t, w.srv, c)
+		mustRead(t, w.srv, c) // a repeat is a hit, not a second entry
+		mustRead(t, w.srv, ro)
+		owners = append(owners, c)
+	}
+	if total, sum := capCount(); total != 6 || sum != 6 {
+		t.Fatalf("cached validations = %d (sum %d), want 6", total, sum)
+	}
+	if err := w.srv.Delete(owners[1]); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if total, sum := capCount(); total != 4 || sum != 4 {
+		t.Fatalf("after delete: %d validations (sum %d), want 4", total, sum)
+	}
+	w.srv.capMu.RLock()
+	_, kept := w.srv.capCache[owners[0].Object]
+	_, gone := w.srv.capCache[owners[1].Object]
+	w.srv.capMu.RUnlock()
+	if !kept || gone {
+		t.Fatalf("purge touched the wrong object: kept=%v gone=%v", kept, !gone)
+	}
+
+	// Overflow the bound with distinct restricted capabilities (255 rights
+	// masks per file): the cache is dropped wholesale, never grows past it.
+	for f := 0; f < 18; f++ {
+		c := mustCreate(t, w.srv, []byte{byte(f)}, 1)
+		for mask := 1; mask < 256; mask++ {
+			rc, err := capability.Restrict(c, capability.Rights(mask))
+			if err != nil {
+				t.Fatalf("Restrict: %v", err)
+			}
+			_, _ = w.srv.Size(rc) // masks without the read right fail, after being cached
+			if total, sum := capCount(); total != sum || total > maxCapCache {
+				t.Fatalf("capCount = %d, entries = %d, bound %d", total, sum, maxCapCache)
+			}
+		}
+	}
+	if total, _ := capCount(); total >= 18*255 {
+		t.Fatalf("cache never evicted: %d entries", total)
+	}
+}

@@ -19,12 +19,12 @@ func errBadSpan(offset, size int64) error {
 
 // This file is the zero-copy read API. The classic Read/ReadRange copy
 // the requested span out of the pinned cache view before returning, so
-// every cached read costs one full memory pass between the cache arena
+// every such read costs one full memory pass between the cache arena
 // and the reply buffer. ReadView/ReadRangeView instead return a ReadLease
-// that either keeps the cache pin alive (hit) or owns a fresh fault
-// buffer (miss); the caller — in practice the RPC reply path — writes the
-// bytes to the socket and only then releases the lease, so a cached read
-// travels cache arena -> kernel with zero payload copies.
+// that keeps the cache pin alive — the slot a hit found, or the slot a
+// miss just read the disk into; the caller — in practice the RPC reply
+// path — writes the bytes to the socket and only then releases the lease,
+// so a read travels cache arena -> kernel with zero payload copies.
 
 // ReadLease is a borrowed window onto a file's bytes. While unreleased,
 // a pinned lease holds a reference on the cache slot backing Bytes, which
@@ -38,14 +38,20 @@ type ReadLease struct {
 	view *cache.View // nil when the lease owns data outright
 }
 
+// pinnedLease wraps a pinned view of a whole file; the lease takes over
+// the pin.
+func pinnedLease(view *cache.View) *ReadLease {
+	return &ReadLease{data: view.Bytes(), size: int64(view.Len()), view: view}
+}
+
 // Bytes is the leased span. It is valid only until Release.
 func (l *ReadLease) Bytes() []byte { return l.data }
 
 // Size is the total size of the file the span was cut from.
 func (l *ReadLease) Size() int64 { return l.size }
 
-// Pinned reports whether the lease holds a cache pin (true for cache
-// hits) rather than owning its bytes outright (fault-in misses).
+// Pinned reports whether the lease holds a cache pin rather than owning
+// its bytes outright (a fault the cache had no room to reserve for).
 func (l *ReadLease) Pinned() bool { return l.view != nil }
 
 // Release returns the lease's backing resources. Idempotent; Bytes is
@@ -56,6 +62,23 @@ func (l *ReadLease) Release() {
 		l.view = nil
 	}
 	l.data = nil
+}
+
+// trim narrows a whole-file lease to [offset, offset+n) and counts it;
+// a bad span releases the lease.
+func (s *Server) trim(l *ReadLease, offset, n int64) (*ReadLease, error) {
+	data, _, err := cut(l.data, offset, n)
+	if err != nil {
+		l.Release()
+		return nil, err
+	}
+	l.data = data
+	if l.Pinned() {
+		s.m.leasePinned.Inc()
+	} else {
+		s.m.leaseOwned.Inc()
+	}
+	return l, nil
 }
 
 // cut bounds [offset, offset+n) against data (n < 0 means to the end)
@@ -96,15 +119,7 @@ func (s *Server) fetchLease(tc *trace.Ctx, parent *trace.Span, c capability.Capa
 			s.mu.RUnlock()
 			// The span is cut from the pinned bytes without copying; the
 			// pin rides in the lease and keeps the slot put until Release.
-			data, size, err := cut(view.Bytes(), offset, n)
-			if err != nil {
-				view.Release()
-				return nil, err
-			}
-			l := &ReadLease{data: data, size: size}
-			l.view = view
-			s.m.leasePinned.Inc()
-			return l, nil
+			return s.trim(pinnedLease(view), offset, n)
 		}
 		// Stale index (eviction raced the lookup): clear it, unless a
 		// concurrent fault already published a fresh binding.
@@ -115,10 +130,12 @@ func (s *Server) fetchLease(tc *trace.Ctx, parent *trace.Span, c capability.Capa
 	s.mu.RUnlock()
 
 	fsp := tc.Begin(parent, trace.LayerEngine, trace.OpFault)
-	data, shared, waited, err := s.faultIn(tc, fsp, inode, ino.Random)
+	l, waited, err := s.faultIn(tc, fsp, inode, ino.Random)
 	if fsp != nil {
 		fsp.Inode = inode
-		fsp.Bytes = int64(len(data))
+		if l != nil {
+			fsp.Bytes = l.size
+		}
 		fsp.Merged = waited
 		if err != nil {
 			fsp.Status = 1
@@ -128,23 +145,12 @@ func (s *Server) fetchLease(tc *trace.Ctx, parent *trace.Span, c capability.Capa
 	if err != nil {
 		return nil, err
 	}
-	out, size, err := cut(data, offset, n)
-	if err != nil {
-		return nil, err
-	}
-	if shared {
-		// A shared fault result is read by every merged waiter: the lease
-		// must own its bytes.
-		out = append([]byte(nil), out...)
-		s.m.readCopies.Inc()
-	}
-	s.m.leaseOwned.Inc()
-	return &ReadLease{data: out, size: size}, nil
+	return s.trim(l, offset, n)
 }
 
 // ReadView is Read without the payload copy: the returned lease pins the
-// cached file (or owns a fresh fault buffer) and must be released by the
-// caller on every path.
+// cached file (faulting it in first if need be) and must be released by
+// the caller on every path.
 func (s *Server) ReadView(c capability.Capability) (*ReadLease, error) {
 	return s.ReadViewTraced(nil, nil, c)
 }

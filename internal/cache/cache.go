@@ -55,11 +55,20 @@ var (
 // compaction skip pinned entries and Remove defers the reclaim by
 // setting doomed.
 type rnode struct {
-	inode  uint32
-	off    int64
-	size   int64
-	used   bool
-	doomed bool // removed while pinned; reclaim on last Release
+	inode    uint32
+	off      int64
+	size     int64
+	used     bool
+	doomed   bool // removed while pinned; reclaim on last Release
+	unfilled bool // reserved, bytes not yet valid; lookups refuse it until Publish
+}
+
+// bytes returns the rnode's extent of the arena.
+func (rn *rnode) bytes(buf []byte) []byte {
+	if rn.size == 0 {
+		return []byte{}
+	}
+	return buf[rn.off : rn.off+rn.size : rn.off+rn.size]
 }
 
 // slotState is one rnode's reader-side state. It is padded to a full cache
@@ -80,7 +89,7 @@ type Stats struct {
 	Files       int   // cached files right now
 	UsedBytes   int64 // arena bytes holding cached files
 	TotalBytes  int64 // arena size
-	Insertions  int64 // successful Inserts
+	Insertions  int64 // successful Inserts and Reserves
 	Evictions   int64 // files evicted to make room
 	Compactions int64 // arena compactions triggered by fragmentation
 	Hits        int64 // successful Gets
@@ -92,8 +101,10 @@ type Stats struct {
 
 // Cache is the contiguous RAM file cache. It is safe for concurrent use:
 // lookups (GetView, Pin, Get) share the lock and touch only the atomic
-// side tables, so concurrent readers proceed in parallel; Insert, Remove
-// and Compact hold it exclusively.
+// side tables, so concurrent readers proceed in parallel; Insert, Reserve,
+// Remove and Compact hold it exclusively. The bytes of a reserved slot are
+// the one exception to "buf is guarded by mu": until Publish they belong to
+// the reserving caller alone (see Reserve).
 type Cache struct {
 	mu       sync.RWMutex
 	buf      []byte           // guarded by mu (shared: read bytes; exclusive: move/overwrite)
@@ -160,6 +171,23 @@ func (c *Cache) slotLocked(idx uint16) (*rnode, error) {
 	return rn, nil
 }
 
+// lookupLocked resolves slot idx for a reader of inode: the slot must be
+// live, still belong to that inode (slot numbers are reused after
+// evictions) and hold filled bytes.
+func (c *Cache) lookupLocked(idx uint16, inode uint32) (*rnode, error) {
+	rn, err := c.slotLocked(idx)
+	if err != nil {
+		return nil, err
+	}
+	if rn.inode != inode {
+		return nil, fmt.Errorf("slot %d holds inode %d, want %d: %w", idx, rn.inode, inode, ErrBadSlot)
+	}
+	if rn.unfilled {
+		return nil, fmt.Errorf("slot %d is reserved, not yet filled: %w", idx, ErrBadSlot)
+	}
+	return rn, nil
+}
+
 // Evicted identifies one eviction performed during an Insert: which inode
 // lost its cached copy and which rnode slot held it. Reporting the slot
 // lets the engine clear the inode's cache-index field with a compare-and-
@@ -175,13 +203,46 @@ type Evicted struct {
 // make room. It returns the rnode slot to store in the inode's cache-index
 // field and the (inode, slot) pair of every file evicted along the way.
 func (c *Cache) Insert(inode uint32, data []byte) (idx uint16, evicted []Evicted, err error) {
-	size := int64(len(data))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx, evicted, err = c.placeLocked(inode, int64(len(data)))
+	if err != nil {
+		return 0, evicted, err
+	}
+	copy(c.rnodes[idx-1].bytes(c.buf), data)
+	return idx, evicted, nil
+}
+
+// Reserve places a size-byte file for inode exactly as Insert does, but
+// copies nothing: the returned view is pinned and its bytes are the
+// caller's to fill (a disk read lands in them directly). Until the view's
+// Publish the slot is unfilled — GetView, Pin and Get refuse it — and the
+// caller has told nobody its number, so no other goroutine can reach the
+// extent: the pin keeps eviction and compaction away, and the fill needs
+// no lock. A caller that gives up calls Remove and then Release, which
+// returns the extent. Evictions are reported even when the reservation
+// itself fails.
+func (c *Cache) Reserve(inode uint32, size int64) (v *View, evicted []Evicted, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx, evicted, err := c.placeLocked(inode, size)
+	if err != nil {
+		return nil, evicted, err
+	}
+	rn := &c.rnodes[idx-1]
+	rn.unfilled = true
+	c.slots[idx-1].pins.Add(1)
+	return &View{c: c, idx: idx, data: rn.bytes(c.buf)}, evicted, nil
+}
+
+// placeLocked claims an rnode and a size-byte arena extent for inode — the
+// one placement routine behind Insert and Reserve: evict the LRU file if
+// the rnode table is full, evict further until first fit succeeds, and
+// compact once if what is free is shattered.
+func (c *Cache) placeLocked(inode uint32, size int64) (idx uint16, evicted []Evicted, err error) {
 	if size > c.arena.Total() {
 		return 0, nil, fmt.Errorf("%d bytes into %d-byte arena: %w", size, c.arena.Total(), ErrTooLarge)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
 	// Claim an rnode, evicting the LRU file if the table is full.
 	if len(c.freeSlot) == 0 {
 		victim := c.lruLocked()
@@ -230,9 +291,6 @@ func (c *Cache) Insert(inode uint32, data []byte) (idx uint16, evicted []Evicted
 			}
 			return 0, evicted, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
 		}
-		// Eviction may have freed room without defragmenting enough; the
-		// loop above handles that by evicting more. Here we have space.
-		copy(c.buf[off:off+size], data)
 	}
 
 	slotNum := c.freeSlot[len(c.freeSlot)-1]
@@ -322,8 +380,26 @@ type View struct {
 }
 
 // Bytes returns the pinned file contents. The slice aliases the cache
-// arena and is valid only until Release.
+// arena and is valid only until Release. Only the holder of a reserved,
+// unpublished view may write to it.
 func (v *View) Bytes() []byte { return v.data }
+
+// Slot returns the rnode slot number the view pins.
+func (v *View) Slot() uint16 { return v.idx }
+
+// Publish declares a reserved view's bytes filled: from here on GetView,
+// Pin and Get resolve the slot. The caller's pin is untouched. A no-op on
+// views that were never reserved, and on released ones (the slot may
+// already be someone else's reservation).
+func (v *View) Publish() {
+	if v.done {
+		return
+	}
+	c := v.c
+	c.mu.Lock()
+	c.rnodes[v.idx-1].unfilled = false
+	c.mu.Unlock()
+}
 
 // Len returns the pinned file's size in bytes.
 func (v *View) Len() int { return len(v.data) }
@@ -378,12 +454,9 @@ func (c *Cache) Pin(idx uint16, inode uint32) (*View, error) {
 func (c *Cache) view(idx uint16, inode uint32, countHit bool) (*View, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	rn, err := c.slotLocked(idx)
+	rn, err := c.lookupLocked(idx, inode)
 	if err != nil {
 		return nil, err
-	}
-	if rn.inode != inode {
-		return nil, fmt.Errorf("slot %d holds inode %d, want %d: %w", idx, rn.inode, inode, ErrBadSlot)
 	}
 	sl := &c.slots[idx-1]
 	sl.age.Store(c.tick())
@@ -391,11 +464,7 @@ func (c *Cache) view(idx uint16, inode uint32, countHit bool) (*View, error) {
 	if countHit {
 		sl.hits.Add(1)
 	}
-	data := []byte{}
-	if rn.size > 0 {
-		data = c.buf[rn.off : rn.off+rn.size : rn.off+rn.size]
-	}
-	return &View{c: c, idx: idx, data: data}, nil
+	return &View{c: c, idx: idx, data: rn.bytes(c.buf)}, nil
 }
 
 // PinnedViews returns the number of outstanding pinned views. The count
@@ -417,19 +486,13 @@ func (c *Cache) PinnedViews() int64 {
 func (c *Cache) Get(idx uint16, inode uint32) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	rn, err := c.slotLocked(idx)
+	rn, err := c.lookupLocked(idx, inode)
 	if err != nil {
 		return nil, err
 	}
-	if rn.inode != inode {
-		return nil, fmt.Errorf("slot %d holds inode %d, want %d: %w", idx, rn.inode, inode, ErrBadSlot)
-	}
 	c.slots[idx-1].age.Store(c.tick())
 	c.slots[idx-1].hits.Add(1)
-	if rn.size == 0 {
-		return []byte{}, nil
-	}
-	return c.buf[rn.off : rn.off+rn.size : rn.off+rn.size], nil
+	return rn.bytes(c.buf), nil
 }
 
 // NoteMiss records one cache miss. The engine calls it when a read finds
@@ -442,7 +505,8 @@ func (c *Cache) NoteMiss() {
 // Remove drops slot idx from the cache (file deleted, paper §3: "If the
 // file is in the cache, the space in the cache can be freed"). The expected
 // inode guards against stale slot numbers that were reused for another
-// file after an eviction.
+// file after an eviction. A reserved slot can be removed before it is
+// published: its holder's Release then reclaims it.
 func (c *Cache) Remove(idx uint16, inode uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -470,7 +534,7 @@ func (c *Cache) Compact() error {
 }
 
 // pinnedLocked sums the per-slot pin counters. Exact while mu is held
-// exclusively (view, the only pinner, needs the shared lock).
+// exclusively (view needs the shared lock to pin, Reserve the exclusive).
 func (c *Cache) pinnedLocked() int64 {
 	var n int64
 	for i := range c.slots {

@@ -33,15 +33,36 @@ func (c *Cache) InsertTraced(tc *trace.Ctx, parent *trace.Span, inode uint32, da
 	}
 	sp := tc.Begin(parent, trace.LayerCache, trace.OpCacheInsert)
 	idx, evicted, err := c.Insert(inode, data)
-	if sp != nil {
-		sp.Inode = inode
-		sp.Bytes = int64(len(data))
-		if err != nil {
-			sp.Status = 1
-		}
-	}
+	stampInsertSpan(sp, inode, int64(len(data)), err)
 	tc.End(sp)
 	return idx, evicted, err
+}
+
+// ReserveTraced is Reserve under the same cache-insert span InsertTraced
+// records: a trace shows one placement per fault whichever call made it.
+// tc may be nil.
+func (c *Cache) ReserveTraced(tc *trace.Ctx, parent *trace.Span, inode uint32, size int64) (*View, []Evicted, error) {
+	if !tc.Active() {
+		return c.Reserve(inode, size)
+	}
+	sp := tc.Begin(parent, trace.LayerCache, trace.OpCacheInsert)
+	v, evicted, err := c.Reserve(inode, size)
+	stampInsertSpan(sp, inode, size, err)
+	tc.End(sp)
+	return v, evicted, err
+}
+
+// stampInsertSpan fills in a cache-insert span's attributes (the caller
+// ends it: spanbalance wants End beside Begin).
+func stampInsertSpan(sp *trace.Span, inode uint32, size int64, err error) {
+	if sp == nil {
+		return
+	}
+	sp.Inode = inode
+	sp.Bytes = size
+	if err != nil {
+		sp.Status = 1
+	}
 }
 
 // TraceMiss emits a cache-lookup miss span for a file with no cached copy

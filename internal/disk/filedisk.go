@@ -8,8 +8,13 @@ import (
 
 // FileDisk is a Device backed by a file in the host filesystem, used by the
 // real daemons (cmd/bulletd) for durable storage.
+//
+// ReadAt, WriteAt and Sync share mu: pread and pwrite are
+// position-independent, so transfers to different extents of one replica
+// overlap. Only Close takes it exclusively, so the descriptor is never
+// closed under an in-flight transfer.
 type FileDisk struct {
-	mu        sync.Mutex
+	mu        sync.RWMutex
 	f         *os.File // guarded by mu
 	blockSize int      // immutable after construction
 	blocks    int64    // immutable after construction
@@ -76,8 +81,8 @@ func (d *FileDisk) checkLocked(n, off int64) error {
 
 // ReadAt implements Device.
 func (d *FileDisk) ReadAt(p []byte, off int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if err := d.checkLocked(int64(len(p)), off); err != nil {
 		return err
 	}
@@ -89,8 +94,8 @@ func (d *FileDisk) ReadAt(p []byte, off int64) error {
 
 // WriteAt implements Device.
 func (d *FileDisk) WriteAt(p []byte, off int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if err := d.checkLocked(int64(len(p)), off); err != nil {
 		return err
 	}
@@ -102,8 +107,8 @@ func (d *FileDisk) WriteAt(p []byte, off int64) error {
 
 // Sync implements Device.
 func (d *FileDisk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if d.closed {
 		return ErrClosed
 	}

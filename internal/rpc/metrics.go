@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"bulletfs/internal/stats"
@@ -20,6 +21,20 @@ import (
 type muxMetrics struct {
 	reg    *stats.Registry
 	nameOf func(uint32) string
+
+	mu  sync.RWMutex
+	ops map[uint32]*opMetrics // guarded by mu; one entry per command code seen
+}
+
+// opMetrics is one command's handles into the registry, resolved the
+// first time the command is dispatched: building four metric names and
+// looking each up was a measurable share of a small cached read.
+type opMetrics struct {
+	name     string // the rpc.<name>.* segment
+	requests *stats.Counter
+	latency  *stats.Histogram
+	reqBytes *stats.Histogram
+	repBytes *stats.Histogram
 }
 
 // opName renders a command code for metric names: the attached naming
@@ -33,22 +48,48 @@ func (mm *muxMetrics) opName(cmd uint32) string {
 	return "cmd" + strconv.FormatUint(uint64(cmd), 10)
 }
 
+// op returns cmd's handles, registering its series on first use.
+func (mm *muxMetrics) op(cmd uint32) *opMetrics {
+	mm.mu.RLock()
+	om := mm.ops[cmd]
+	mm.mu.RUnlock()
+	if om != nil {
+		return om
+	}
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if om = mm.ops[cmd]; om != nil {
+		return om
+	}
+	name := mm.opName(cmd)
+	om = &opMetrics{
+		name:     name,
+		requests: mm.reg.Counter("rpc." + name + ".requests"),
+		// Exemplar threshold 0: every traced observation is eligible, so
+		// the slowest recent trace per bucket is always on record.
+		latency:  mm.reg.HistogramExemplars("rpc."+name+".latency_ns", stats.DefaultLatencyBounds, 0),
+		reqBytes: mm.reg.Histogram("rpc."+name+".req_bytes", stats.DefaultSizeBounds),
+		repBytes: mm.reg.Histogram("rpc."+name+".rep_bytes", stats.DefaultSizeBounds),
+	}
+	mm.ops[cmd] = om
+	return om
+}
+
 // record books one dispatched transaction under rpc.<op>.*. traceID (0
 // for untraced requests) feeds the latency histogram's per-bucket
 // exemplars, so a tail-latency bucket names a trace the flight recorder
 // can expand.
 func (mm *muxMetrics) record(cmd uint32, reqBytes, repBytes int, st Status, elapsed time.Duration, traceID uint64) {
-	op := mm.opName(cmd)
-	mm.reg.Counter("rpc." + op + ".requests").Inc()
+	om := mm.op(cmd)
+	om.requests.Inc()
 	if st != StatusOK {
-		mm.reg.Counter("rpc." + op + ".errors").Inc()
+		// Looked up by name on the (rare) failure itself: an op that has
+		// never failed exports no errors series.
+		mm.reg.Counter("rpc." + om.name + ".errors").Inc()
 	}
-	// Exemplar threshold 0: every traced observation is eligible, so the
-	// slowest recent trace per bucket is always on record.
-	mm.reg.HistogramExemplars("rpc."+op+".latency_ns", stats.DefaultLatencyBounds, 0).
-		ObserveTraced(int64(elapsed), traceID)
-	mm.reg.Histogram("rpc."+op+".req_bytes", stats.DefaultSizeBounds).Observe(int64(reqBytes))
-	mm.reg.Histogram("rpc."+op+".rep_bytes", stats.DefaultSizeBounds).Observe(int64(repBytes))
+	om.latency.ObserveTraced(int64(elapsed), traceID)
+	om.reqBytes.Observe(int64(reqBytes))
+	om.repBytes.Observe(int64(repBytes))
 }
 
 // AttachMetrics instruments every subsequent Dispatch with per-operation
@@ -59,7 +100,7 @@ func (mm *muxMetrics) record(cmd uint32, reqBytes, repBytes int, st Status, elap
 func (m *Mux) AttachMetrics(reg *stats.Registry, nameOf func(uint32) string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.metrics = &muxMetrics{reg: reg, nameOf: nameOf}
+	m.metrics = &muxMetrics{reg: reg, nameOf: nameOf, ops: make(map[uint32]*opMetrics)}
 	// Dispatch-path gauges: outbound reply bytes, the zero-copy reply
 	// path (borrowed payloads and the pins held over socket writes), and
 	// the byte-budgeted duplicate-suppression cache.

@@ -137,3 +137,18 @@ func TestTransportMetricsRealDialFailure(t *testing.T) {
 		t.Errorf("rpc.transport_errors = %d, want 1", n)
 	}
 }
+
+// TestMuxMetricsRecordReusesHandles: after a command's first dispatch,
+// booking a request builds no metric names and looks nothing up.
+func TestMuxMetricsRecordReusesHandles(t *testing.T) {
+	mm := &muxMetrics{reg: stats.NewRegistry(), ops: make(map[uint32]*opMetrics)}
+	mm.record(7, 10, 20, StatusOK, time.Microsecond, 0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		mm.record(7, 10, 20, StatusOK, time.Microsecond, 99)
+	}); allocs != 0 {
+		t.Fatalf("record allocates %.0f times per request, want 0", allocs)
+	}
+	if n := mm.reg.Snapshot().Counters["rpc.cmd7.requests"]; n != 202 {
+		t.Fatalf("rpc.cmd7.requests = %d, want 202", n)
+	}
+}

@@ -101,6 +101,7 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 		if cached, dup := m.dedup[txid]; dup {
 			m.mu.Unlock()
 			m.replayStats(mm, tc, req, cached)
+			tc.Finish() // publish before the reply, as streamState.emit does
 			return sink(cached.hdr, cached.payload, true)
 		}
 	}
@@ -113,6 +114,7 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 		if err != nil {
 			return err
 		}
+		tc.Finish() // publish before the reply, as streamState.emit does
 		return sink(h, p, true)
 	}
 
@@ -122,7 +124,7 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 		root.Bytes = int64(len(payload))
 	}
 	start := time.Now()
-	st := streamState{m: m, sink: sink, txid: txid}
+	st := streamState{m: m, sink: sink, txid: txid, tc: tc, root: root}
 	e.stream(tc, root, req, payload, st.emit)
 	if st.frames == 0 && st.werr == nil {
 		// A handler that emitted nothing is a bug; keep the wire sane.
@@ -131,6 +133,8 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 	if mm != nil {
 		mm.record(req.Command, len(payload), st.bytes, st.hdr.Status, time.Since(start), tc.TraceID())
 	}
+	// For a dispatch that never reached its final frame's write; behind a
+	// published trace (see emit) both are no-ops.
 	if root != nil {
 		root.Status = int32(st.hdr.Status)
 	}
@@ -149,6 +153,8 @@ type streamState struct {
 	m    *Mux
 	sink FrameSink
 	txid uint64
+	tc   *trace.Ctx
+	root *trace.Span // the request's root span; nil when untraced
 
 	frames   int
 	bytes    int // payload bytes across all frames
@@ -158,9 +164,10 @@ type streamState struct {
 }
 
 // emit is the Emitter handed to stream handlers: it books the frame,
-// copies a retainable single-frame reply for the dedup cache, writes the
-// frame through the sink, and releases the payload's backing resource
-// after the write — the pin is held exactly over the write.
+// copies a retainable single-frame reply for the dedup cache, publishes
+// the trace ahead of the final frame, writes the frame through the sink,
+// and releases the payload's backing resource after the write — the pin is
+// held exactly over the write.
 func (st *streamState) emit(h Header, p Payload, last bool) error {
 	m := st.m
 	if p.Owner != nil {
@@ -195,6 +202,19 @@ func (st *streamState) emit(h Header, p Payload, last bool) error {
 	st.frames++
 	st.bytes += len(p.Data)
 	m.bytesOut.Add(int64(len(p.Data)))
+	if last {
+		// Publish the trace before the final frame goes out: once a client
+		// holds its reply, its trace is in the recorder (request-then-
+		// `bulletctl trace` and exemplar links depend on that order). The
+		// root span therefore does not cover this frame's socket write; the
+		// rpc.<op>.latency_ns histogram, recorded after the handler
+		// returns, still does.
+		if st.root != nil {
+			st.root.Status = int32(st.hdr.Status)
+		}
+		st.tc.End(st.root)
+		st.tc.Finish()
+	}
 	st.werr = st.sink(h, p.Data, last)
 	return st.werr
 }

@@ -290,3 +290,70 @@ func TestTransStreamOverTCP(t *testing.T) {
 		t.Fatalf("Trans after stream: %+v, %v", rep, err)
 	}
 }
+
+// TestDispatchStreamPublishesTraceBeforeFinalFrame: by the time the sink
+// sees a transaction's last frame — that is, before the client can hold
+// its reply — the trace is in the recorder, root span closed. A handler
+// that keeps working (and tracing) behind its last emit adds no second
+// trace. Covers stream, classic and replayed dispatches.
+func TestDispatchStreamPublishesTraceBeforeFinalFrame(t *testing.T) {
+	rec := trace.NewRecorder(trace.WithCapacity(16, 4))
+	defer rec.Close()
+	mux := NewMux(0)
+	mux.AttachRecorder(rec)
+	streamPort := capability.PortFromString("publish-stream")
+	mux.RegisterStream(streamPort, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter) {
+		_ = emit(ReplyOK(), Plain([]byte("a")), false)
+		_ = emit(ReplyOK(), Plain([]byte("b")), true)
+		tc.End(tc.Begin(parent, trace.LayerEngine, trace.OpRead)) // behind the reply
+	})
+	classicPort := capability.PortFromString("publish-classic")
+	mux.RegisterTraced(classicPort, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte) (Header, []byte) {
+		return ReplyOK(), []byte("c")
+	})
+
+	recorded := func(id uint64) (n int, root *trace.Span) {
+		for _, tr := range rec.Recent() {
+			if tr.ID == id {
+				n++
+				root = tr.Root()
+			}
+		}
+		return n, root
+	}
+	tc := rec.AcquireCtx()
+	defer rec.ReleaseCtx(tc)
+	cases := []struct {
+		name string
+		port capability.Port
+		txid uint64
+	}{
+		{"stream", streamPort, 0},
+		{"classic", classicPort, 41},
+		{"replay", classicPort, 41}, // same txid: served from the dedup cache
+	}
+	for i, tcase := range cases {
+		id := uint64(100 + i)
+		tc.Reset(id)
+		err := mux.DispatchStream(tc, tcase.port, tcase.txid, Header{Command: 3}, nil, func(h Header, data []byte, last bool) error {
+			n, root := recorded(id)
+			if !last {
+				if n != 0 {
+					t.Errorf("%s: trace published before the final frame", tcase.name)
+				}
+				return nil
+			}
+			if n != 1 || root == nil || root.Dur < 0 {
+				t.Errorf("%s: at the final frame the recorder holds %d traces (root %+v), want 1 with a closed root", tcase.name, n, root)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: DispatchStream: %v", tcase.name, err)
+		}
+		tc.Finish() // what the connection loop does afterwards
+		if n, _ := recorded(id); n != 1 {
+			t.Fatalf("%s: %d traces recorded for one transaction, want 1", tcase.name, n)
+		}
+	}
+}

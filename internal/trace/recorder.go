@@ -170,6 +170,7 @@ func (r *Recorder) AcquireCtx() *Ctx {
 	}
 	c := r.ctxPool.Get().(*Ctx)
 	c.t.N = 0
+	c.finished = false
 	return c
 }
 

@@ -174,6 +174,11 @@ type Ctx struct {
 	// request should be abandoned; 0 means no deadline is armed.
 	deadlineAt  int64
 	deadlineNow func() int64
+
+	// finished is set by Finish and cleared by Reset: the request's trace
+	// has been published, and a span opened afterwards (a handler still
+	// running behind its final reply frame) must not start a second one.
+	finished bool
 }
 
 // Reset arms the arena for a new request with the given wire trace ID.
@@ -188,6 +193,7 @@ func (c *Ctx) Reset(id uint64) {
 	c.t.N = 0
 	c.deadlineAt = 0
 	c.deadlineNow = nil
+	c.finished = false
 }
 
 // Active reports whether the arena is armed (nil-safe). Layers can use it
@@ -204,10 +210,11 @@ func (c *Ctx) TraceID() uint64 {
 }
 
 // Begin opens a span under parent (nil parent makes a root span) and
-// returns it for attribute writes. Returns nil if c is nil or the arena
-// is full; End(nil) is a no-op, so call sites never branch.
+// returns it for attribute writes. Returns nil if c is nil, the arena is
+// full, or the trace was already published (Finish without a Reset since);
+// End(nil) is a no-op, so call sites never branch.
 func (c *Ctx) Begin(parent *Span, layer Layer, op Op) *Span {
-	if c == nil {
+	if c == nil || c.finished {
 		return nil
 	}
 	if c.t.N >= MaxSpans {
@@ -238,9 +245,9 @@ func (c *Ctx) Begin(parent *Span, layer Layer, op Op) *Span {
 }
 
 // End closes the span, stamping its duration from the monotonic clock.
-// No-op on a nil span or nil Ctx.
+// No-op on a nil span, a nil Ctx, or a trace already published.
 func (c *Ctx) End(sp *Span) {
-	if c == nil || sp == nil {
+	if c == nil || sp == nil || c.finished {
 		return
 	}
 	sp.Dur = int64(time.Since(c.starts[sp.ID]))
@@ -262,10 +269,17 @@ func (c *Ctx) Add(parent *Span, layer Layer, op Op, start time.Time, dur int64) 
 }
 
 // Finish flushes the completed trace to the recorder's rings and disarms
-// the arena. It is the only Ctx method that touches shared state, and it
-// runs once per request, off the per-span hot path.
+// the arena until the next Reset: later Begins record nothing and a second
+// Finish is a no-op, so the dispatch layer can publish ahead of the final
+// reply frame while the arena's owner still calls Finish unconditionally.
+// It is the only Ctx method that touches shared state, and it runs once
+// per request, off the per-span hot path.
 func (c *Ctx) Finish() {
-	if c == nil || c.rec == nil || c.t.N == 0 {
+	if c == nil {
+		return
+	}
+	c.finished = true
+	if c.rec == nil || c.t.N == 0 {
 		return
 	}
 	c.rec.record(&c.t)

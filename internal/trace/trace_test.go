@@ -351,3 +351,37 @@ func TestSpanRecordingAllocFree(t *testing.T) {
 		t.Fatalf("span recording allocates %v per op, want 0", allocs)
 	}
 }
+
+// TestCtxFinishedUntilReset: once a request's trace is published, spans
+// opened behind it record nothing and a second Finish publishes nothing —
+// until Reset arms the arena for the next request.
+func TestCtxFinishedUntilReset(t *testing.T) {
+	rec := NewRecorder(WithCapacity(4, 4))
+	c := rec.AcquireCtx()
+	defer rec.ReleaseCtx(c)
+
+	c.Reset(1)
+	c.End(c.Begin(nil, LayerRPC, OpRequest))
+	c.Finish()
+	if sp := c.Begin(nil, LayerEngine, OpRead); sp != nil {
+		t.Fatal("Begin after Finish opened a span")
+	}
+	if sp := c.Add(nil, LayerDisk, OpDiskRead, time.Now(), 5); sp != nil {
+		t.Fatal("Add after Finish recorded a span")
+	}
+	c.Finish()
+	if got := rec.Recent(); len(got) != 1 || got[0].ID != 1 || got[0].N != 1 {
+		t.Fatalf("recorder holds %d traces after a late span and a second Finish, want the one", len(got))
+	}
+
+	c.Reset(2)
+	sp := c.Begin(nil, LayerRPC, OpRequest)
+	if sp == nil {
+		t.Fatal("Reset did not re-arm the arena")
+	}
+	c.End(sp)
+	c.Finish()
+	if got := rec.Recent(); len(got) != 2 {
+		t.Fatalf("recorder holds %d traces, want 2", len(got))
+	}
+}
