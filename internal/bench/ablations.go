@@ -2,9 +2,11 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"bulletfs/internal/capability"
+	"bulletfs/internal/disk"
 	"bulletfs/internal/hwmodel"
 )
 
@@ -115,12 +117,37 @@ func RunAblation() (*Table, error) {
 	return t, nil
 }
 
+// heldDisk parks WriteAt calls while hold is write-locked: an experiment's
+// handle on a replica write the reply does not wait for. The virtual clock
+// is shared and additive, so A2 keeps such writes off it until the
+// measurement window has closed; the quorum check (P3) uses one as its
+// deliberately slow replica.
+type heldDisk struct {
+	disk.Device
+	hold sync.RWMutex
+}
+
+func (d *heldDisk) WriteAt(p []byte, off int64) error {
+	d.hold.RLock()
+	defer d.hold.RUnlock()
+	return d.Device.WriteAt(p, off)
+}
+
 // RunPFactor regenerates experiment A2: the create delay for each paranoia
 // factor (§2.2). P-FACTOR 0 replies after the RAM cache copy, 1 after one
-// disk, 2 after both; the remaining writes continue in the background and
-// the harness drains them between measurements so each point is clean.
+// disk, 2 after both; the remaining writes continue in the background.
+// The quorum is the first pf replicas (main first), so the harness holds
+// the others back while it measures, then releases and drains them so each
+// point is clean.
 func RunPFactor() (*Table, error) {
-	w, err := NewBulletWorld(BulletConfig{Profile: hwmodel.AmoebaProfile()})
+	var held []*heldDisk
+	w, err := NewBulletWorld(BulletConfig{
+		Profile: hwmodel.AmoebaProfile(),
+		WrapDisk: func(d disk.Device) disk.Device {
+			held = append(held, &heldDisk{Device: d})
+			return held[len(held)-1]
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -136,11 +163,17 @@ func RunPFactor() (*Table, error) {
 			var total time.Duration
 			for i := 0; i < iterations; i++ {
 				var c capability.Capability
+				for _, h := range held[pf:] {
+					h.hold.Lock()
+				}
 				d, err := Measure(w.Clock, func() error {
 					var err error
 					c, err = w.Client.Create(w.Port, data, pf)
 					return err
 				})
+				for _, h := range held[pf:] {
+					h.hold.Unlock()
+				}
 				if err != nil {
 					return nil, fmt.Errorf("bench a2 pf=%d: %w", pf, err)
 				}

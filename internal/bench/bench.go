@@ -151,6 +151,10 @@ type BulletConfig struct {
 	// AdmissionLimit bounds concurrent file operations at the service;
 	// past it requests are shed with StatusBusy (0 = unlimited).
 	AdmissionLimit int
+	// WrapDisk, when set, wraps each replica's simulated disk, in index
+	// order, before the replica set is built (experiments that hold or
+	// count device calls).
+	WrapDisk func(disk.Device) disk.Device
 }
 
 // NewBulletWorld builds and formats a simulated Bullet deployment.
@@ -175,6 +179,9 @@ func NewBulletWorld(cfg BulletConfig) (*BulletWorld, error) {
 			return nil, err
 		}
 		devs[i] = disk.NewSim(mem, cfg.Profile.Disk, clock)
+		if cfg.WrapDisk != nil {
+			devs[i] = cfg.WrapDisk(devs[i])
+		}
 	}
 	set, err := disk.NewReplicaSet(devs...)
 	if err != nil {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +177,32 @@ func TestPFactorShape(t *testing.T) {
 	for _, c := range PFactorChecks(tab) {
 		if !c.Pass {
 			t.Errorf("%s", c.Format())
+		}
+	}
+}
+
+// TestPFactorTableRepeats pins the A2 table against the race it used to
+// lose: a replica write the reply does not wait for must never land on
+// the shared additive clock inside Measure's window. The quorum runs on
+// the request goroutine and the experiment parks the remainder until the
+// window has closed, so five runs on several Ps give one table.
+func TestPFactorTableRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep in -short mode")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	var first *Table
+	for run := 0; run < 5; run++ {
+		tab, err := RunPFactor()
+		if err != nil {
+			t.Fatalf("RunPFactor: %v", err)
+		}
+		if run == 0 {
+			first = tab
+		} else if !reflect.DeepEqual(tab.Rows, first.Rows) {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", run, tab.Format(), first.Format())
 		}
 	}
 }

@@ -19,7 +19,8 @@
 // readers miss on the same file) and the disk read itself lands in a
 // reserved cache slot with no engine or cache lock held. Create holds the
 // metadata lock only for its short allocation phase; the replica
-// write-through — parallel across disks — happens outside it.
+// write-through — the P-FACTOR quorum on the request goroutine, the rest
+// in the background — happens outside it.
 package bullet
 
 import (
@@ -465,9 +466,9 @@ func clampUint32(n int64) uint32 {
 // happens (paper §3); P-FACTOR only moves the reply.
 //
 // The metadata lock is held only while claiming the extent, the inode and
-// the cache slot. The write-through itself runs outside it, in parallel
-// across the replicas, so concurrent creates overlap their disk time and
-// readers are never blocked behind a commit.
+// the cache slot. The write-through itself runs outside it — the caller
+// writes its P-FACTOR quorum, main replica first — so concurrent creates
+// overlap their disk time and readers are never blocked behind a commit.
 func (s *Server) Create(data []byte, pfactor int) (capability.Capability, error) {
 	return s.CreateTraced(nil, nil, data, pfactor)
 }
@@ -571,10 +572,10 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	s.mu.Unlock()
 
 	// Write-through: file bytes, then the whole disk block containing the
-	// new inode, per replica — all replicas in parallel, the caller
-	// waiting only for the first pfactor of them. The inode block is
-	// re-encoded at write time so delayed background writes publish
-	// current (never stale) metadata.
+	// new inode, per replica — this goroutine writes the first pfactor
+	// replicas (main first) and replies; the rest follow in the
+	// background. The inode block is re-encoded at write time so delayed
+	// background writes publish current (never stale) metadata.
 	padded := make([]byte, blocks*int64(s.desc.BlockSize))
 	copy(padded, data)
 	dataOff := s.desc.DataOffset(start)
@@ -965,8 +966,9 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	if err := s.table.Free(inode); err != nil {
 		return err
 	}
-	// Deletion involves requests to all disks (paper §4 note under Fig. 2),
-	// in parallel.
+	// Deletion involves requests to all disks (paper §4 note under Fig. 2):
+	// a full quorum, so this goroutine — still holding mu, as it always
+	// waited here — writes the inode block to each replica in turn.
 	err = s.replicas.ApplyNotifyTraced(tc, sp, s.replicas.N(), func(i int, dev disk.Device) error {
 		s.inoMu[i].Lock()
 		defer s.inoMu[i].Unlock()

@@ -2,9 +2,12 @@ package bullet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"bulletfs/internal/capability"
+	"bulletfs/internal/disk"
 )
 
 // These tests exercise the §3 reliability story: "The most vulnerable
@@ -175,5 +178,48 @@ func TestWriteOnSurvivorWhenSecondDiskDiesMidCreate(t *testing.T) {
 	}
 	if srv2.Live() != 1 {
 		t.Fatalf("Live = %d, want 1", srv2.Live())
+	}
+}
+
+// TestCommitWithNoLiveReplicaLeaksNothing: when no disk takes the write the
+// create fails with full rollback — inode, extent, cache slot and the
+// commit's pin on that slot. The first create meets live replicas that all
+// reject the write (the all-fail path); the later ones meet a set with no
+// live replica at all, the path that used to return before running the
+// settle hook and so leaked one pinned, doomed slot per attempt. Grouped
+// commits settle through the same hook.
+func TestCommitWithNoLiveReplicaLeaksNothing(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"direct":  {},
+		"grouped": {GroupCommitWindow: time.Millisecond},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, 2, opts)
+			mustCreate(t, w.srv, []byte("a survivor from before the outage"), 2)
+			cacheBefore, diskBefore, live := w.srv.CacheStats(), w.srv.DiskStats(), w.srv.Live()
+			for _, f := range w.faulty {
+				f.FailAfterWrites(0)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := w.srv.Create(bytes.Repeat([]byte{7}, 3000), 1); !errors.Is(err, disk.ErrNoReplica) {
+					t.Fatalf("create %d with every disk failing: %v, want ErrNoReplica", i, err)
+				}
+				w.set.Drain()
+				cs := w.srv.CacheStats()
+				if cs.PinnedViews != 0 || cs.UsedBytes != cacheBefore.UsedBytes || cs.Files != cacheBefore.Files {
+					t.Fatalf("after failed create %d: pinned=%d used=%d files=%d, want 0, %d, %d",
+						i, cs.PinnedViews, cs.UsedBytes, cs.Files, cacheBefore.UsedBytes, cacheBefore.Files)
+				}
+			}
+			if w.set.AliveCount() != 0 {
+				t.Fatalf("alive = %d, want 0", w.set.AliveCount())
+			}
+			if got := w.srv.DiskStats(); got != diskBefore {
+				t.Fatalf("allocator after failed creates: %+v, want %+v", got, diskBefore)
+			}
+			if w.srv.Live() != live {
+				t.Fatalf("Live = %d after failed creates, want %d", w.srv.Live(), live)
+			}
+		})
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // GroupCommitter batches concurrent small writes into shared replica
 // round-trips. Each engine create normally costs its own ApplyNotify
-// fan-out — one goroutine launch and one quorum wait per replica per
-// file — so N concurrent small creates pay N sync round-trips even
+// fan-out — one data write and one inode-block write per quorum replica
+// per file — so N concurrent small creates pay N sync round-trips even
 // though each replica could absorb all N data writes plus one combined
 // metadata write in a single pass. The committer queues entries for up
 // to a flush window (or a batch-size cap, whichever trips first) and
@@ -57,7 +57,7 @@ type GroupEntry struct {
 	// once).
 	Tag uint32
 	// Op writes the entry's data on one replica. Like ApplyNotify ops it
-	// runs concurrently across replicas and must touch only caller-owned
+	// may run concurrently across replicas and must touch only caller-owned
 	// state plus the device.
 	Op func(i int, dev Device) error
 	// OnSettled, when non-nil, runs after every replica has finished the

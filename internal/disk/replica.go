@@ -3,6 +3,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,10 +32,13 @@ const DefaultErrorBudget = 8
 
 // ReplicaSet manages N identical replica disks (the paper's hardware had
 // two). Reads go to the main disk, failing over — and permanently demoting
-// the main — when it dies. Writes are applied to every live replica
-// concurrently; the create operation's P-FACTOR chooses how many must
-// complete before the caller resumes (paper §2.2, §3), so commit latency
-// for P-FACTOR k is the maximum of k disk writes, not their sum.
+// the main — when it dies. Writes are applied to every live replica; the
+// create operation's P-FACTOR chooses how many must complete before the
+// caller resumes (paper §2.2, §3). The caller writes that quorum itself,
+// main replica first and then by ascending index, so commit latency for
+// P-FACTOR k is the sum of k disk writes; goroutines carry only what the
+// reply does not wait for (the replicas beyond the quorum, breaker-open
+// replicas, the recovery mirror).
 //
 // Beyond the paper: reads can carry a verification callback (ReadVerified)
 // that turns silent corruption into failover plus in-place repair, and
@@ -59,8 +63,8 @@ type ReplicaSet struct {
 
 	// applyGate serializes recovery state changes against write fan-out
 	// launches. ApplyNotify holds the read side only while it snapshots
-	// liveness and launches its goroutines — never across I/O or the
-	// quorum wait — so the write side (taken twice per recovery, at arm
+	// liveness and registers its fan-out with the drain tracker — never
+	// across I/O — so the write side (taken twice per recovery, at arm
 	// and finish) stalls commits for microseconds, not for the copy.
 	// Ordering matters: markDead and Drain never touch applyGate, so a
 	// recovery holding the write side cannot deadlock against a dying
@@ -112,9 +116,10 @@ type ReplicaSet struct {
 	readCond     *sync.Cond // lazily initialized under readMu
 	pendingReads int        // guarded by readMu
 
-	// Parallel-commit observability: commits with a synchronous phase, and
-	// the total replica fanout of those synchronous phases. fanout/commits
-	// is the mean number of disks a caller's reply waited on in parallel.
+	// Commit observability: commits with a synchronous phase, and the
+	// total quorum width of those phases. fanout/commits is the mean number
+	// of disks a caller wrote before its reply. (The names predate the
+	// caller-run quorum; the exported metric names are pinned.)
 	parallelCommits stats.Counter
 	commitFanout    stats.Counter
 }
@@ -206,7 +211,7 @@ func (s *ReplicaSet) SetErrorBudget(n int64) {
 
 // markDead demotes replica i; if it was the main, the next live replica is
 // promoted and its index returned (else -1). Safe to call from concurrent
-// per-replica commit goroutines.
+// committers and their background writers.
 func (s *ReplicaSet) markDead(i int) (promoted int) {
 	s.errs[i].Inc()
 	s.mu.Lock()
@@ -359,7 +364,7 @@ func (s *ReplicaSet) readVerified(tc *trace.Ctx, parent *trace.Span, p []byte, o
 // grayAttempt is one in-flight read attempt under the gray ladder. The
 // worker goroutine owns buf and err; start/dur are atomics so the
 // ladder goroutine can stamp spans for attempts still in flight
-// (trace.Ctx is single-goroutine — same pattern as commitClock).
+// (trace.Ctx is single-goroutine).
 type grayAttempt struct {
 	idx   int
 	buf   []byte
@@ -581,174 +586,209 @@ func (s *ReplicaSet) beginWrites(n int) {
 	s.pendMu.Unlock()
 }
 
-// endWrite retires one in-flight replica write.
-func (s *ReplicaSet) endWrite() {
+// endWrites retires n in-flight replica writes.
+func (s *ReplicaSet) endWrites(n int) {
 	s.pendMu.Lock()
-	s.pending--
+	s.pending -= n
 	if s.pending == 0 && s.pendCond != nil {
 		s.pendCond.Broadcast()
 	}
 	s.pendMu.Unlock()
 }
 
-// Apply runs op against every live replica concurrently. Once syncN
-// replicas have succeeded, Apply returns; the remaining replicas finish in
-// the background (tracked; see Drain). syncN <= 0 returns immediately with
-// the whole fanout in the background — the P-FACTOR 0 semantics of paper
-// §2.2. syncN larger than the number of live replicas means fully
-// synchronous. A replica whose op fails is marked dead; Apply fails only
-// if every live replica's op failed during the synchronous wait (for
-// syncN <= 0, it never fails).
+// Apply runs op against every live replica. The first syncN of them — the
+// main, then the others in index order — are written by the caller, one
+// after the other; Apply returns once they hold the write, and the
+// remaining replicas finish in the background (tracked; see Drain).
+// syncN <= 0 returns immediately with the whole fan-out in the background
+// — the P-FACTOR 0 semantics of paper §2.2. syncN larger than the number
+// of live replicas means fully synchronous. A replica whose op fails is
+// marked dead and the next one takes its place in the quorum; Apply fails
+// only if every live replica's op failed (for syncN <= 0, it never fails
+// while a replica is alive).
 //
-// Because the per-replica ops run in parallel, op must be safe for
-// concurrent invocation with distinct devices — every engine op is (it
-// writes caller-owned buffers and re-encodes inode blocks from the
-// internally locked table).
+// Background ops run concurrently with each other and with the caller's
+// next commit, so op must be safe for concurrent invocation with distinct
+// devices — every engine op is (it writes caller-owned buffers and
+// re-encodes inode blocks from the internally locked table).
 func (s *ReplicaSet) Apply(syncN int, op func(i int, dev Device) error) error {
-	return s.ApplyNotify(syncN, op, nil)
+	return s.ApplyNotifyTraced(nil, nil, syncN, op, nil)
 }
 
 // ApplyNotify is Apply with a completion hook: onSettled (when non-nil)
-// runs exactly once, after every replica — synchronous and background —
-// has finished its op. The engine uses it to unpin a fresh cache entry
-// the moment its disk copies are as durable as they will get.
+// runs exactly once on every return path, after every replica —
+// synchronous and background — has finished its op. The engine uses it to
+// unpin a fresh cache entry the moment its disk copies are as durable as
+// they will get.
 func (s *ReplicaSet) ApplyNotify(syncN int, op func(i int, dev Device) error, onSettled func()) error {
+	return s.ApplyNotifyTraced(nil, nil, syncN, op, onSettled)
+}
+
+// ApplyNotifyTraced is ApplyNotify with one replica-commit span per live
+// replica: an ordinary timed span for each write the caller ran, and a
+// span with Dur = DurPending for each one left to the background — the
+// trace shows exactly which disks the reply waited for and which it did
+// not. tc may be nil.
+func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN int, op func(i int, dev Device) error, onSettled func()) error {
 	s.applyGate.RLock()
-	s.mu.Lock()
-	live := make([]int, 0, len(s.devs))
-	for i, a := range s.alive {
-		if a {
-			live = append(live, i)
-		}
-	}
-	s.mu.Unlock()
-	if len(live) == 0 {
+	main, alive := s.readSnapshot()
+	if alive == 0 {
 		s.applyGate.RUnlock()
+		if onSettled != nil {
+			onSettled()
+		}
 		return ErrNoReplica
 	}
-	if syncN > len(live) {
-		syncN = len(live)
-	}
-
-	// A replica under online recovery is not in the live list — it is
+	// A replica under online recovery is not in the alive mask — it is
 	// still officially dead — but must see every write anyway, or the
 	// catch-up copy could never converge. The op is mirrored to it through
 	// a recording device that logs the extent before writing it, so the
 	// recovery loop re-copies anything its bulk pass raced with. The
 	// mirror is excluded from the P-FACTOR quorum (it is not durable until
 	// recovery completes) but is tracked for Drain and onSettled.
-	mirror := -1
-	var mdev Device
-	if rec := int(s.recovering.Load()); rec >= 0 {
-		inLive := false
-		for _, i := range live {
-			if i == rec {
-				inLive = true
-			}
-		}
-		if !inLive {
-			mirror = rec
-			mdev = s.recDev
-		}
+	var mirror Device
+	rec := int(s.recovering.Load())
+	if rec >= 0 && alive&(1<<uint(rec)) == 0 {
+		mirror = s.recDev
 	}
-
-	// All replicas start now; the caller merely chooses how many results
-	// to wait for. Registering the fanout before the goroutines launch
-	// keeps Drain exact: a Drain entered after Apply returns sees every
-	// write this call started.
 	// Quorum eligibility: with gray-failure handling on, a replica whose
 	// breaker is open still receives the write (it must stay convergent
 	// for the moment its breaker closes) but does not count toward the
 	// P-FACTOR quorum — a commit must not wait on a disk known to be
 	// answering at gray latency. At least one replica always stays
 	// eligible so a fully-gray set degrades to the fail-stop behavior.
-	eligible := make([]bool, len(s.devs))
-	nEligible := 0
-	if g := s.gray.Load(); g != nil {
-		for _, i := range live {
-			if s.brk[i].state.Load() != breakerOpen {
-				eligible[i] = true
-				nEligible++
+	eligible := alive
+	if s.gray.Load() != nil {
+		var closed uint64
+		for i := range s.devs {
+			if alive&(1<<uint(i)) != 0 && s.brk[i].state.Load() != breakerOpen {
+				closed |= 1 << uint(i)
 			}
 		}
-	}
-	if nEligible == 0 {
-		for _, i := range live {
-			eligible[i] = true
+		if closed != 0 {
+			eligible = closed
 		}
-		nEligible = len(live)
 	}
-	if syncN > nEligible {
-		syncN = nEligible
-	}
-
-	fanout := len(live)
-	if mirror >= 0 {
+	// Registering the whole fan-out before the gate is released keeps
+	// Drain exact: a recovery that takes the gate and drains, or a Drain
+	// entered after Apply returns, sees every write this call will start.
+	fanout := bits.OnesCount64(alive)
+	if mirror != nil {
 		fanout++
 	}
 	s.beginWrites(fanout)
-	type applyResult struct{ ok, quorum bool }
-	results := make(chan applyResult, len(live))
-	var remaining atomic.Int32
-	remaining.Store(int32(fanout))
-	// onSettled must complete before the write is retired from the drain
-	// tracker: Drain() returning promises that background settle work (the
-	// engine's cache unpin, stats updates) has already run, so a final
-	// stats snapshot taken after Drain can never race the last settle hook.
-	settle := func() {
-		if remaining.Add(-1) == 0 && onSettled != nil {
-			onSettled()
-		}
-		s.endWrite()
+	s.applyGate.RUnlock()
+
+	// The quorum, on this goroutine: main first, then ascending index,
+	// until want replicas hold the write; a failed op marks its replica
+	// dead and the next one takes its place. If every eligible replica
+	// fails, a second pass settles for any one live replica, breaker or
+	// no — a slow copy beats none, and no write may still be heading for
+	// the extent when the caller rolls it back.
+	want := min(syncN, bits.OnesCount64(eligible))
+	if want > 0 {
+		s.parallelCommits.Inc()
+		s.commitFanout.Add(int64(want))
 	}
-	for _, i := range live {
-		i := i
-		//lint:ignore goroutinestop accounted by the set's pending-write counter: endWrite (via settle) signals Drain, which shutdown and the engine's fault path wait on
-		go func() {
-			ok := op(i, s.devs[i]) == nil
-			if ok {
+	rest, ok := alive, 0
+	for pass := 0; pass < 2 && ok < want; pass++ {
+		for k := -1; k < len(s.devs) && ok < want; k++ {
+			i := k
+			if k < 0 {
+				i = main
+			} else if k == main {
+				continue
+			}
+			if rest&eligible&(1<<uint(i)) == 0 {
+				continue
+			}
+			rest &^= 1 << uint(i)
+			sp := tc.Begin(parent, trace.LayerDisk, trace.OpReplicaCommit)
+			err := op(i, s.devs[i])
+			if sp != nil {
+				sp.Replica = int8(i)
+				sp.PFactor = int8(syncN)
+			}
+			if err == nil {
 				s.writes[i].Inc()
+				ok++
 			} else {
+				if sp != nil {
+					sp.Status = 1
+				}
 				s.markDead(i)
 			}
-			results <- applyResult{ok: ok, quorum: eligible[i]}
-			settle()
-		}()
-	}
-	if mirror >= 0 {
-		j, jdev := mirror, mdev
-		//lint:ignore goroutinestop accounted by the set's pending-write counter (endWrite via settle), exactly like the live fanout above
-		go func() {
-			if err := op(j, jdev); err != nil {
-				s.recFailed.Store(true)
-			} else {
-				s.writes[j].Inc()
-			}
-			settle()
-		}()
-	}
-	s.applyGate.RUnlock()
-	if syncN <= 0 {
-		return nil
+			tc.End(sp)
+		}
+		eligible, want = alive, min(want, 1)
 	}
 
-	s.parallelCommits.Inc()
-	s.commitFanout.Add(int64(syncN))
-	done, succeeded, anyOK := 0, 0, false
-	for done < len(live) && succeeded < syncN {
-		r := <-results
-		if r.ok {
-			anyOK = true
-			if r.quorum {
-				succeeded++
+	// Everything the reply does not wait for: live replicas beyond the
+	// quorum, breaker-open replicas, the recovery mirror — and the whole
+	// fan-out for syncN <= 0.
+	bg := bits.OnesCount64(rest)
+	if mirror != nil {
+		bg++
+	}
+	if bg > 0 {
+		if tc.Active() {
+			now := time.Now()
+			for i := range s.devs {
+				if rest&(1<<uint(i)) == 0 {
+					continue
+				}
+				if sp := tc.Add(parent, trace.LayerDisk, trace.OpReplicaCommit, now, trace.DurPending); sp != nil {
+					sp.Replica = int8(i)
+					sp.PFactor = int8(syncN)
+				}
 			}
 		}
-		done++
+		s.applyBackground(rest, rec, mirror, bg, op, onSettled)
+	} else if onSettled != nil {
+		// onSettled must complete before the last write is retired from the
+		// drain tracker: Drain() returning promises that settle work (the
+		// engine's cache unpin, stats updates) has already run, so a final
+		// stats snapshot taken after Drain can never race the settle hook.
+		onSettled()
 	}
-	if !anyOK {
+	s.endWrites(fanout - bg)
+	if syncN > 0 && ok == 0 {
 		return fmt.Errorf("no replica accepted the write: %w", ErrNoReplica)
 	}
 	return nil
+}
+
+// applyBackground launches one goroutine per replica in rest, plus one for
+// the recovery mirror (replica rec, written through mirror) when armed.
+// The last of the n to finish runs onSettled, then retires its write —
+// the same hook-before-retire order as the synchronous path.
+func (s *ReplicaSet) applyBackground(rest uint64, rec int, mirror Device, n int, op func(i int, dev Device) error, onSettled func()) {
+	remaining := new(atomic.Int32)
+	remaining.Store(int32(n))
+	run := func(i int, dev Device, mirrored bool) {
+		switch err := op(i, dev); {
+		case err == nil:
+			s.writes[i].Inc()
+		case mirrored:
+			s.recFailed.Store(true)
+		default:
+			s.markDead(i)
+		}
+		if remaining.Add(-1) == 0 && onSettled != nil {
+			onSettled()
+		}
+		s.endWrites(1)
+	}
+	for i := range s.devs {
+		if rest&(1<<uint(i)) != 0 {
+			//lint:ignore goroutinestop accounted by the set's pending-write counter: endWrites signals Drain, which shutdown and the engine's fault path wait on
+			go run(i, s.devs[i], false)
+		}
+	}
+	if mirror != nil {
+		//lint:ignore goroutinestop accounted by the set's pending-write counter, exactly like the live remainder above
+		go run(rec, mirror, true)
+	}
 }
 
 // Drain blocks until all background (post-P-FACTOR) writes have finished.
@@ -1091,7 +1131,7 @@ func (s *ReplicaSet) Device(i int) Device { return s.devs[i] }
 func (s *ReplicaSet) Reads(i int) int64 { return s.reads[i].Load() }
 
 // Writes returns the number of successful writes replica i has applied
-// (tests assert parallel-commit behaviour with it).
+// (tests assert quorum and background-write behaviour with it).
 func (s *ReplicaSet) Writes(i int) int64 { return s.writes[i].Load() }
 
 // ChecksumErrors returns how many corrupt reads replica i has served.
@@ -1110,8 +1150,8 @@ func (s *ReplicaSet) Recoveries() int64 { return s.recoveries.Load() }
 // AttachMetrics registers the set's per-replica counters with a stats
 // registry under the "disk." prefix: reads, writes, demoting errors,
 // checksum errors and self-heal repairs per replica, plus liveness,
-// failover/promotion/recovery totals, and the parallel-commit fanout
-// (synchronous commits and the replicas their callers waited on).
+// failover/promotion/recovery totals, and the commit quorum width
+// (synchronous commits and the replicas their callers wrote).
 func (s *ReplicaSet) AttachMetrics(r *stats.Registry) {
 	for i := range s.devs {
 		i := i

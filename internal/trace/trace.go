@@ -58,7 +58,7 @@ const (
 	OpCacheInsert   // populate after fault or create
 	OpFault         // whole-file load, possibly merged with peers
 	OpDiskRead      // one replica ReadAt
-	OpReplicaCommit // one replica's share of a parallel commit
+	OpReplicaCommit // one replica's share of a commit
 	OpTrace         // TRACE RPC serving itself
 	OpDiskRepair    // self-heal rewrite of a bad extent on one replica
 	OpPromote       // a new main replica promoted after a demotion
@@ -254,10 +254,10 @@ func (c *Ctx) End(sp *Span) {
 }
 
 // Add appends an already-measured span under parent and returns it. It is
-// the bridge for timings captured off-arena (e.g. per-replica commit
-// durations measured on worker goroutines and recorded here, on the
-// request goroutine, after the quorum returns). A dur of DurPending marks
-// work still in flight when the trace finished.
+// the bridge for timings captured off-arena (e.g. hedged-read attempts
+// measured on worker goroutines and recorded here, on the request
+// goroutine, once a winner returns). A dur of DurPending marks work still
+// in flight when the trace finished — a commit's background replicas.
 func (c *Ctx) Add(parent *Span, layer Layer, op Op, start time.Time, dur int64) *Span {
 	sp := c.Begin(parent, layer, op)
 	if sp == nil {
