@@ -19,8 +19,8 @@
 // readers miss on the same file) and the disk read itself lands in a
 // reserved cache slot with no engine or cache lock held. Create holds the
 // metadata lock only for its short allocation phase; the replica
-// write-through — the P-FACTOR quorum on the request goroutine, the rest
-// in the background — happens outside it.
+// write-through — the P-FACTOR quorum on the request goroutine before the
+// reply, the rest on it after — happens outside it.
 package bullet
 
 import (
@@ -475,19 +475,21 @@ func (s *Server) Create(data []byte, pfactor int) (capability.Capability, error)
 
 // create is the body of Create with span threading; sp is the enclosing
 // engine-layer create span (nil when untraced) under which the cache
-// insert and per-replica commit spans hang.
-func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int) (capability.Capability, error) {
+// insert and per-replica commit spans hang. later is the write-through the
+// P-FACTOR did not wait for (disk.ReplicaSet.ApplyDeferred; nil when there
+// is none, and on every error): the caller replies, then runs it.
+func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int) (_ capability.Capability, later func(), err error) {
 	if pfactor < 0 || pfactor > s.replicas.N() {
-		return capability.Capability{}, fmt.Errorf("p-factor %d with %d disks: %w",
+		return capability.Capability{}, nil, fmt.Errorf("p-factor %d with %d disks: %w",
 			pfactor, s.replicas.N(), ErrBadPFactor)
 	}
 	size := int64(len(data))
 	if size > s.MaxFileSize() {
-		return capability.Capability{}, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
+		return capability.Capability{}, nil, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
 	}
 	random, err := capability.NewRandom()
 	if err != nil {
-		return capability.Capability{}, err
+		return capability.Capability{}, nil, err
 	}
 	blocks := s.blocksFor(size)
 
@@ -500,20 +502,20 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		if st := s.dalloc.Stats(); st.Free >= blocks {
 			if cerr := s.compactDiskLocked(); cerr != nil {
 				s.mu.Unlock()
-				return capability.Capability{}, cerr
+				return capability.Capability{}, nil, cerr
 			}
 			start, err = s.dalloc.Alloc(blocks)
 		}
 	}
 	if err != nil {
 		s.mu.Unlock()
-		return capability.Capability{}, fmt.Errorf("%d blocks: %w", blocks, ErrDiskFull)
+		return capability.Capability{}, nil, fmt.Errorf("%d blocks: %w", blocks, ErrDiskFull)
 	}
 	inode, err := s.table.Allocate(random, uint32(start), uint32(size))
 	if err != nil {
 		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback of our own alloc
 		s.mu.Unlock()
-		return capability.Capability{}, err
+		return capability.Capability{}, nil, err
 	}
 	// Record the file's CRC32C at birth. The entry is only marked dirty
 	// here; it reaches the disk's checksum area in batches (Sync, Close,
@@ -542,7 +544,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			_ = s.table.Free(inode)
 			s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
 			s.mu.Unlock()
-			return capability.Capability{}, err
+			return capability.Capability{}, nil, err
 		}
 	} else {
 		s.m.uncachedCreates.Inc()
@@ -566,16 +568,16 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		_ = s.table.Free(inode)
 		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
 		s.mu.Unlock()
-		return capability.Capability{}, fmt.Errorf("bullet: create abandoned before commit: %w", trace.ErrDeadlineExceeded)
+		return capability.Capability{}, nil, fmt.Errorf("bullet: create abandoned before commit: %w", trace.ErrDeadlineExceeded)
 	}
 	s.commits.Add(1)
 	s.mu.Unlock()
 
 	// Write-through: file bytes, then the whole disk block containing the
 	// new inode, per replica — this goroutine writes the first pfactor
-	// replicas (main first) and replies; the rest follow in the
-	// background. The inode block is re-encoded at write time so delayed
-	// background writes publish current (never stale) metadata.
+	// replicas (main first), replies, and writes the rest (later). The
+	// inode block is re-encoded at write time so the delayed writes publish
+	// current (never stale) metadata.
 	padded := make([]byte, blocks*int64(s.desc.BlockSize))
 	copy(padded, data)
 	dataOff := s.desc.DataOffset(start)
@@ -605,7 +607,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			err = <-done
 		}
 	} else {
-		err = s.replicas.ApplyNotifyTraced(tc, sp, pfactor, func(i int, dev disk.Device) error {
+		later, err = s.replicas.ApplyDeferred(tc, sp, pfactor, func(i int, dev disk.Device) error {
 			if err := dev.WriteAt(padded, dataOff); err != nil {
 				return err
 			}
@@ -620,7 +622,11 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		s.commits.Done()
 	}
 	if err != nil {
-		// No disk accepted the file during the synchronous phase: undo.
+		// No disk accepted the file during the synchronous phase: undo —
+		// once the mirror's write, if one is armed, is out of the extent too.
+		if later != nil {
+			later()
+		}
 		s.mu.Lock()
 		if idx != 0 {
 			_ = s.cache.Remove(idx, inode)
@@ -628,13 +634,13 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		_ = s.table.Free(inode)
 		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
 		s.mu.Unlock()
-		return capability.Capability{}, fmt.Errorf("bullet: write-through failed: %w", err)
+		return capability.Capability{}, nil, fmt.Errorf("bullet: write-through failed: %w", err)
 	}
 	s.m.commit[pfactor].ObserveDuration(time.Since(commitStart))
 
 	s.m.creates.Inc()
 	s.m.bytesIn.Add(size)
-	return capability.Owner(s.port, inode, random), nil
+	return capability.Owner(s.port, inode, random), later, nil
 }
 
 // clearEvicted clears the cache-index field of inodes whose cached copies

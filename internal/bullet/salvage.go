@@ -65,7 +65,7 @@ func (s *Server) ScrubObject(obj uint32) ScrubResult {
 	// P-FACTOR quorum, or one still between metadata publish and write
 	// registration) would read as divergence; settle them first. Both
 	// waits are safe under the shared lock: commits.Add needs the lock
-	// exclusively and background replica writes never take it at all.
+	// exclusively and the write-behind a Drain may do never takes it at all.
 	s.commits.Wait()
 	s.flushCommits()
 	s.replicas.Drain()

@@ -14,10 +14,24 @@ import (
 // threads tc down through the cache and disk layers, which hang their own
 // spans (cache-lookup, cache-insert, disk-read, replica-commit) under it.
 
-// CreateTraced is Create with span emission.
+// CreateTraced is CreateDeferred for callers whose reply is their return
+// value: the write-through the P-FACTOR did not wait for gets a goroutine.
 func (s *Server) CreateTraced(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, error) {
+	c, later, err := s.CreateDeferred(tc, parent, data, pfactor)
+	if later != nil {
+		//lint:ignore goroutinestop accounted by the replica set's pending-write counter, which Sync, Close, delete and the fault path drain — and a Drain that gets there first runs it itself
+		go later()
+	}
+	return c, err
+}
+
+// CreateDeferred is Create with span emission, for a caller that can act
+// after its reply has left (the TCP serving goroutine): later, when
+// non-nil, is the rest of the write-through. Call it once the reply is
+// out, on any goroutine; until then do not Drain on this one.
+func (s *Server) CreateDeferred(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, func(), error) {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpCreate)
-	c, err := s.create(tc, sp, data, pfactor)
+	c, later, err := s.create(tc, sp, data, pfactor)
 	if sp != nil {
 		sp.Bytes = int64(len(data))
 		sp.PFactor = int8(pfactor)
@@ -27,7 +41,7 @@ func (s *Server) CreateTraced(tc *trace.Ctx, parent *trace.Span, data []byte, pf
 		}
 	}
 	tc.End(sp)
-	return c, err
+	return c, later, err
 }
 
 // ReadTraced is Read with span emission.

@@ -42,6 +42,19 @@ type sessionTable struct {
 	buffered int64                     // guarded by mu; total buffered bytes
 }
 
+// take closes session id and returns the bytes it accumulated.
+func (t *sessionTable) take(id uint64) ([]byte, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cs, ok := t.sessions[id]
+	if !ok {
+		return nil, false
+	}
+	delete(t.sessions, id)
+	t.buffered -= int64(len(cs.buf))
+	return cs.buf, true
+}
+
 // handleSession serves the four create-session commands (single-frame,
 // called from HandleTraced's switch).
 func (s *Service) handleSession(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte) (rpc.Header, []byte) {
@@ -104,19 +117,14 @@ func (s *Service) handleSession(tc *trace.Ctx, parent *trace.Span, req rpc.Heade
 		return rpc.ReplyOK(), nil
 
 	case CmdCreateCommit:
-		t.mu.Lock()
-		cs, ok := t.sessions[req.Arg]
+		buf, ok := t.take(req.Arg)
 		if !ok {
-			t.mu.Unlock()
 			return rpc.ReplyErr(rpc.StatusNotFound), nil
 		}
-		delete(t.sessions, req.Arg)
-		t.buffered -= int64(len(cs.buf))
-		t.mu.Unlock()
 		// The session's opener proved only possession of the server port —
 		// the same admission CREATE itself requires (paper §2.2).
 		//lint:ignore rightscheck the commit mints the object and its capability, like CREATE; nothing pre-existing to check
-		c, err := s.engine.CreateTraced(tc, parent, cs.buf, int(req.Arg2))
+		c, err := s.engine.CreateTraced(tc, parent, buf, int(req.Arg2))
 		if err != nil {
 			return rpc.ReplyErr(StatusOf(err)), nil
 		}

@@ -23,18 +23,15 @@ const (
 // reply frames. READ and READ_RANGE replies borrow the engine's pinned
 // cache bytes (the RPC layer writes them to the socket and releases the
 // pin afterwards — zero payload copies); READSTREAM serves a file as a
-// sequence of ranged frames off one pin; every other command is the
-// classic HandleTraced body emitted as a single frame.
+// sequence of ranged frames off one pin; CREATE and CREATE-COMMIT reply
+// once the P-FACTOR quorum holds the file and leave the rest of the
+// write-through to the RPC layer as the reply's After; every other command
+// is the classic HandleTraced body emitted as a single frame.
 func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte, emit rpc.Emitter) {
 	switch req.Command {
 	case CmdRead, CmdReadRange:
-		if s.shedExpired(tc, parent, req.Command) {
-			_ = emit(rpc.ReplyErr(rpc.StatusDeadlineExceeded), rpc.Plain(nil), true)
-			return
-		}
-		release, ok := s.admit(tc, parent, req.Command)
+		release, ok := s.enter(tc, parent, req.Command, emit)
 		if !ok {
-			_ = emit(rpc.ReplyErr(rpc.StatusBusy), rpc.Plain(nil), true)
 			return
 		}
 		defer release()
@@ -52,6 +49,28 @@ func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header
 		// Ownership transfer: the RPC layer releases the lease once the
 		// frame's bytes have been written.
 		_ = emit(rpc.ReplyOK(), rpc.Owned(lease.Bytes(), lease), true)
+
+	case CmdCreate, CmdCreateCommit:
+		release, ok := s.enter(tc, parent, req.Command, emit)
+		if !ok {
+			return
+		}
+		defer release()
+		data, pfactor := payload, int(req.Arg)
+		if req.Command == CmdCreateCommit {
+			if data, ok = s.sess.take(req.Arg); !ok {
+				_ = emit(rpc.ReplyErr(rpc.StatusNotFound), rpc.Plain(nil), true)
+				return
+			}
+			pfactor = int(req.Arg2)
+		}
+		//lint:ignore rightscheck CREATE mints the object and its capability; nothing pre-existing to check
+		c, later, err := s.engine.CreateDeferred(tc, parent, data, pfactor)
+		if err != nil {
+			_ = emit(rpc.ReplyErr(StatusOf(err)), rpc.Plain(nil), true)
+			return
+		}
+		_ = emit(rpc.Header{Status: rpc.StatusOK, Cap: c}, rpc.Payload{After: later}, true)
 
 	case CmdReadStream:
 		s.handleReadStream(tc, parent, req, emit)
@@ -71,13 +90,8 @@ func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header
 // write. Each frame's header carries the chunk's file offset (Arg) and
 // the file's total size (Arg2), so clients can preallocate and verify.
 func (s *Service) handleReadStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header, emit rpc.Emitter) {
-	if s.shedExpired(tc, parent, req.Command) {
-		_ = emit(rpc.ReplyErr(rpc.StatusDeadlineExceeded), rpc.Plain(nil), true)
-		return
-	}
-	release, ok := s.admit(tc, parent, req.Command)
+	release, ok := s.enter(tc, parent, req.Command, emit)
 	if !ok {
-		_ = emit(rpc.ReplyErr(rpc.StatusBusy), rpc.Plain(nil), true)
 		return
 	}
 	defer release()
@@ -112,6 +126,20 @@ func (s *Service) handleReadStream(tc *trace.Ctx, parent *trace.Span, req rpc.He
 			return // client gone; stop emitting
 		}
 	}
+}
+
+// enter is the door of the commands HandleStream serves itself: the
+// deadline shed, then admission. When ok is false the refusal has been
+// emitted and the handler returns; otherwise it must call release when done.
+func (s *Service) enter(tc *trace.Ctx, parent *trace.Span, cmd uint32, emit rpc.Emitter) (release func(), ok bool) {
+	if s.shedExpired(tc, parent, cmd) {
+		_ = emit(rpc.ReplyErr(rpc.StatusDeadlineExceeded), rpc.Plain(nil), true)
+		return nil, false
+	}
+	if release, ok = s.admit(tc, parent, cmd); !ok {
+		_ = emit(rpc.ReplyErr(rpc.StatusBusy), rpc.Plain(nil), true)
+	}
+	return release, ok
 }
 
 // admit claims an admission slot for cmd (when a limiter is attached and

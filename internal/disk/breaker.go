@@ -23,7 +23,6 @@ package disk
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -316,9 +315,6 @@ func (s *ReplicaSet) hedgeDelay(g *grayConfig) time.Duration {
 // tracker (see DrainReads).
 func (s *ReplicaSet) beginRead() {
 	s.readMu.Lock()
-	if s.readCond == nil {
-		s.readCond = sync.NewCond(&s.readMu)
-	}
 	s.pendingReads++
 	s.readMu.Unlock()
 }
@@ -327,7 +323,7 @@ func (s *ReplicaSet) beginRead() {
 func (s *ReplicaSet) endRead() {
 	s.readMu.Lock()
 	s.pendingReads--
-	if s.pendingReads == 0 && s.readCond != nil {
+	if s.pendingReads == 0 {
 		s.readCond.Broadcast()
 	}
 	s.readMu.Unlock()
@@ -340,9 +336,6 @@ func (s *ReplicaSet) endRead() {
 func (s *ReplicaSet) DrainReads() {
 	s.readMu.Lock()
 	for s.pendingReads > 0 {
-		if s.readCond == nil {
-			s.readCond = sync.NewCond(&s.readMu)
-		}
 		s.readCond.Wait()
 	}
 	s.readMu.Unlock()

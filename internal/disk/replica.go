@@ -36,9 +36,9 @@ const DefaultErrorBudget = 8
 // create operation's P-FACTOR chooses how many must complete before the
 // caller resumes (paper §2.2, §3). The caller writes that quorum itself,
 // main replica first and then by ascending index, so commit latency for
-// P-FACTOR k is the sum of k disk writes; goroutines carry only what the
-// reply does not wait for (the replicas beyond the quorum, breaker-open
-// replicas, the recovery mirror).
+// P-FACTOR k is the sum of k disk writes; what the reply does not wait for
+// (the replicas beyond the quorum, breaker-open replicas, the recovery
+// mirror) the caller writes too, once its reply is out (ApplyDeferred).
 //
 // Beyond the paper: reads can carry a verification callback (ReadVerified)
 // that turns silent corruption into failover plus in-place repair, and
@@ -53,13 +53,14 @@ type ReplicaSet struct {
 	main  int      // guarded by mu
 
 	// pending tracks in-flight replica writes (both the synchronous phase
-	// and the post-P-FACTOR background remainder) for Drain. A plain
-	// counter with a condition variable, not a WaitGroup: concurrent
-	// readers may Drain while concurrent creators start new writes, which
-	// WaitGroup's Add/Wait contract forbids.
+	// and the post-P-FACTOR remainder) for Drain. A plain counter with a
+	// condition variable, not a WaitGroup: concurrent readers may Drain
+	// while concurrent creators start new writes, which WaitGroup's
+	// Add/Wait contract forbids. parked: remainders nobody has started.
 	pendMu   sync.Mutex
-	pendCond *sync.Cond // lazily initialized under pendMu
-	pending  int        // guarded by pendMu
+	pendCond *sync.Cond           // signals pending == 0 and a new parked entry
+	pending  int                  // guarded by pendMu
+	parked   map[*behind]struct{} // guarded by pendMu
 
 	// applyGate serializes recovery state changes against write fan-out
 	// launches. ApplyNotify holds the read side only while it snapshots
@@ -113,8 +114,8 @@ type ReplicaSet struct {
 	// write tracker: Close waits on writes but never on reads, so a read
 	// stuck on a gray device cannot hang shutdown.
 	readMu       sync.Mutex
-	readCond     *sync.Cond // lazily initialized under readMu
-	pendingReads int        // guarded by readMu
+	readCond     *sync.Cond
+	pendingReads int // guarded by readMu
 
 	// Commit observability: commits with a synchronous phase, and the
 	// total quorum width of those phases. fanout/commits is the mean number
@@ -159,7 +160,9 @@ func NewReplicaSet(devs ...Device) (*ReplicaSet, error) {
 		faults:       make([]atomic.Int64, len(devs)),
 		brk:          make([]breaker, len(devs)),
 		readHist:     stats.NewHistogram(nil),
+		parked:       make(map[*behind]struct{}),
 	}
+	s.pendCond, s.readCond = sync.NewCond(&s.pendMu), sync.NewCond(&s.readMu)
 	s.errBudget.Store(DefaultErrorBudget)
 	s.recovering.Store(-1)
 	return s, nil
@@ -579,9 +582,6 @@ func (s *ReplicaSet) Repair(i int, p []byte, off int64) error {
 // beginWrites registers n in-flight replica writes with the drain tracker.
 func (s *ReplicaSet) beginWrites(n int) {
 	s.pendMu.Lock()
-	if s.pendCond == nil {
-		s.pendCond = sync.NewCond(&s.pendMu)
-	}
 	s.pending += n
 	s.pendMu.Unlock()
 }
@@ -590,7 +590,7 @@ func (s *ReplicaSet) beginWrites(n int) {
 func (s *ReplicaSet) endWrites(n int) {
 	s.pendMu.Lock()
 	s.pending -= n
-	if s.pending == 0 && s.pendCond != nil {
+	if s.pending == 0 {
 		s.pendCond.Broadcast()
 	}
 	s.pendMu.Unlock()
@@ -598,38 +598,48 @@ func (s *ReplicaSet) endWrites(n int) {
 
 // Apply runs op against every live replica. The first syncN of them — the
 // main, then the others in index order — are written by the caller, one
-// after the other; Apply returns once they hold the write, and the
-// remaining replicas finish in the background (tracked; see Drain).
-// syncN <= 0 returns immediately with the whole fan-out in the background
-// — the P-FACTOR 0 semantics of paper §2.2. syncN larger than the number
-// of live replicas means fully synchronous. A replica whose op fails is
-// marked dead and the next one takes its place in the quorum; Apply fails
-// only if every live replica's op failed (for syncN <= 0, it never fails
-// while a replica is alive).
+// after the other; Apply returns once they hold the write, and the rest
+// are written behind it (tracked; see Drain). syncN <= 0 returns at once
+// with the whole fan-out still to do — the P-FACTOR 0 semantics of paper
+// §2.2. syncN larger than the number of live replicas means fully
+// synchronous. A replica whose op fails is marked dead and the next one
+// takes its place in the quorum; Apply fails only if every live replica's
+// op failed (for syncN <= 0, it never fails while a replica is alive).
 //
-// Background ops run concurrently with each other and with the caller's
-// next commit, so op must be safe for concurrent invocation with distinct
-// devices — every engine op is (it writes caller-owned buffers and
-// re-encodes inode blocks from the internally locked table).
+// Remainders run concurrently with other commits, so op must be safe for
+// concurrent invocation — every engine op is (it writes caller-owned
+// buffers and re-encodes inode blocks from the internally locked table).
 func (s *ReplicaSet) Apply(syncN int, op func(i int, dev Device) error) error {
 	return s.ApplyNotifyTraced(nil, nil, syncN, op, nil)
 }
 
 // ApplyNotify is Apply with a completion hook: onSettled (when non-nil)
-// runs exactly once on every return path, after every replica —
-// synchronous and background — has finished its op. The engine uses it to
-// unpin a fresh cache entry the moment its disk copies are as durable as
-// they will get.
+// runs exactly once on every return path, after every replica — quorum and
+// remainder — has finished its op (the engine unpins the cache entry then).
 func (s *ReplicaSet) ApplyNotify(syncN int, op func(i int, dev Device) error, onSettled func()) error {
 	return s.ApplyNotifyTraced(nil, nil, syncN, op, onSettled)
 }
 
-// ApplyNotifyTraced is ApplyNotify with one replica-commit span per live
-// replica: an ordinary timed span for each write the caller ran, and a
-// span with Dur = DurPending for each one left to the background — the
-// trace shows exactly which disks the reply waited for and which it did
-// not. tc may be nil.
+// ApplyNotifyTraced is ApplyDeferred for callers whose reply is their
+// return value: nothing of theirs runs after it, so later gets a goroutine.
 func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN int, op func(i int, dev Device) error, onSettled func()) error {
+	later, err := s.ApplyDeferred(tc, parent, syncN, op, onSettled)
+	if later != nil {
+		//lint:ignore goroutinestop accounted by the set's pending-write counter: endWrites signals Drain, which shutdown and the engine's fault path wait on
+		go later()
+	}
+	return err
+}
+
+// ApplyDeferred is the one commit path. It returns once the quorum holds
+// the write and hands back the remainder as later (nil when nothing is
+// left; non-nil beside an error if a recovery mirror is armed): the caller
+// sends its reply, then calls later on the same goroutine — write-behind,
+// as on the paper's one-thread server. A Drain that finds the remainder
+// not yet started writes it itself; later is then, like any second call, a
+// no-op. Each live replica gets a replica-commit span: timed for a quorum
+// write, Dur = DurPending for one left to later. tc may be nil.
+func (s *ReplicaSet) ApplyDeferred(tc *trace.Ctx, parent *trace.Span, syncN int, op func(i int, dev Device) error, onSettled func()) (later func(), _ error) {
 	s.applyGate.RLock()
 	main, alive := s.readSnapshot()
 	if alive == 0 {
@@ -637,7 +647,7 @@ func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN 
 		if onSettled != nil {
 			onSettled()
 		}
-		return ErrNoReplica
+		return nil, ErrNoReplica
 	}
 	// A replica under online recovery is not in the alive mask — it is
 	// still officially dead — but must see every write anyway, or the
@@ -723,9 +733,7 @@ func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN 
 		eligible, want = alive, min(want, 1)
 	}
 
-	// Everything the reply does not wait for: live replicas beyond the
-	// quorum, breaker-open replicas, the recovery mirror — and the whole
-	// fan-out for syncN <= 0.
+	// What the reply does not wait for (the whole fan-out for syncN <= 0).
 	bg := bits.OnesCount64(rest)
 	if mirror != nil {
 		bg++
@@ -743,7 +751,12 @@ func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN 
 				}
 			}
 		}
-		s.applyBackground(rest, rec, mirror, bg, op, onSettled)
+		b := &behind{s: s, rest: rest, rec: rec, mirror: mirror, n: bg, op: op, onSettled: onSettled}
+		s.pendMu.Lock()
+		s.parked[b] = struct{}{}
+		s.pendCond.Broadcast() // a Drain already waiting must help, not sleep on
+		s.pendMu.Unlock()
+		later = b.run
 	} else if onSettled != nil {
 		// onSettled must complete before the last write is retired from the
 		// drain tracker: Drain() returning promises that settle work (the
@@ -753,20 +766,49 @@ func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN 
 	}
 	s.endWrites(fanout - bg)
 	if syncN > 0 && ok == 0 {
-		return fmt.Errorf("no replica accepted the write: %w", ErrNoReplica)
+		return later, fmt.Errorf("no replica accepted the write: %w", ErrNoReplica)
 	}
-	return nil
+	return later, nil
 }
 
-// applyBackground launches one goroutine per replica in rest, plus one for
-// the recovery mirror (replica rec, written through mirror) when armed.
-// The last of the n to finish runs onSettled, then retires its write —
-// the same hook-before-retire order as the synchronous path.
-func (s *ReplicaSet) applyBackground(rest uint64, rec int, mirror Device, n int, op func(i int, dev Device) error, onSettled func()) {
-	remaining := new(atomic.Int32)
-	remaining.Store(int32(n))
-	run := func(i int, dev Device, mirrored bool) {
-		switch err := op(i, dev); {
+// behind is the remainder of one commit: the replicas in rest and, when
+// armed, the recovery mirror (replica rec, written through mirror) — n
+// writes still counted by the drain tracker. Whoever takes it out of the
+// set's parked table — later, or a Drain — writes it, on their goroutine.
+type behind struct {
+	s         *ReplicaSet
+	rest      uint64
+	rec       int
+	mirror    Device
+	n         int
+	op        func(i int, dev Device) error
+	onSettled func()
+}
+
+// run is the later that ApplyDeferred hands out.
+func (b *behind) run() {
+	b.s.pendMu.Lock()
+	_, mine := b.s.parked[b]
+	delete(b.s.parked, b)
+	b.s.pendMu.Unlock()
+	if mine {
+		b.write()
+	}
+}
+
+// write does the remainder in index order with no lock held, then runs
+// onSettled, then retires the writes: hook before retire, as in a commit
+// with nothing left over.
+func (b *behind) write() {
+	s := b.s
+	for i, dev := range s.devs {
+		mirrored := b.mirror != nil && i == b.rec
+		if mirrored {
+			dev = b.mirror
+		} else if b.rest&(1<<uint(i)) == 0 {
+			continue
+		}
+		switch err := b.op(i, dev); {
 		case err == nil:
 			s.writes[i].Inc()
 		case mirrored:
@@ -774,36 +816,31 @@ func (s *ReplicaSet) applyBackground(rest uint64, rec int, mirror Device, n int,
 		default:
 			s.markDead(i)
 		}
-		if remaining.Add(-1) == 0 && onSettled != nil {
-			onSettled()
-		}
-		s.endWrites(1)
 	}
-	for i := range s.devs {
-		if rest&(1<<uint(i)) != 0 {
-			//lint:ignore goroutinestop accounted by the set's pending-write counter: endWrites signals Drain, which shutdown and the engine's fault path wait on
-			go run(i, s.devs[i], false)
-		}
+	if b.onSettled != nil {
+		b.onSettled()
 	}
-	if mirror != nil {
-		//lint:ignore goroutinestop accounted by the set's pending-write counter, exactly like the live remainder above
-		go run(rec, mirror, true)
-	}
+	s.endWrites(b.n)
 }
 
-// Drain blocks until all background (post-P-FACTOR) writes have finished.
-// Tests, the cache-miss fault path, and orderly shutdown use it; see paper
-// §2.2 on the durability semantics of P-FACTOR 0. It is safe to call
-// concurrently with new Apply calls: writes that start while a Drain is
-// waiting extend the wait (the drain returns only at a moment of true
-// quiescence).
+// Drain blocks until every registered write has finished, and writes the
+// parked remainders itself: their owners may be stuck behind a client that
+// stopped reading its reply. Tests, the cache-miss fault path, delete and
+// orderly shutdown use it (paper §2.2 on P-FACTOR 0 durability). Safe to
+// call concurrently with new Apply calls: writes that start while a Drain
+// waits extend the wait (it returns only at true quiescence).
 func (s *ReplicaSet) Drain() {
 	s.pendMu.Lock()
 	for s.pending > 0 {
-		if s.pendCond == nil {
-			s.pendCond = sync.NewCond(&s.pendMu)
+		for b := range s.parked {
+			delete(s.parked, b)
+			s.pendMu.Unlock()
+			b.write()
+			s.pendMu.Lock()
 		}
-		s.pendCond.Wait()
+		if s.pending > 0 && len(s.parked) == 0 { // parked while we wrote: go round
+			s.pendCond.Wait()
+		}
 	}
 	s.pendMu.Unlock()
 }
@@ -811,8 +848,8 @@ func (s *ReplicaSet) Drain() {
 // extent is one byte range dirtied by a mirrored write during recovery.
 type extent struct{ off, n int64 }
 
-// extentLog collects extents dirtied while a recovery copy runs. Mirror
-// goroutines append; the recovery loop swaps the whole list out per pass.
+// extentLog collects extents dirtied while a recovery copy runs. Mirrored
+// writes append; the recovery loop swaps the whole list out per pass.
 type extentLog struct {
 	mu   sync.Mutex
 	exts []extent

@@ -291,6 +291,10 @@ func (m *Mux) DispatchTrace(tc *trace.Ctx, port capability.Port, txid uint64, re
 			repPayload = append(repPayload, p.Data...)
 			m.bytesOut.Add(int64(len(p.Data)))
 			p.release()
+			if p.After != nil {
+				//lint:ignore goroutinestop the reply is this call's return value, so its write-behind cannot follow it on this goroutine; the replica set's pending-write counter accounts for it and Drain runs it if it gets there first
+				go p.After()
+			}
 			return nil
 		})
 		if first {

@@ -31,9 +31,17 @@ type Releaser interface {
 // — this is how a zero-copy reply keeps its cache pin alive exactly until
 // the payload has left for the kernel. When Owner is nil the bytes follow
 // the classic Handler contract (owned by the reply, retainable as-is).
+//
+// After, set on a transaction's final frame, is work the reply does not
+// wait for (CREATE's write-behind). DispatchStream calls it once,
+// last of all — the frame written or its write failed, metrics, trace and
+// dedup entry done — on the dispatching goroutine, so a TCP connection
+// reads its next request only after it; DispatchTrace, whose reply is its
+// return value, starts it on a goroutine.
 type Payload struct {
 	Data  []byte
 	Owner Releaser
+	After func()
 }
 
 // Plain wraps reply bytes with no backing resource attached.
@@ -139,11 +147,8 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 		root.Status = int32(st.hdr.Status)
 	}
 	tc.End(root)
-
-	if txid != 0 && st.retained != nil && st.frames == 1 {
-		m.mu.Lock()
-		m.retainLocked(txid, st.hdr, st.retained)
-		m.mu.Unlock()
+	if st.after != nil {
+		st.after()
 	}
 	return st.werr
 }
@@ -156,20 +161,24 @@ type streamState struct {
 	tc   *trace.Ctx
 	root *trace.Span // the request's root span; nil when untraced
 
-	frames   int
-	bytes    int // payload bytes across all frames
-	hdr      Header
-	retained []byte // copy-on-retain candidate for the dedup cache
-	werr     error  // first sink error; later emits are dropped
+	frames int
+	bytes  int // payload bytes across all frames
+	hdr    Header
+	werr   error  // first sink error; later emits are dropped
+	after  func() // the final frame's Payload.After
 }
 
 // emit is the Emitter handed to stream handlers: it books the frame,
-// copies a retainable single-frame reply for the dedup cache, publishes
-// the trace ahead of the final frame, writes the frame through the sink,
-// and releases the payload's backing resource after the write — the pin is
-// held exactly over the write.
+// retains a single-frame reply in the dedup cache and publishes the trace
+// ahead of the final frame — a client that holds its reply, or retries on
+// another connection while the write is still stuck, finds both — writes
+// the frame through the sink, and releases the payload's backing resource
+// after the write — the pin is held exactly over the write.
 func (st *streamState) emit(h Header, p Payload, last bool) error {
 	m := st.m
+	if p.After != nil {
+		st.after = p.After // kept whatever becomes of the write
+	}
 	if p.Owner != nil {
 		m.pinsHeld.Add(1)
 		m.ownedReplies.Add(1)
@@ -188,15 +197,14 @@ func (st *streamState) emit(h Header, p Payload, last bool) error {
 		// borrowed (dead after release), so the cache takes its own copy
 		// — bounded by the byte budget, oversized replies just re-execute.
 		if st.txid != 0 && last && int64(len(p.Data)) <= m.maxDedupBytes {
-			if p.Owner == nil {
-				st.retained = p.Data // already reply-owned per the Handler contract
-				if st.retained == nil {
-					st.retained = []byte{}
-				}
-			} else {
-				st.retained = append([]byte{}, p.Data...)
+			retained := p.Data // reply-owned per the Handler contract, unless borrowed
+			if p.Owner != nil {
+				retained = append([]byte{}, p.Data...)
 				m.dedupCopied.Add(int64(len(p.Data)))
 			}
+			m.mu.Lock()
+			m.retainLocked(st.txid, h, retained)
+			m.mu.Unlock()
 		}
 	}
 	st.frames++

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bulletfs/internal/capability"
+	"bulletfs/internal/stats"
 	"bulletfs/internal/trace"
 )
 
@@ -356,4 +358,95 @@ func TestDispatchStreamPublishesTraceBeforeFinalFrame(t *testing.T) {
 			t.Fatalf("%s: %d traces recorded for one transaction, want 1", tcase.name, n)
 		}
 	}
+}
+
+// TestDispatchStreamRetainsBeforeFrameWritten: a single-frame reply is in
+// the duplicate-suppression cache before its frame is handed to the sink,
+// as on the classic path. With the sink for txid T stuck mid-write (a
+// client that stopped reading), a retry of T arriving on another
+// connection replays the cached header; it must not run the handler — a
+// CREATE — a second time.
+func TestDispatchStreamRetainsBeforeFrameWritten(t *testing.T) {
+	mux := NewMux(0)
+	port := capability.PortFromString("retain-first")
+	var calls atomic.Int32
+	mux.RegisterStream(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter) {
+		_ = emit(Header{Status: StatusOK, Arg: uint64(calls.Add(1))}, Plain(nil), true)
+	})
+
+	const txid = 4242
+	inSink, unblock := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		first <- mux.DispatchStream(nil, port, txid, Header{}, nil, func(Header, []byte, bool) error {
+			close(inSink)
+			<-unblock
+			return nil
+		})
+	}()
+	<-inSink
+
+	var replayed Header
+	if err := mux.DispatchStream(nil, port, txid, Header{}, nil, func(h Header, _ []byte, _ bool) error {
+		replayed = h
+		return nil
+	}); err != nil {
+		t.Fatalf("retry DispatchStream: %v", err)
+	}
+	close(unblock)
+	if err := <-first; err != nil {
+		t.Fatalf("first DispatchStream: %v", err)
+	}
+	if calls.Load() != 1 || replayed.Arg != 1 {
+		t.Fatalf("handler ran %d times and the retry saw reply %d; want 1 and the cached reply 1", calls.Load(), replayed.Arg)
+	}
+}
+
+// TestDispatchStreamRunsAfterLast pins Payload.After on the stream path: it
+// runs exactly once, on the dispatching goroutine, after the final frame's
+// write, the request's metrics and the dedup entry — and just the same
+// when the write failed.
+func TestDispatchStreamRunsAfterLast(t *testing.T) {
+	for _, sinkErr := range []error{nil, fmt.Errorf("peer went away")} {
+		mux := NewMux(0)
+		reg := stats.NewRegistry()
+		mux.AttachMetrics(reg, nil)
+		port := capability.PortFromString("after")
+		var order []string
+		mux.RegisterStream(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter) {
+			_ = emit(ReplyOK(), Payload{After: func() {
+				order = append(order, fmt.Sprintf("after dedup=%d requests=%d", mux.DedupLen(), reg.Counter("rpc.cmd1.requests").Load()))
+			}}, true)
+			order = append(order, "handler returns")
+		})
+		err := mux.DispatchStream(nil, port, 7, Header{Command: 1}, nil, func(Header, []byte, bool) error {
+			order = append(order, "frame written") // unsynchronized: -race flags any other goroutine
+			return sinkErr
+		})
+		if err != sinkErr {
+			t.Fatalf("DispatchStream = %v, want the sink's %v", err, sinkErr)
+		}
+		want := "[frame written handler returns after dedup=1 requests=1]"
+		if got := fmt.Sprint(order); got != want {
+			t.Fatalf("sink error %v: order %s, want %s", sinkErr, got, want)
+		}
+	}
+}
+
+// TestDispatchTraceStartsAfterOnItsOwn: where the reply is the call's
+// return value (Local and simnet transports) After cannot follow it, so it
+// is started on a goroutine: the call returns while After is still held.
+func TestDispatchTraceStartsAfterOnItsOwn(t *testing.T) {
+	mux := NewMux(0)
+	port := capability.PortFromString("after-local")
+	hold, ran := make(chan struct{}), make(chan struct{})
+	mux.RegisterStream(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter) {
+		_ = emit(ReplyOK(), Payload{Data: []byte("ok"), After: func() { <-hold; close(ran) }}, true)
+	})
+	h, body, err := NewLocal(mux).Trans(port, Header{}, nil)
+	if err != nil || h.Status != StatusOK || string(body) != "ok" {
+		t.Fatalf("Trans = %+v %q %v", h, body, err)
+	}
+	close(hold)
+	<-ran
 }
