@@ -42,13 +42,13 @@ func FuzzReadFrame(f *testing.F) {
 	_ = writeFrame(&good, magicRequest, 1, capability.Port{1}, Header{Command: 2}, []byte("payload"))
 	f.Add(good.Bytes())
 	var traced bytes.Buffer
-	_ = writeFrameTraced(&traced, magicRequest, 1, 0xfeed, capability.Port{1}, Header{Command: 2}, []byte("payload"))
+	_ = writeFrameExt(&traced, magicRequest, 1, 0xfeed, 0, capability.Port{1}, Header{Command: 2}, []byte("payload"))
 	f.Add(traced.Bytes())
 	f.Add([]byte("garbage stream"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fixed [prologueLen + extScratchLen]byte
-		txid, traceID, _, port, h, payload, _, err := readFrameScratch(bytes.NewReader(data), magicRequest, fixed[:], false)
+		txid, traceID, _, port, h, payload, _, _, err := readFrameScratch(bytes.NewReader(data), magicRequest, fixed[:], false)
 		if err != nil {
 			return
 		}
@@ -57,10 +57,10 @@ func FuzzReadFrame(f *testing.F) {
 		// is exactly the fields this implementation emits, so re-read the
 		// re-encoding instead of comparing raw bytes.
 		var out bytes.Buffer
-		if err := writeFrameTraced(&out, magicRequest, txid, traceID, port, h, payload); err != nil {
+		if err := writeFrameExt(&out, magicRequest, txid, traceID, 0, port, h, payload); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		txid2, traceID2, _, port2, h2, payload2, _, err := readFrameScratch(bytes.NewReader(out.Bytes()), magicRequest, fixed[:], false)
+		txid2, traceID2, _, port2, h2, payload2, _, _, err := readFrameScratch(bytes.NewReader(out.Bytes()), magicRequest, fixed[:], false)
 		if err != nil {
 			t.Fatalf("re-read: %v", err)
 		}

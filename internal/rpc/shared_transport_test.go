@@ -10,8 +10,8 @@ import (
 )
 
 // TestSharedTCPTransportConcurrency drives ONE pooled TCPTransport from
-// many goroutines: transactions on the shared connection must serialize
-// correctly and never mix up replies.
+// many goroutines: transactions pipelined on the shared connection must
+// never mix up replies.
 func TestSharedTCPTransportConcurrency(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("shared-tr")

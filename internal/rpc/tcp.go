@@ -102,25 +102,17 @@ func encodePrologue(dst []byte, magic uint32, txid uint64, port capability.Port,
 	binary.BigEndian.PutUint32(dst[prologueLen-4:], uint32(paylen))
 }
 
-// writeFrame sends one frame. On a net.Conn the prologue and payload go
-// out as one vectored write (writev on TCP) — no per-frame buffer is
-// assembled and the payload is never copied. Other writers (tests,
-// in-memory pipes) get two plain writes.
+// writeFrame sends one frame. On a TCP connection the prologue and payload
+// go out as one vectored write (writev): no per-frame buffer is assembled
+// and the payload is never copied. Other writers get two plain writes.
 func writeFrame(w io.Writer, magic uint32, txid uint64, port capability.Port, h Header, payload []byte) error {
-	return writeFrameTraced(w, magic, txid, 0, port, h, payload)
-}
-
-// writeFrameTraced is writeFrame with an optional trace ID: traceID 0
-// emits a plain v1 frame; otherwise a request's magic is upgraded to v2
-// and a trace-ID TLV extension is inserted between prologue and payload.
-// (Replies never carry the extension: the trace lives on the server.)
-func writeFrameTraced(w io.Writer, magic uint32, txid, traceID uint64, port capability.Port, h Header, payload []byte) error {
-	return writeFrameExt(w, magic, txid, traceID, 0, port, h, payload)
+	return writeFrameExt(w, magic, txid, 0, 0, port, h, payload)
 }
 
 // writeFrameExt is the full sender: trace ID and deadline budget both
 // optional (zero means absent). Either one upgrades a request frame to
-// v2; replies never carry the extension.
+// v2 with the TLV extension between prologue and payload; replies never
+// carry it (the trace lives on the server).
 func writeFrameExt(w io.Writer, magic uint32, txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("%d bytes: %w", len(payload), ErrPayloadTooLarge)
@@ -133,18 +125,8 @@ func writeFrameExt(w io.Writer, magic uint32, txid, traceID uint64, budget time.
 		n += encodeExt(pb[prologueLen:], traceID, budget)
 	}
 	encodePrologue(pb[:prologueLen], magic, txid, port, h, len(payload))
-	if conn, ok := w.(net.Conn); ok {
-		bufs := net.Buffers{pb[:n], payload}
-		_, err := bufs.WriteTo(conn)
-		return err
-	}
-	if _, err := w.Write(pb[:n]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
+	bufs := net.Buffers{pb[:n], payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 
@@ -168,52 +150,46 @@ func encodeExt(dst []byte, traceID uint64, budget time.Duration) int {
 	return n
 }
 
-// readFrame reads one frame, allocating a fresh payload the caller owns.
-// A request frame may be v1 or v2; any extension fields are dropped.
-func readFrame(r io.Reader, wantMagic uint32) (txid uint64, port capability.Port, h Header, payload []byte, err error) {
-	var fixed [prologueLen + extScratchLen]byte
-	txid, _, _, port, h, payload, _, err = readFrameScratch(r, wantMagic, fixed[:], false)
-	return txid, port, h, payload, err
-}
-
-// readFrameScratch is the allocation-conscious core of readFrame: fixed
+// readFrameScratch is the one frame decoder, both directions: fixed
 // (length >= prologueLen; bytes past that are inbound-extension scratch)
 // is caller-provided, and with pooled true the payload buffer comes from
 // payloadPool — release must then be called once the payload is dead (it
 // is nil when there is nothing to return). Pooled payloads must not
 // outlive their release; the server relies on the Handler contract for
-// that.
+// that. Otherwise the payload is freshly allocated and the caller's.
 //
 // When wantMagic is magicRequest, v2 request frames are accepted too:
 // their extension is parsed for a trace ID (traceID 0 = none carried)
 // and a deadline budget (0 = none), and unknown extension fields are
-// skipped.
-func readFrameScratch(r io.Reader, wantMagic uint32, fixed []byte, pooled bool) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte, release func(), err error) {
+// skipped. When it is magicReply, so is a non-final stream frame (AMRS),
+// reported as last == false.
+func readFrameScratch(r io.Reader, wantMagic uint32, fixed []byte, pooled bool) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte, release func(), last bool, err error) {
 	pro := fixed[:prologueLen]
 	if _, err = io.ReadFull(r, pro); err != nil {
-		return 0, 0, 0, port, h, nil, nil, err
+		return 0, 0, 0, port, h, nil, nil, false, err
 	}
 	got := binary.BigEndian.Uint32(pro[0:4])
 	v2 := wantMagic == magicRequest && got == magicRequestV2
-	if got != wantMagic && !v2 {
-		return 0, 0, 0, port, h, nil, nil, fmt.Errorf("magic %08x: %w", got, ErrBadFrame)
+	more := wantMagic == magicReply && got == magicReplyMore
+	if got != wantMagic && !v2 && !more {
+		return 0, 0, 0, port, h, nil, nil, false, fmt.Errorf("magic %08x: %w", got, ErrBadFrame)
 	}
 	txid = binary.BigEndian.Uint64(pro[4:12])
 	copy(port[:], pro[12:12+capability.PortLen])
 	h, _, err = DecodeHeader(pro[12+capability.PortLen : 12+capability.PortLen+HeaderLen])
 	if err != nil {
-		return 0, 0, 0, port, h, nil, nil, err
+		return 0, 0, 0, port, h, nil, nil, false, err
 	}
 	paylen := binary.BigEndian.Uint32(pro[len(pro)-4:])
 	if paylen > MaxPayload {
-		return 0, 0, 0, port, h, nil, nil, fmt.Errorf("%d bytes: %w", paylen, ErrPayloadTooLarge)
+		return 0, 0, 0, port, h, nil, nil, false, fmt.Errorf("%d bytes: %w", paylen, ErrPayloadTooLarge)
 	}
 	if v2 {
 		// pro is fully decoded by now, so its first bytes double as the
 		// extlen scratch.
 		traceID, budget, err = readExt(r, pro[0:2], fixed[prologueLen:])
 		if err != nil {
-			return 0, 0, 0, port, h, nil, nil, err
+			return 0, 0, 0, port, h, nil, nil, false, err
 		}
 	}
 	if pooled && paylen <= pooledPayloadCap {
@@ -230,9 +206,9 @@ func readFrameScratch(r io.Reader, wantMagic uint32, fixed []byte, pooled bool) 
 		if release != nil {
 			release()
 		}
-		return 0, 0, 0, port, h, nil, nil, err
+		return 0, 0, 0, port, h, nil, nil, false, err
 	}
-	return txid, traceID, budget, port, h, payload, release, nil
+	return txid, traceID, budget, port, h, payload, release, !more, nil
 }
 
 // readExt consumes a v2 prologue extension: extlen, then TLV fields.
@@ -356,7 +332,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		// under it) must not retain them, so the buffer is recycled as
 		// soon as the reply is built. Reply payloads are never pooled —
 		// the duplicate-suppression cache retains them.
-		txid, traceID, budget, port, req, payload, release, err := readFrameScratch(br, magicRequest, fixed[:], true)
+		txid, traceID, budget, port, req, payload, release, _, err := readFrameScratch(br, magicRequest, fixed[:], true)
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
@@ -441,11 +417,12 @@ func StaticResolver(table map[capability.Port]string) Resolver {
 }
 
 // TCPTransport is a client-side Transport over TCP with one pooled
-// connection per server address. Transactions on one connection are
-// serialized (the Bullet protocol is strictly request/reply).
+// connection per server address. Goroutines sharing the transport
+// pipeline their transactions on that connection (see tcpConn).
 type TCPTransport struct {
 	resolve Resolver
 	timeout time.Duration
+	dial    func(network, addr string, timeout time.Duration) (net.Conn, error) // net.DialTimeout; a test seam
 
 	mu        sync.Mutex
 	conns     map[string]*tcpConn // guarded by mu
@@ -453,10 +430,25 @@ type TCPTransport struct {
 	transErrs *stats.Counter      // guarded by mu (pointer swap only; see AttachMetrics)
 }
 
+// tcpConn is one pooled connection. A caller sends under smu and takes a
+// ticket, its place in the reply order — the server serves a connection
+// strictly in order — then waits, holding nothing, for the receive turn:
+// recvd reaching that ticket. The turn's holder alone reads the socket,
+// exactly its own reply frame(s), and passes the turn on. smu and rmu are
+// never nested; only the turn itself is held across a socket wait.
 type tcpConn struct {
-	mu   sync.Mutex
-	conn net.Conn      // safe for concurrent use; mu orders whole transactions
-	br   *bufio.Reader // guarded by mu
+	conn net.Conn // safe for concurrent use; smu orders writers, the turn orders readers
+
+	smu  sync.Mutex // send lock: deadline arm + one writev + taking a ticket
+	sent uint64     // guarded by smu; tickets handed out, one per request on the wire
+
+	rmu   sync.Mutex
+	turn  sync.Cond // on rmu; broadcast when recvd moves or dead is set
+	recvd uint64    // guarded by rmu; the ticket whose reply is next on the wire
+	dead  error     // guarded by rmu; sticky, set by the first failed transaction
+
+	br  *bufio.Reader     // the turn holder's, from enter to passTurn; no lock
+	pro [prologueLen]byte // likewise: readFrameScratch's prologue buffer
 }
 
 var (
@@ -467,37 +459,142 @@ var (
 	_ OptsTransport             = (*TCPTransport)(nil)
 )
 
+// errStreamAbandoned fails the callers queued behind a TransStream whose
+// sink gave up: the frames still in flight are in their way too.
+var errStreamAbandoned = errors.New("connection dropped by an abandoned stream")
+
 // NewTCPTransport builds a client transport. timeout bounds each
 // transaction (0 means no deadline).
 func NewTCPTransport(resolve Resolver, timeout time.Duration) *TCPTransport {
-	return &TCPTransport{resolve: resolve, timeout: timeout, conns: make(map[string]*tcpConn)}
+	return &TCPTransport{resolve: resolve, timeout: timeout, dial: net.DialTimeout, conns: make(map[string]*tcpConn)}
 }
 
+// getConn returns the pooled connection to addr, dialling if there is
+// none. The dial runs outside mu — an unreachable address must not stall
+// calls to other addresses, kill or Close — so two callers may race; the
+// loser's connection is closed.
 func (t *TCPTransport) getConn(addr string) (*tcpConn, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.conns[addr]; ok {
+	c, ok := t.conns[addr]
+	t.mu.Unlock()
+	if ok {
 		return c, nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, t.timeout)
+	conn, err := t.dial("tcp", addr, t.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
-	c := &tcpConn{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
+	c = &tcpConn{conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
+	c.turn.L = &c.rmu
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if won, ok := t.conns[addr]; ok {
+		conn.Close()
+		return won, nil
 	}
 	t.conns[addr] = c
 	return c, nil
 }
 
-func (t *TCPTransport) dropConn(addr string, c *tcpConn) {
+// enter sends one request and returns once the caller holds the receive
+// turn. The deadline counts from the caller's own send; the write is armed
+// under the send lock and the read only when the turn is taken, so a later
+// sender cannot extend an earlier caller's bound. A deadline that passed
+// while the caller was queued fails its first socket read at once.
+func (c *tcpConn) enter(timeout time.Duration, port capability.Port, opts CallOpts, req Header, payload []byte) (err error) {
+	var deadline time.Time
+	c.smu.Lock()
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+		err = c.conn.SetWriteDeadline(deadline)
+	}
+	if err == nil {
+		// One vectored write per request (see writeFrame): nothing to flush.
+		err = writeFrameExt(c.conn, magicRequest, opts.TxID, opts.TraceID, opts.Budget, port, req, payload)
+	}
+	ticket := c.sent
+	c.sent++ // even after a failed write: the connection dies with it, tickets and all
+	c.smu.Unlock()
+	if err != nil {
+		return err
+	}
+	c.rmu.Lock()
+	for c.recvd != ticket && c.dead == nil {
+		c.turn.Wait() // holding nothing
+	}
+	err = c.dead
+	c.rmu.Unlock()
+	if err == nil && timeout > 0 {
+		err = c.conn.SetReadDeadline(deadline)
+	}
+	return err
+}
+
+// passTurn hands the socket's read side to the next ticket.
+func (c *tcpConn) passTurn() {
+	c.rmu.Lock()
+	c.recvd++
+	c.rmu.Unlock()
+	c.turn.Broadcast()
+}
+
+// kill ends c. The first error sticks as c.dead, wakes every queued
+// caller to fail with it too, and drops the connection — once.
+func (t *TCPTransport) kill(addr string, c *tcpConn, err error) {
+	c.rmu.Lock()
+	if c.dead != nil {
+		c.rmu.Unlock()
+		return
+	}
+	c.dead = err
+	c.rmu.Unlock()
+	c.turn.Broadcast()
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.conns[addr] == c {
 		delete(t.conns, addr)
 	}
+	t.mu.Unlock()
 	c.conn.Close()
+}
+
+// transact is the one transaction path: enter, then read reply frames up
+// to the final one. With a sink every frame goes to it; without one the
+// reply must be a single frame, whose payload is returned.
+func (t *TCPTransport) transact(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (h Header, data []byte, err error) {
+	addr, err := t.resolve(port)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	c, err := t.getConn(addr)
+	if err != nil {
+		t.noteTransportErr(err)
+		return Header{}, nil, err
+	}
+	err = c.enter(t.timeout, port, opts, req, payload)
+	for err == nil {
+		var last bool
+		_, _, _, _, h, data, _, last, err = readFrameScratch(c.br, magicReply, c.pro[:], false)
+		if err == nil && sink == nil && !last {
+			err = fmt.Errorf("stream frame in a single-frame reply: %w", ErrBadFrame)
+		}
+		if err != nil {
+			break
+		}
+		if sink != nil {
+			if serr := sink(h, data, last); serr != nil {
+				t.kill(addr, c, errStreamAbandoned)
+				return h, nil, serr
+			}
+		}
+		if last {
+			c.passTurn()
+			return h, data, nil
+		}
+	}
+	t.kill(addr, c, err)
+	err = fmt.Errorf("rpc: trans %s: %w", addr, err)
+	t.noteTransportErr(err)
+	return Header{}, nil, err
 }
 
 // Trans implements Transport.
@@ -528,114 +625,17 @@ func (t *TCPTransport) TransIDTraced(port capability.Port, txid, traceID uint64,
 // at-most-once txid, trace ID, and deadline budget. Any non-zero
 // extension field upgrades the request frame to v2.
 func (t *TCPTransport) TransOpts(port capability.Port, opts CallOpts, req Header, payload []byte) (Header, []byte, error) {
-	addr, err := t.resolve(port)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	c, err := t.getConn(addr)
-	if err != nil {
-		t.noteTransportErr(err)
-		return Header{}, nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(t.timeout)); err != nil {
-			t.dropConn(addr, c)
-			t.noteTransportErr(err)
-			return Header{}, nil, fmt.Errorf("rpc: set deadline: %w", err)
-		}
-	}
-	// One vectored write per request (see writeFrame): nothing to flush.
-	if err := writeFrameExt(c.conn, magicRequest, opts.TxID, opts.TraceID, opts.Budget, port, req, payload); err != nil {
-		t.dropConn(addr, c)
-		t.noteTransportErr(err)
-		return Header{}, nil, fmt.Errorf("rpc: send: %w", err)
-	}
-	_, _, repHdr, repPayload, err := readFrame(c.br, magicReply)
-	if err != nil {
-		t.dropConn(addr, c)
-		t.noteTransportErr(err)
-		return Header{}, nil, fmt.Errorf("rpc: receive: %w", err)
-	}
-	return repHdr, repPayload, nil
-}
-
-// readStreamFrame reads one reply frame of a streamed transaction,
-// accepting both the non-final (AMRS) and final (AMRP) reply magics;
-// last reports which one arrived.
-func readStreamFrame(r io.Reader) (txid uint64, h Header, payload []byte, last bool, err error) {
-	var fixed [prologueLen]byte
-	if _, err = io.ReadFull(r, fixed[:]); err != nil {
-		return 0, h, nil, false, err
-	}
-	switch binary.BigEndian.Uint32(fixed[0:4]) {
-	case magicReply:
-		last = true
-	case magicReplyMore:
-	default:
-		return 0, h, nil, false, fmt.Errorf("magic %08x: %w", binary.BigEndian.Uint32(fixed[0:4]), ErrBadFrame)
-	}
-	txid = binary.BigEndian.Uint64(fixed[4:12])
-	h, _, err = DecodeHeader(fixed[12+capability.PortLen : 12+capability.PortLen+HeaderLen])
-	if err != nil {
-		return 0, h, nil, false, err
-	}
-	paylen := binary.BigEndian.Uint32(fixed[prologueLen-4:])
-	if paylen > MaxPayload {
-		return 0, h, nil, false, fmt.Errorf("%d bytes: %w", paylen, ErrPayloadTooLarge)
-	}
-	payload = make([]byte, paylen)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, h, nil, false, err
-	}
-	return txid, h, payload, last, nil
+	return t.transact(port, opts, req, payload, nil)
 }
 
 // TransStream implements StreamTransport: the request goes out once and
 // each reply frame is handed to sink as it arrives off the wire, ending
-// with the final frame (whose header is returned). The per-transaction
-// deadline covers the whole stream. A sink error abandons the stream and
-// drops the connection — frames still in flight die with it.
+// with the final frame (whose header is returned). The receive turn and
+// the per-transaction deadline cover the whole stream. A sink error drops
+// the connection: frames in flight and callers queued behind die with it.
 func (t *TCPTransport) TransStream(port capability.Port, req Header, payload []byte, sink FrameSink) (Header, error) {
-	addr, err := t.resolve(port)
-	if err != nil {
-		return Header{}, err
-	}
-	c, err := t.getConn(addr)
-	if err != nil {
-		t.noteTransportErr(err)
-		return Header{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(t.timeout)); err != nil {
-			t.dropConn(addr, c)
-			t.noteTransportErr(err)
-			return Header{}, fmt.Errorf("rpc: set deadline: %w", err)
-		}
-	}
-	if err := writeFrame(c.conn, magicRequest, 0, port, req, payload); err != nil {
-		t.dropConn(addr, c)
-		t.noteTransportErr(err)
-		return Header{}, fmt.Errorf("rpc: send: %w", err)
-	}
-	for {
-		_, h, data, last, err := readStreamFrame(c.br)
-		if err != nil {
-			t.dropConn(addr, c)
-			t.noteTransportErr(err)
-			return Header{}, fmt.Errorf("rpc: receive: %w", err)
-		}
-		if err := sink(h, data, last); err != nil {
-			t.dropConn(addr, c)
-			return h, err
-		}
-		if last {
-			return h, nil
-		}
-	}
+	h, _, err := t.transact(port, CallOpts{}, req, payload, sink)
+	return h, err
 }
 
 // Close drops all pooled connections.

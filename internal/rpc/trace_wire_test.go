@@ -15,14 +15,14 @@ import (
 func TestTracedFrameRoundTrip(t *testing.T) {
 	port := capability.PortFromString("trace-wire")
 	var buf bytes.Buffer
-	if err := writeFrameTraced(&buf, magicRequest, 7, 0xdeadbeefcafe, port, Header{Command: 3, Arg: 9}, []byte("hi")); err != nil {
-		t.Fatalf("writeFrameTraced: %v", err)
+	if err := writeFrameExt(&buf, magicRequest, 7, 0xdeadbeefcafe, 0, port, Header{Command: 3, Arg: 9}, []byte("hi")); err != nil {
+		t.Fatalf("writeFrameExt: %v", err)
 	}
 	if got := binary.BigEndian.Uint32(buf.Bytes()[0:4]); got != magicRequestV2 {
 		t.Fatalf("traced frame magic %08x, want %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	txid, traceID, _, gotPort, h, payload, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	txid, traceID, _, gotPort, h, payload, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
 	if err != nil {
 		t.Fatalf("readFrameScratch: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestTracedFrameZeroIDStaysV1(t *testing.T) {
 	if err := writeFrame(&v1, magicRequest, 5, port, Header{Command: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrameTraced(&v2, magicRequest, 5, 0, port, Header{Command: 2}, nil); err != nil {
+	if err := writeFrameExt(&v2, magicRequest, 5, 0, 0, port, Header{Command: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(v1.Bytes(), v2.Bytes()) {
@@ -87,7 +87,7 @@ func TestUnknownExtensionFieldsSkipped(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var fixed [prologueLen + extScratchLen]byte
-			_, traceID, _, _, gotH, payload, _, err := readFrameScratch(bytes.NewReader(build(tc.ext, 3)), magicRequest, fixed[:], false)
+			_, traceID, _, _, gotH, payload, _, _, err := readFrameScratch(bytes.NewReader(build(tc.ext, 3)), magicRequest, fixed[:], false)
 			if err != nil {
 				t.Fatalf("readFrameScratch: %v", err)
 			}
@@ -114,7 +114,7 @@ func TestTruncatedExtensionRejected(t *testing.T) {
 	buf.Write(two[:])
 	buf.Write([]byte{extTypeTraceID, 8, 0x01}) // claims 8 value bytes, has 1
 	var fixed [prologueLen + extScratchLen]byte
-	_, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	_, _, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
 	if err == nil {
 		t.Fatal("truncated TLV accepted")
 	}
@@ -144,7 +144,7 @@ func TestLargeExtensionBeyondScratch(t *testing.T) {
 	buf.Write(two[:])
 	buf.Write(ext)
 	var fixed [prologueLen + extScratchLen]byte
-	_, traceID, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	_, traceID, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
 	if err != nil {
 		t.Fatalf("readFrameScratch: %v", err)
 	}
