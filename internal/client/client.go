@@ -75,20 +75,11 @@ func New(tr rpc.Transport, opts ...Option) *Client {
 }
 
 func (c *Client) call(port capability.Port, req rpc.Header, payload []byte) (rpc.Header, []byte, error) {
-	var rep rpc.Header
-	var body []byte
-	var err error
-	var tid uint64
+	opts := rpc.CallOpts{Budget: c.budget}
 	if c.traceIDs {
-		tid = newTraceID()
+		opts.TraceID = newTraceID()
 	}
-	if ot, ok := c.tr.(rpc.OptsTransport); ok && c.budget > 0 {
-		rep, body, err = ot.TransOpts(port, rpc.CallOpts{TraceID: tid, Budget: c.budget}, req, payload)
-	} else if tt, ok := c.tr.(rpc.TracedTransport); ok && tid != 0 {
-		rep, body, err = tt.TransTraced(port, tid, req, payload)
-	} else {
-		rep, body, err = c.tr.Trans(port, req, payload)
-	}
+	rep, body, err := rpc.Call(c.tr, port, opts, req, payload, nil)
 	if err != nil {
 		// A spent budget is a deadline outcome, not a transport failure:
 		// callers asked for bounded time and got exactly that.

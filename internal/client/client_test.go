@@ -290,7 +290,7 @@ func TestClientRetriesWithAtMostOnceCreate(t *testing.T) {
 	eng := newEngine(t)
 	mux := rpc.NewMux(0)
 	bulletsvc.New(eng).Register(mux)
-	flaky := rpc.NewFlaky(&rpc.LocalID{Mux: mux}, 0, 0, 7)
+	flaky := rpc.NewFlaky(rpc.NewLocal(mux), 0, 0, 7)
 	// First create executes but its reply is lost; the retry must not
 	// create a second file.
 	flaky.ScriptDrops([]bool{false, false}, []bool{true, false})
@@ -313,7 +313,7 @@ func TestClientSurvivesHeavyLoss(t *testing.T) {
 	eng := newEngine(t)
 	mux := rpc.NewMux(0)
 	bulletsvc.New(eng).Register(mux)
-	flaky := rpc.NewFlaky(&rpc.LocalID{Mux: mux}, 0.3, 0.3, 99)
+	flaky := rpc.NewFlaky(rpc.NewLocal(mux), 0.3, 0.3, 99)
 	cl := New(rpc.NewRetrier(flaky, 25))
 
 	for i := 0; i < 20; i++ {
@@ -377,7 +377,7 @@ func TestClientBudgetShedsAsDeadline(t *testing.T) {
 
 	// Seed the file with an unbudgeted client on a sane clock.
 	data := []byte("pay the toll before the bridge")
-	c, err := New(&rpc.LocalID{Mux: mux}).Create(eng.Port(), data, 2)
+	c, err := New(rpc.NewLocal(mux)).Create(eng.Port(), data, 2)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -386,7 +386,7 @@ func TestClientBudgetShedsAsDeadline(t *testing.T) {
 	// budget is spent by the service's first shed check.
 	var ticks atomic.Int64
 	mux.SetNow(func() int64 { return ticks.Add(int64(time.Hour)) })
-	cl := New(&rpc.LocalID{Mux: mux}, WithBudget(time.Millisecond))
+	cl := New(rpc.NewLocal(mux), WithBudget(time.Millisecond))
 	_, err = cl.Read(c)
 	if !errors.Is(err, trace.ErrDeadlineExceeded) {
 		t.Fatalf("Read with spent budget err = %v, want trace.ErrDeadlineExceeded", err)

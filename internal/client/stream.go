@@ -19,55 +19,39 @@ import (
 const defaultUploadChunk = 256 << 10
 
 // ReadStream streams the file from offset onward into w and returns the
-// number of payload bytes written. On a transport that supports
-// multi-frame replies (the TCP transport) the chunks arrive as separate
-// frames and are written as they land — the client never buffers the
-// whole file. Other transports deliver the server's frames assembled
-// into one reply, which this method then writes in a single call.
-// The client-side file cache is bypassed: streaming exists for files too
+// number of payload bytes written. On a streaming transport (TCP, Local)
+// the chunks arrive as separate frames and are written as they land — the
+// client never buffers the whole file; a Trans-only transport delivers
+// them assembled into one frame, written in a single call. The
+// client-side file cache is bypassed: streaming exists for files too
 // large to buffer.
 func (c *Client) ReadStream(cp capability.Capability, offset int64, w io.Writer) (int64, error) {
 	req := rpc.Header{Command: bulletsvc.CmdReadStream, Cap: cp, Arg: uint64(offset)}
-
-	if st, ok := c.tr.(rpc.StreamTransport); ok {
-		var written int64
-		var werr error
-		rep, err := st.TransStream(cp.Port, req, nil, func(h rpc.Header, data []byte, last bool) error {
-			if h.Status != rpc.StatusOK || len(data) == 0 {
-				return nil
-			}
-			n, err := w.Write(data)
-			written += int64(n)
-			if err != nil {
-				// Remember the writer's error but keep draining frames so
-				// the connection stays usable for the next transaction.
-				if werr == nil {
-					werr = err
-				}
-			}
+	var written int64
+	var werr error
+	rep, _, err := rpc.Call(c.tr, cp.Port, rpc.CallOpts{}, req, nil, func(h rpc.Header, data []byte, last bool) error {
+		if h.Status != rpc.StatusOK || len(data) == 0 {
 			return nil
-		})
-		if err != nil {
-			return written, fmt.Errorf("%w: %w", ErrTransport, err)
 		}
-		if rep.Status != rpc.StatusOK {
-			return written, fmt.Errorf("bullet client: readstream rejected: %w", bulletsvc.ErrorOf(rep.Status))
+		n, err := w.Write(data)
+		written += int64(n)
+		if err != nil && werr == nil {
+			// Remember the writer's error but keep draining frames so the
+			// connection stays usable for the next transaction.
+			werr = err
 		}
-		if werr != nil {
-			return written, fmt.Errorf("bullet client: readstream sink: %w", werr)
-		}
-		return written, nil
-	}
-
-	_, body, err := c.call(cp.Port, req, nil)
+		return nil
+	})
 	if err != nil {
-		return 0, err
+		return written, fmt.Errorf("%w: %w", ErrTransport, err)
 	}
-	n, err := w.Write(body)
-	if err != nil {
-		return int64(n), fmt.Errorf("bullet client: readstream sink: %w", err)
+	if rep.Status != rpc.StatusOK {
+		return written, fmt.Errorf("bullet client: readstream rejected: %w", bulletsvc.ErrorOf(rep.Status))
 	}
-	return int64(n), nil
+	if werr != nil {
+		return written, fmt.Errorf("bullet client: readstream sink: %w", werr)
+	}
+	return written, nil
 }
 
 // CreateFrom uploads r's contents in chunks through a create session and

@@ -14,8 +14,8 @@ import (
 // WithTraceIDs makes the client stamp every transaction with a fresh
 // 64-bit trace ID, propagated to the server in the RPC prologue
 // extension so the server's flight recorder files the request's span
-// tree under an ID the client knows. Requires a transport that supports
-// tracing (TCP does); other transports silently send untraced requests,
+// tree under an ID the client knows. Requires an rpc.Caller (TCP and
+// Local are); a Trans-only transport silently sends untraced requests,
 // which the server still records under its own IDs.
 func WithTraceIDs() Option {
 	return func(c *Client) { c.traceIDs = true }

@@ -9,8 +9,8 @@ import (
 	"bulletfs/internal/trace"
 )
 
-// budgetProbe is an OptsTransport that records the budget each attempt
-// carried and fails (or succeeds) per script. Failing attempts may also
+// budgetProbe is a Caller that records the budget each attempt carried
+// and fails (or succeeds) per script. Failing attempts may also
 // consume virtual time, modelling a transport that times out slowly.
 type budgetProbe struct {
 	clk     *fakeClock
@@ -21,10 +21,10 @@ type budgetProbe struct {
 }
 
 func (p *budgetProbe) Trans(capability.Port, Header, []byte) (Header, []byte, error) {
-	panic("retrier must use TransOpts when the transport supports it")
+	panic("retrier must use Call when the transport supports it")
 }
 
-func (p *budgetProbe) TransOpts(_ capability.Port, opts CallOpts, _ Header, _ []byte) (Header, []byte, error) {
+func (p *budgetProbe) Call(_ capability.Port, opts CallOpts, _ Header, _ []byte, _ FrameSink) (Header, []byte, error) {
 	i := len(p.budgets)
 	p.budgets = append(p.budgets, opts.Budget)
 	p.clk.t = p.clk.t.Add(p.cost)
@@ -45,16 +45,16 @@ func (p *budgetProbe) TransOpts(_ capability.Port, opts CallOpts, _ Header, _ []
 // must carry the budget remaining at that point, not the original.
 func TestRetrierDeadlineVsRetry(t *testing.T) {
 	cases := []struct {
-		name          string
-		budget        time.Duration // caller budget via TransOpts (0 = none)
-		retrierBudget time.Duration
-		attempts      int
-		cost          time.Duration
-		fail          []bool
-		wantAttempts  int
-		wantDeadline  bool // errors.Is(err, trace.ErrDeadlineExceeded)
-		wantDropped   bool // errors.Is(err, ErrDropped)
-		wantBudgets   []time.Duration
+		name         string
+		budget       time.Duration // caller budget via CallOpts
+		viaHelper    bool          // reach the retrier through the package's Call, as clients do
+		attempts     int
+		cost         time.Duration
+		fail         []bool
+		wantAttempts int
+		wantDeadline bool // errors.Is(err, trace.ErrDeadlineExceeded)
+		wantDropped  bool // errors.Is(err, ErrDropped)
+		wantBudgets  []time.Duration
 	}{
 		{
 			// 10ms backoffs fit a 100ms budget: plain exhaustion, and
@@ -86,9 +86,9 @@ func TestRetrierDeadlineVsRetry(t *testing.T) {
 			wantBudgets:  []time.Duration{25 * time.Millisecond, 15 * time.Millisecond},
 		},
 		{
-			// The retrier's own SetBudget behaves identically when the
-			// caller carries none of its own.
-			name: "retrier-owned budget", retrierBudget: 25 * time.Millisecond,
+			// A budget that reaches the retrier through the package's Call
+			// helper, as a client's does, behaves identically.
+			name: "budget via the Call helper", budget: 25 * time.Millisecond, viaHelper: true,
 			attempts: 100, wantAttempts: 3, wantDeadline: true, wantDropped: true,
 			wantBudgets: []time.Duration{25 * time.Millisecond, 15 * time.Millisecond, 5 * time.Millisecond},
 		},
@@ -99,16 +99,14 @@ func TestRetrierDeadlineVsRetry(t *testing.T) {
 			probe := &budgetProbe{clk: clk, fail: tc.fail, cost: tc.cost}
 			r := NewRetrier(probe, tc.attempts)
 			r.SetBackoff(10*time.Millisecond, 10*time.Millisecond)
-			if tc.retrierBudget > 0 {
-				r.SetBudget(tc.retrierBudget)
-			}
 			withFakeClock(r, clk)
 
+			opts := CallOpts{Budget: tc.budget}
 			var err error
-			if tc.budget > 0 {
-				_, _, err = r.TransOpts(capability.Port{}, CallOpts{Budget: tc.budget}, Header{}, nil)
+			if tc.viaHelper {
+				_, _, err = Call(r, capability.Port{}, opts, Header{}, nil, nil)
 			} else {
-				_, _, err = r.Trans(capability.Port{}, Header{}, nil)
+				_, _, err = r.Call(capability.Port{}, opts, Header{}, nil, nil)
 			}
 
 			if got := errors.Is(err, trace.ErrDeadlineExceeded); got != tc.wantDeadline {
@@ -143,7 +141,7 @@ func TestRetrierBusyBeatsBudgetError(t *testing.T) {
 	r.SetRetryBusy(true)
 	withFakeClock(r, clk)
 
-	h, _, err := r.TransOpts(capability.Port{}, CallOpts{Budget: 25 * time.Millisecond}, Header{}, nil)
+	h, _, err := r.Call(capability.Port{}, CallOpts{Budget: 25 * time.Millisecond}, Header{}, nil, nil)
 	if err != nil {
 		t.Fatalf("err = %v, want the busy reply, not an error", err)
 	}

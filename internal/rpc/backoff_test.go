@@ -98,11 +98,10 @@ func TestRetrierBudgetStopsRetrying(t *testing.T) {
 	ft := &failingTransport{}
 	r := NewRetrier(ft, 100)
 	r.SetBackoff(10*time.Millisecond, 10*time.Millisecond)
-	r.SetBudget(25 * time.Millisecond)
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	withFakeClock(r, clk)
 
-	_, _, err := r.Trans(capability.Port{}, Header{}, nil)
+	_, _, err := r.Call(capability.Port{}, CallOpts{Budget: 25 * time.Millisecond}, Header{}, nil, nil)
 	if !errors.Is(err, trace.ErrDeadlineExceeded) {
 		t.Fatalf("Trans error = %v, want the budget error (trace.ErrDeadlineExceeded)", err)
 	}

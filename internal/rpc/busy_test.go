@@ -16,12 +16,12 @@ type busyTransport struct {
 }
 
 func (b *busyTransport) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	return b.TransID(port, 0, req, payload)
+	return b.Call(port, CallOpts{}, req, payload, nil)
 }
 
-func (b *busyTransport) TransID(_ capability.Port, txid uint64, _ Header, _ []byte) (Header, []byte, error) {
+func (b *busyTransport) Call(_ capability.Port, opts CallOpts, _ Header, _ []byte, _ FrameSink) (Header, []byte, error) {
 	b.calls++
-	b.txids = append(b.txids, txid)
+	b.txids = append(b.txids, opts.TxID)
 	if b.busyLeft > 0 {
 		b.busyLeft--
 		return Header{Status: StatusBusy}, nil, nil

@@ -77,7 +77,7 @@ func TestFlakyDelayInjection(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("flaky-delay")
 	mux.Register(port, echoHandler)
-	f := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	f := NewFlaky(NewLocal(mux), 0, 0, 1)
 	var slept []time.Duration
 	f.SetSleep(func(d time.Duration) { slept = append(slept, d) })
 	f.ScriptDelays([]time.Duration{5 * time.Millisecond, 0, 7 * time.Millisecond})
@@ -100,7 +100,7 @@ func TestFlakySchedule(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("flaky-sched")
 	mux.Register(port, echoHandler)
-	f := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	f := NewFlaky(NewLocal(mux), 0, 0, 1)
 	f.SetSleep(func(time.Duration) {})
 	f.ScriptDrops([]bool{true, false, false}, []bool{false, true, false})
 	f.ScriptDelays([]time.Duration{0, 0, 3 * time.Millisecond})

@@ -32,9 +32,10 @@ func ExampleMux_duplicateSuppression() {
 		return rpc.ReplyOK(), nil
 	})
 
-	const txid = 12345
-	mux.Dispatch(port, txid, rpc.Header{}, nil) //nolint:errcheck
-	mux.Dispatch(port, txid, rpc.Header{}, nil) //nolint:errcheck
+	tr := rpc.NewLocal(mux)
+	opts := rpc.CallOpts{TxID: 12345}
+	tr.Call(port, opts, rpc.Header{}, nil, nil) //nolint:errcheck
+	tr.Call(port, opts, rpc.Header{}, nil, nil) //nolint:errcheck
 	fmt.Println("handler ran", calls, "time(s)")
 	// Output: handler ran 1 time(s)
 }

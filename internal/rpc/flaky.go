@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,8 +8,6 @@ import (
 	"time"
 
 	"bulletfs/internal/capability"
-	"bulletfs/internal/stats"
-	"bulletfs/internal/trace"
 )
 
 // Flaky wraps a Transport with deterministic fault injection for testing
@@ -26,7 +23,7 @@ type Flaky struct {
 	dropReq float64    // guarded by mu; probability a request is lost before dispatch
 	dropRep float64    // guarded by mu; probability a reply is lost after dispatch
 
-	scriptReq   []bool          // guarded by mu; if non-nil, consumed one per Trans: true = drop request
+	scriptReq   []bool          // guarded by mu; if non-nil, consumed one per call: true = drop request
 	scriptRep   []bool          // guarded by mu
 	delay       time.Duration   // guarded by mu; fixed injected delay before every dispatch
 	scriptDelay []time.Duration // guarded by mu; per-transaction delays (overrides delay while entries last)
@@ -38,7 +35,7 @@ type Flaky struct {
 	Dropped  int // transactions that returned ErrDropped
 }
 
-var _ Transport = (*Flaky)(nil)
+var _ Caller = (*Flaky)(nil)
 
 // NewFlaky wraps inner with loss probabilities and a deterministic seed.
 func NewFlaky(inner Transport, dropReq, dropRep float64, seed int64) *Flaky {
@@ -134,10 +131,17 @@ func (f *Flaky) decide() (dropReq, dropRep bool, delay time.Duration) {
 	return dropReq, dropRep, delay
 }
 
-// run applies one transaction's scripted fate around send: the injected
-// delay first (late messages, the gray-failure mode), then request loss
-// before dispatch or reply loss after it.
-func (f *Flaky) run(send func() (Header, []byte, error)) (Header, []byte, error) {
+// Trans implements Transport with injected loss.
+func (f *Flaky) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
+	return f.Call(port, CallOpts{}, req, payload, nil)
+}
+
+// Call implements Caller: the call passes through to the inner transport
+// under one transaction's scripted fate — the injected delay first (late
+// messages, the gray-failure mode), then request loss before dispatch or
+// reply loss after it. Frames a lost reply already handed to the sink stay
+// delivered.
+func (f *Flaky) Call(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (Header, []byte, error) {
 	dropReq, dropRep, delay := f.decide()
 	if delay > 0 {
 		f.mu.Lock()
@@ -148,270 +152,14 @@ func (f *Flaky) run(send func() (Header, []byte, error)) (Header, []byte, error)
 		}
 		sleep(delay)
 	}
-	if dropReq {
-		f.mu.Lock()
-		f.Dropped++
-		f.mu.Unlock()
-		return Header{}, nil, ErrDropped
-	}
-	h, p, err := send()
-	if err != nil {
-		return h, p, err
-	}
-	if dropRep {
-		f.mu.Lock()
-		f.Dropped++
-		f.mu.Unlock()
-		return Header{}, nil, ErrDropped
-	}
-	return h, p, nil
-}
-
-// Trans implements Transport with injected loss.
-func (f *Flaky) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	return f.TransID(port, 0, req, payload)
-}
-
-// TransID implements the identified form used by Retrier.
-func (f *Flaky) TransID(port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	return f.run(func() (Header, []byte, error) {
-		return transID(f.inner, port, txid, req, payload)
-	})
-}
-
-// TransOpts implements OptsTransport: the full option set passes
-// through to the inner transport, under the same injected faults.
-func (f *Flaky) TransOpts(port capability.Port, opts CallOpts, req Header, payload []byte) (Header, []byte, error) {
-	return f.run(func() (Header, []byte, error) {
-		return transOpts(f.inner, port, opts, req, payload)
-	})
-}
-
-// IdentifiedTransport is a Transport that can carry an at-most-once
-// transaction ID.
-type IdentifiedTransport interface {
-	Transport
-	TransID(port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error)
-}
-
-// transID uses TransID when the transport supports it, else plain Trans.
-func transID(t Transport, port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	if it, ok := t.(IdentifiedTransport); ok {
-		return it.TransID(port, txid, req, payload)
-	}
-	return t.Trans(port, req, payload)
-}
-
-// LocalID adapts a Mux to an IdentifiedTransport directly (in-process), so
-// the retry machinery can be tested without TCP.
-type LocalID struct{ Mux *Mux }
-
-var _ IdentifiedTransport = (*LocalID)(nil)
-
-// Trans implements Transport.
-func (l *LocalID) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	return l.Mux.Dispatch(port, 0, req, payload)
-}
-
-// TransID implements IdentifiedTransport.
-func (l *LocalID) TransID(port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	return l.Mux.Dispatch(port, txid, req, payload)
-}
-
-// Default backoff schedule for NewRetrier. The cap before jitter doubles
-// from DefaultBackoffBase per failed attempt up to DefaultBackoffMax.
-const (
-	DefaultBackoffBase = time.Millisecond
-	DefaultBackoffMax  = 50 * time.Millisecond
-)
-
-// Retrier wraps a Transport with bounded retry under a stable transaction
-// ID: the server's duplicate suppression guarantees at-most-once execution
-// even when replies were lost. Between attempts it sleeps with exponential
-// backoff and full jitter — Uniform[0, min(max, base<<failures)) — so a
-// struggling server sees retries spread out instead of a synchronized
-// hammer. Zero value is not usable; use NewRetrier.
-type Retrier struct {
-	inner    Transport
-	attempts int
-	retries  *stats.Counter // optional; see AttachMetrics
-
-	base      time.Duration // backoff cap for the first retry; 0 disables sleeping
-	max       time.Duration // ceiling the doubling cap saturates at
-	budget    time.Duration // total wall-clock budget across attempts; 0 = none
-	retryBusy bool          // treat StatusBusy replies as retryable; see SetRetryBusy
-
-	// Injectable for deterministic schedule tests; never nil.
-	now    func() time.Time
-	sleep  func(time.Duration)
-	jitter func(cap time.Duration) time.Duration
-}
-
-var _ Transport = (*Retrier)(nil)
-
-// NewRetrier retries each transaction up to attempts times (minimum 1)
-// with the default backoff schedule.
-func NewRetrier(inner Transport, attempts int) *Retrier {
-	if attempts < 1 {
-		attempts = 1
-	}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	var rngMu sync.Mutex
-	return &Retrier{
-		inner:    inner,
-		attempts: attempts,
-		base:     DefaultBackoffBase,
-		max:      DefaultBackoffMax,
-		now:      time.Now,
-		sleep:    time.Sleep,
-		jitter: func(cap time.Duration) time.Duration {
-			rngMu.Lock()
-			defer rngMu.Unlock()
-			return time.Duration(rng.Int63n(int64(cap)))
-		},
-	}
-}
-
-// SetBackoff replaces the backoff schedule: the pre-jitter cap starts at
-// base and doubles per failed attempt up to max. base 0 disables sleeping
-// (the pre-backoff behaviour). max below base is raised to base.
-func (r *Retrier) SetBackoff(base, max time.Duration) {
-	if max < base {
-		max = base
-	}
-	r.base, r.max = base, max
-}
-
-// SetBudget bounds the total wall-clock time a transaction may spend
-// across attempts: once the budget cannot cover the next backoff no
-// further attempt is made and the caller gets an error wrapping
-// trace.ErrDeadlineExceeded (with the last transport error wrapped
-// alongside, so errors.Is still matches it) — a deadline miss must
-// never masquerade as a transport fault. Each attempt carries the
-// remaining budget to the server (when the transport can: see
-// OptsTransport), so the server's own deadline shedding sees the
-// refreshed, not the original, budget. 0 (the default) means no budget.
-func (r *Retrier) SetBudget(d time.Duration) { r.budget = d }
-
-// SetRetryBusy makes the retrier treat a StatusBusy reply as retryable
-// backpressure: the server shed the request under admission control (or is
-// mid-recovery), so the client backs off on the normal jittered schedule
-// and tries again. Unlike a lost reply, a shed executed nothing, so each
-// busy retry runs as a fresh transaction — reusing the pinned transaction
-// ID would only replay the cached busy reply from duplicate suppression.
-// If every attempt comes back busy the final busy reply is returned to the
-// caller (not an error: the transport worked, the server said no).
-func (r *Retrier) SetRetryBusy(on bool) { r.retryBusy = on }
-
-// backoffFor returns the jittered sleep before retry number retry (1 is
-// the first retry). Full jitter: uniform over [0, cap), where cap doubles
-// from base per retry and saturates at max.
-func (r *Retrier) backoffFor(retry int) time.Duration {
-	if r.base <= 0 {
-		return 0
-	}
-	cap := r.base
-	for i := 1; i < retry && cap < r.max; i++ {
-		cap <<= 1
-	}
-	if cap > r.max {
-		cap = r.max
-	}
-	return r.jitter(cap)
-}
-
-// Trans implements Transport with retries.
-func (r *Retrier) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	return r.trans(port, 0, 0, req, payload)
-}
-
-// TransOpts implements OptsTransport: the caller's budget (when set)
-// overrides the retrier's own, the caller's transaction ID is ignored —
-// the retrier pins its own so at-most-once holds across its attempts.
-func (r *Retrier) TransOpts(port capability.Port, opts CallOpts, req Header, payload []byte) (Header, []byte, error) {
-	return r.trans(port, opts.TraceID, opts.Budget, req, payload)
-}
-
-// trans is the shared retry loop: one transaction ID pinned across all
-// attempts, the trace ID (0 = none) propagated on each, jittered backoff
-// between attempts, the whole thing bounded by the budget deadline.
-// Every attempt carries the budget that REMAINS at that point (not the
-// original), so the server's deadline shedding and the client agree on
-// how much time is actually left.
-func (r *Retrier) trans(port capability.Port, traceID uint64, budget time.Duration, req Header, payload []byte) (Header, []byte, error) {
-	txid, err := NewTxID()
-	if err != nil {
-		return Header{}, nil, err
-	}
-	if budget <= 0 {
-		budget = r.budget
-	}
-	var deadline time.Time
-	if budget > 0 {
-		deadline = r.now().Add(budget)
-	}
-	var lastErr error
-	var lastHdr Header
-	var lastPayload []byte
-	var gotBusy bool
-	budgetSpent := func(attempts int) (Header, []byte, error) {
-		if gotBusy {
-			return lastHdr, lastPayload, nil
-		}
-		if lastErr == nil {
-			return Header{}, nil, fmt.Errorf("rpc: retry budget %v spent before any attempt: %w",
-				budget, trace.ErrDeadlineExceeded)
-		}
-		// Both sentinels wrapped: the caller's errors.Is sees the
-		// deadline first-class, without losing what the transport said.
-		return Header{}, nil, fmt.Errorf("rpc: retry budget %v spent after %d attempts: %w (last attempt: %w)",
-			budget, attempts, trace.ErrDeadlineExceeded, lastErr)
-	}
-	for i := 0; i < r.attempts; i++ {
-		rem := time.Duration(0)
-		if !deadline.IsZero() {
-			rem = deadline.Sub(r.now())
-			if rem <= 0 {
-				return budgetSpent(i)
-			}
-		}
-		if i > 0 && r.retries != nil {
-			r.retries.Inc()
-		}
-		h, p, err := transOpts(r.inner, port, CallOpts{TxID: txid, TraceID: traceID, Budget: rem}, req, payload)
-		if err == nil {
-			if !r.retryBusy || h.Status != StatusBusy {
-				return h, p, nil
-			}
-			// Shed under load: back off and retry as a new transaction
-			// (see SetRetryBusy for why the transaction ID must change).
-			lastHdr, lastPayload, gotBusy, lastErr = h, p, true, nil
-			if txid, err = NewTxID(); err != nil {
-				return Header{}, nil, err
-			}
-		} else {
-			if errors.Is(err, ErrNoServer) {
-				return Header{}, nil, err // no point retrying an unknown port
-			}
-			lastErr, gotBusy = err, false
-		}
-		if i+1 >= r.attempts {
-			break
-		}
-		d := r.backoffFor(i + 1)
-		if !deadline.IsZero() {
-			if rem := deadline.Sub(r.now()); d >= rem {
-				// The backoff alone would outlive the budget: stop now
-				// with the budget error, not the last transport error.
-				return budgetSpent(i + 1)
-			}
-		}
-		if d > 0 {
-			r.sleep(d)
+	if !dropReq {
+		h, p, err := Call(f.inner, port, opts, req, payload, sink)
+		if err != nil || !dropRep {
+			return h, p, err
 		}
 	}
-	if gotBusy {
-		return lastHdr, lastPayload, nil
-	}
-	return Header{}, nil, lastErr
+	f.mu.Lock()
+	f.Dropped++
+	f.mu.Unlock()
+	return Header{}, nil, ErrDropped
 }

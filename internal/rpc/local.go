@@ -1,39 +1,49 @@
 package rpc
 
 import (
-	"crypto/rand"
-	"encoding/binary"
-	"fmt"
-
 	"bulletfs/internal/capability"
 )
 
-// Local is an in-process Transport over a Mux: transactions are direct
-// function calls. It is the substrate for tests and for the simulated
-// network (internal/simnet), which wraps it with a timing model.
+// Local is the in-process Transport over a Mux: a transaction is a direct
+// call into the Mux's one dispatch. It is the substrate for tests and for
+// the simulated network (internal/simnet), which wraps it with a timing
+// model.
 type Local struct {
 	mux *Mux
 }
 
-var _ Transport = (*Local)(nil)
+var _ Caller = (*Local)(nil)
 
 // NewLocal returns a Local transport dispatching to mux.
 func NewLocal(mux *Mux) *Local { return &Local{mux: mux} }
 
 // Trans implements Transport.
 func (l *Local) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	return l.mux.Dispatch(port, 0, req, payload)
+	return l.Call(port, CallOpts{}, req, payload, nil)
 }
 
-// NewTxID draws a random non-zero transaction ID for at-most-once retry.
-func NewTxID() (uint64, error) {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			return 0, fmt.Errorf("rpc: generating txid: %w", err)
+// Call implements Caller in-process. The span arena is armed exactly as
+// the TCP server arms it for a request off the wire; frames reach the sink
+// as the handler emits them, or, with no sink, are copied into one reply.
+// That reply is this call's return value, so the final frame's After
+// cannot follow it on this goroutine: it is started on its own.
+func (l *Local) Call(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (h Header, data []byte, err error) {
+	deliver := func(fh Header, frame []byte, last bool) error {
+		h = fh
+		if sink != nil {
+			return sink(fh, frame, last)
 		}
-		if id := binary.BigEndian.Uint64(b[:]); id != 0 {
-			return id, nil
-		}
+		data = append(data, frame...)
+		return nil
 	}
+	a := l.mux.newArena()
+	tc := a.arm(opts.TraceID, opts.Budget)
+	after, err := l.mux.dispatch(tc, port, opts.TxID, req, payload, deliver)
+	tc.Finish()
+	a.release()
+	if after != nil {
+		//lint:ignore goroutinestop the reply is this call's return value, so its write-behind cannot follow it on this goroutine; the replica set's pending-write counter accounts for it and Drain runs it if it gets there first
+		go after()
+	}
+	return h, data, err
 }

@@ -28,10 +28,10 @@ func TestMuxMetricsRecordsPerOp(t *testing.T) {
 		return ReplyOK(), []byte("pong")
 	})
 
-	if _, _, err := mux.Dispatch(port, 0, Header{Command: 1}, []byte("abc")); err != nil {
+	if _, _, err := NewLocal(mux).Trans(port, Header{Command: 1}, []byte("abc")); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
-	if _, _, err := mux.Dispatch(port, 0, Header{Command: 2}, nil); err != nil {
+	if _, _, err := NewLocal(mux).Trans(port, Header{Command: 2}, nil); err != nil {
 		t.Fatalf("Dispatch cmd2: %v", err)
 	}
 
@@ -71,7 +71,7 @@ func TestMuxMetricsCountsDupReplays(t *testing.T) {
 		return ReplyOK(), nil
 	})
 	for i := 0; i < 3; i++ {
-		if _, _, err := mux.Dispatch(port, 42, Header{Command: 1}, nil); err != nil {
+		if _, _, err := NewLocal(mux).Call(port, CallOpts{TxID: 42}, Header{Command: 1}, nil, nil); err != nil {
 			t.Fatalf("Dispatch %d: %v", i, err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestRetrierMetricsCountsRetries(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("retry-test")
 	mux.Register(port, func(Header, []byte) (Header, []byte) { return ReplyOK(), nil })
-	flaky := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	flaky := NewFlaky(NewLocal(mux), 0, 0, 1)
 	flaky.ScriptDrops([]bool{true, false}, nil) // first attempt lost, second lands
 	r := NewRetrier(flaky, 3)
 	r.AttachMetrics(reg)

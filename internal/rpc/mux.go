@@ -17,8 +17,8 @@ import (
 // create the file twice.
 //
 // When a trace recorder is attached, every dispatch opens a root span
-// (layer rpc, op request) in the caller's span arena; traced handlers
-// (RegisterTraced) receive the arena and the root span so lower layers can
+// (layer rpc, op request) in the caller's span arena; stream handlers
+// (RegisterStream) receive the arena and the root span so lower layers can
 // hang their spans under it.
 type Mux struct {
 	mu            sync.Mutex
@@ -41,11 +41,9 @@ type Mux struct {
 	dedupEvictions atomic.Int64 // entries evicted to stay within the count/byte budget
 }
 
-// muxEntry is one registered server: exactly one of plain/traced/stream
-// is set.
+// muxEntry is one registered server: exactly one of plain/stream is set.
 type muxEntry struct {
 	plain  Handler
-	traced TraceHandler
 	stream StreamHandler
 }
 
@@ -120,16 +118,6 @@ func (m *Mux) Register(port capability.Port, h Handler) {
 	m.handlers[port] = muxEntry{plain: h}
 }
 
-// RegisterTraced installs th as the server for port. A traced handler
-// receives the dispatch's span arena and root span (both nil when no
-// recorder is attached or the transport carried no trace context) so it
-// can emit child spans.
-func (m *Mux) RegisterTraced(port capability.Port, th TraceHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[port] = muxEntry{traced: th}
-}
-
 // Unregister removes the server for port.
 func (m *Mux) Unregister(port capability.Port) {
 	m.mu.Lock()
@@ -183,144 +171,6 @@ func (m *Mux) nowNanos() int64 {
 		return now()
 	}
 	return time.Now().UnixNano()
-}
-
-// Dispatch executes one transaction. txid 0 disables duplicate
-// suppression; any other value is remembered and replays the cached reply.
-// If a recorder is attached the dispatch records a trace under a
-// server-assigned local ID.
-func (m *Mux) Dispatch(port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	return m.DispatchTraceID(0, port, txid, req, payload)
-}
-
-// DispatchTraceID is Dispatch for transports that carry a wire trace ID
-// but no span arena (the in-process Local transports): it borrows an
-// arena from the attached recorder for the duration of the dispatch.
-// traceID 0 means "none propagated"; the recorder assigns a local ID so
-// the flight recorder stays complete.
-func (m *Mux) DispatchTraceID(traceID uint64, port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	m.mu.Lock()
-	rec := m.rec
-	m.mu.Unlock()
-	if rec == nil {
-		return m.DispatchTrace(nil, port, txid, req, payload)
-	}
-	tc := rec.AcquireCtx()
-	if traceID == 0 {
-		traceID = rec.NextLocalID()
-	}
-	tc.Reset(traceID)
-	h, p, err := m.DispatchTrace(tc, port, txid, req, payload)
-	tc.Finish()
-	rec.ReleaseCtx(tc)
-	return h, p, err
-}
-
-// DispatchOpts is DispatchTraceID with the full per-call option set: a
-// deadline budget (when present) is armed on the span arena before
-// dispatch, exactly as the TCP server arms budgets carried by the wire
-// TLV. With no recorder attached a budgeted call still gets a bare
-// arena, because budgets ride on the trace Ctx.
-func (m *Mux) DispatchOpts(opts CallOpts, port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	if opts.Budget <= 0 {
-		return m.DispatchTraceID(opts.TraceID, port, opts.TxID, req, payload)
-	}
-	m.mu.Lock()
-	rec := m.rec
-	m.mu.Unlock()
-	var tc *trace.Ctx
-	traceID := opts.TraceID
-	if rec != nil {
-		tc = rec.AcquireCtx()
-		if traceID == 0 {
-			traceID = rec.NextLocalID()
-		}
-	} else {
-		tc = new(trace.Ctx)
-	}
-	tc.Reset(traceID)
-	tc.ArmDeadline(opts.Budget, m.nowNanos)
-	h, p, err := m.DispatchTrace(tc, port, opts.TxID, req, payload)
-	tc.Finish()
-	if rec != nil {
-		rec.ReleaseCtx(tc)
-	}
-	return h, p, err
-}
-
-// DispatchTrace executes one transaction, recording spans into tc (which
-// the caller owns, arms with Reset, and flushes with Finish — the TCP
-// server holds one arena per connection). A nil tc records nothing.
-func (m *Mux) DispatchTrace(tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	m.mu.Lock()
-	e, ok := m.handlers[port]
-	mm := m.metrics
-	if !ok {
-		m.mu.Unlock()
-		return Header{}, nil, ErrNoServer
-	}
-	if txid != 0 {
-		if cached, dup := m.dedup[txid]; dup {
-			m.mu.Unlock()
-			m.replayStats(mm, tc, req, cached)
-			return cached.hdr, cached.payload, nil
-		}
-	}
-	m.mu.Unlock()
-
-	root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
-	if root != nil {
-		root.Cmd = req.Command
-		root.Bytes = int64(len(payload))
-	}
-	start := time.Now()
-	var repHdr Header
-	var repPayload []byte
-	switch {
-	case e.stream != nil:
-		// Single-reply view of a stream handler: the frames are assembled
-		// into one owned payload (each frame's bytes are copied before its
-		// backing pin is released), so non-streaming transports keep the
-		// classic Trans contract.
-		first := true
-		e.stream(tc, root, req, payload, func(h Header, p Payload, last bool) error {
-			if first {
-				repHdr = h
-				first = false
-			}
-			repPayload = append(repPayload, p.Data...)
-			m.bytesOut.Add(int64(len(p.Data)))
-			p.release()
-			if p.After != nil {
-				//lint:ignore goroutinestop the reply is this call's return value, so its write-behind cannot follow it on this goroutine; the replica set's pending-write counter accounts for it and Drain runs it if it gets there first
-				go p.After()
-			}
-			return nil
-		})
-		if first {
-			repHdr = ReplyErr(StatusInternal)
-		}
-	case e.traced != nil:
-		repHdr, repPayload = e.traced(tc, root, req, payload)
-		m.bytesOut.Add(int64(len(repPayload)))
-	default:
-		repHdr, repPayload = e.plain(req, payload)
-		m.bytesOut.Add(int64(len(repPayload)))
-	}
-	if mm != nil {
-		mm.record(req.Command, len(payload), len(repPayload), repHdr.Status, time.Since(start), tc.TraceID())
-	}
-	if root != nil {
-		root.Status = int32(repHdr.Status)
-	}
-	tc.End(root)
-
-	if txid != 0 {
-		m.mu.Lock()
-		m.retainLocked(txid, repHdr, repPayload)
-		m.mu.Unlock()
-	}
-	return repHdr, repPayload, nil
 }
 
 // DedupLen reports the current size of the duplicate-suppression cache.

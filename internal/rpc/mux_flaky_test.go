@@ -22,7 +22,7 @@ func TestRetrierExhaustionTagsMetrics(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("exhausted")
 	mux.Register(port, echoHandler)
-	flaky := NewFlaky(&LocalID{Mux: mux}, 1.0, 0, 1) // every request lost
+	flaky := NewFlaky(NewLocal(mux), 1.0, 0, 1) // every request lost
 	r := NewRetrier(flaky, 4)
 	r.AttachMetrics(reg)
 
@@ -49,7 +49,7 @@ func TestFlakyReplyLossExecutesHandler(t *testing.T) {
 		calls.Add(1)
 		return ReplyOK(), nil
 	})
-	flaky := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	flaky := NewFlaky(NewLocal(mux), 0, 0, 1)
 	flaky.ScriptDrops(nil, []bool{true}) // reply of the first transaction lost
 
 	if _, _, err := flaky.Trans(port, Header{}, nil); !errors.Is(err, ErrDropped) {
@@ -73,13 +73,13 @@ func TestSharedTransportInterleavedTracedReplies(t *testing.T) {
 	mux := NewMux(0)
 	mux.AttachRecorder(rec)
 	port := capability.PortFromString("traced-shared")
-	mux.RegisterTraced(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte) (Header, []byte) {
+	mux.RegisterStream(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter) {
 		if tc == nil || parent == nil {
-			return Header{Status: StatusInternal}, nil
+			_ = emit(ReplyErr(StatusInternal), Payload{}, true)
+			return
 		}
-		out := make([]byte, len(payload))
-		copy(out, payload)
-		return Header{Status: StatusOK, Command: req.Command, Arg: req.Arg}, out
+		out := append([]byte(nil), payload...)
+		_ = emit(Header{Status: StatusOK, Command: req.Command, Arg: req.Arg}, Plain(out), true)
 	})
 	srv := NewTCPServer(mux)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -99,7 +99,7 @@ func TestSharedTransportInterleavedTracedReplies(t *testing.T) {
 				cmd := uint32(w*1000 + i)
 				traceID := uint64(w*perWorker + i + 1) // nonzero, top bit clear
 				payload := bytes.Repeat([]byte{byte(w + 1)}, w*31+1)
-				rep, body, err := tr.TransTraced(port, traceID, Header{Command: cmd, Arg: uint64(w)}, payload)
+				rep, body, err := tr.Call(port, CallOpts{TraceID: traceID}, Header{Command: cmd, Arg: uint64(w)}, payload, nil)
 				if err != nil {
 					errc <- err
 					return

@@ -153,7 +153,7 @@ const cmdPipelineStream = 77
 
 // TestPipelineEveryCallerGetsItsOwnReply hammers one transport from 8
 // goroutines with nonce-stamped calls, every eighth a three-frame
-// TransStream: whatever the interleaving on the wire, each caller sees
+// streamed Call: whatever the interleaving on the wire, each caller sees
 // exactly its own frames, in order.
 func TestPipelineEveryCallerGetsItsOwnReply(t *testing.T) {
 	mux := NewMux(0)
@@ -195,7 +195,7 @@ func TestPipelineEveryCallerGetsItsOwnReply(t *testing.T) {
 				var payload [8]byte
 				binary.BigEndian.PutUint64(payload[:], nonce)
 				next := uint64(0)
-				_, err := tr.TransStream(port, Header{Command: cmdPipelineStream, Arg: nonce}, payload[:], func(h Header, data []byte, last bool) error {
+				_, _, err := tr.Call(port, CallOpts{}, Header{Command: cmdPipelineStream, Arg: nonce}, payload[:], func(h Header, data []byte, last bool) error {
 					if h.Arg != nonce || h.Arg2 != next || !bytes.Equal(data, payload[:]) || last != (next == 2) {
 						return fmt.Errorf("stream %d frame %d: got frame %d of %d (last %v)", nonce, next, h.Arg2, h.Arg, last)
 					}
@@ -263,7 +263,7 @@ func TestReceiveTurnServerCloseFailsEveryQueuedCaller(t *testing.T) {
 	}
 }
 
-// TestReceiveTurnSinkErrorFailsTheQueueBehindIt: a TransStream holds the
+// TestReceiveTurnSinkErrorFailsTheQueueBehindIt: a streamed Call holds the
 // turn while a Trans waits behind it; the sink gives up on the first
 // frame. The stream caller gets the sink's error, the queued caller a
 // transport error, and the next call runs on a fresh connection.
@@ -291,7 +291,7 @@ func TestReceiveTurnSinkErrorFailsTheQueueBehindIt(t *testing.T) {
 	errSink := errors.New("sink gave up")
 	streamErr := make(chan error, 1)
 	go func() {
-		_, err := tr.TransStream(port, Header{Command: cmdPipelineStream}, nil, func(Header, []byte, bool) error { return errSink })
+		_, _, err := tr.Call(port, CallOpts{}, Header{Command: cmdPipelineStream}, nil, func(Header, []byte, bool) error { return errSink })
 		streamErr <- err
 	}()
 	<-streamRead // the stream holds ticket 0
@@ -299,7 +299,7 @@ func TestReceiveTurnSinkErrorFailsTheQueueBehindIt(t *testing.T) {
 	go func() { queuedErr <- checkedTrans(tr, port, 9) }()
 
 	if err := <-streamErr; !errors.Is(err, errSink) {
-		t.Fatalf("TransStream = %v, want the sink's own error", err)
+		t.Fatalf("streamed Call = %v, want the sink's own error", err)
 	}
 	if err := <-queuedErr; !errors.Is(err, errStreamAbandoned) {
 		t.Fatalf("queued Trans = %v, want errStreamAbandoned", err)
@@ -309,6 +309,51 @@ func TestReceiveTurnSinkErrorFailsTheQueueBehindIt(t *testing.T) {
 	}
 	if err := checkedTrans(tr, port, 10); err != nil {
 		t.Fatalf("transport did not recover on a fresh connection: %v", err)
+	}
+}
+
+// TestReceiveTurnSinkPanicDropsTheConnection: a streamed Call whose sink
+// panics leaves by the panic while holding the receive turn. The
+// connection must go with it: once the caller has recovered, the next call
+// on the same transport runs on a fresh connection instead of queueing for
+// a turn nobody will pass on.
+func TestReceiveTurnSinkPanicDropsTheConnection(t *testing.T) {
+	addr := fakeServer(t, func(conn net.Conn, br *bufio.Reader, n int) {
+		if n > 0 {
+			serveEcho(conn, br)
+			return
+		}
+		s, err := readFakeReq(br)
+		if err != nil {
+			return
+		}
+		// One non-final frame, then this connection answers like any other.
+		_ = writeFrame(conn, magicReplyMore, 0, s.port, Header{Status: StatusOK}, []byte("frame 0"))
+		serveEcho(conn, br)
+	})
+	tr, port, reg := pipelineTransport(t, addr, 10*time.Second)
+	const boom = "sink panicked"
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Fatalf("recovered %v, want the sink's own panic", r)
+			}
+		}()
+		_, _, _ = tr.Call(port, CallOpts{}, Header{Command: cmdPipelineStream}, nil, func(Header, []byte, bool) error { panic(boom) })
+	}()
+
+	done := make(chan error, 1)
+	go func() { done <- checkedTrans(tr, port, 1) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("call after the panicking sink: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the call after a panicking sink still waits for the receive turn")
+	}
+	if n := reg.Snapshot().Counters["rpc.transport_errors"]; n != 0 {
+		t.Errorf("rpc.transport_errors = %d, want 0 (a panicking sink is the caller's own failure)", n)
 	}
 }
 

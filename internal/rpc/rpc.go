@@ -4,11 +4,18 @@
 // a 48-bit server port; the addressed capability, a command code and two
 // scalar arguments travel in a fixed header, bulk data in the payload.
 //
-// Two transports are provided: an in-process transport (Local) for tests,
-// benchmarks and single-process deployments, and a TCP transport for real
-// daemons. A Mux dispatches incoming transactions to per-port handlers and
-// performs at-most-once duplicate suppression so that client retries after
-// lost replies never re-execute a create or delete.
+// There is one way to make a call and one way to serve it. A Transport has
+// Trans, Amoeba's trans(); a Caller adds Call, which also carries the
+// per-call options (transaction ID, trace ID, deadline budget) and can hand
+// a multi-frame reply to a sink. The package function Call uses Call where
+// the transport has it and falls back to Trans where it does not. Two
+// transports implement Caller: Local, in-process, for tests, the simulated
+// network and single-process deployments, and TCPTransport for real
+// daemons; Flaky and Retrier wrap either. On the server side a Mux routes
+// each transaction through its one dispatch, DispatchStream, to the
+// handler registered for the port, and performs at-most-once duplicate
+// suppression so that client retries after lost replies never re-execute
+// a create or delete.
 package rpc
 
 import (

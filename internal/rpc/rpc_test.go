@@ -130,7 +130,7 @@ func TestMuxRegisterUnregister(t *testing.T) {
 		t.Fatalf("ports = %v", mux.Ports())
 	}
 	mux.Unregister(port)
-	if _, _, err := mux.Dispatch(port, 0, Header{}, nil); !errors.Is(err, ErrNoServer) {
+	if _, _, err := NewLocal(mux).Trans(port, Header{}, nil); !errors.Is(err, ErrNoServer) {
 		t.Fatalf("err = %v, want ErrNoServer", err)
 	}
 }
@@ -144,11 +144,11 @@ func TestMuxDuplicateSuppression(t *testing.T) {
 		return ReplyOK(), []byte{byte(calls.Load())}
 	})
 
-	h1, p1, err := mux.Dispatch(port, 77, Header{}, nil)
+	h1, p1, err := NewLocal(mux).Call(port, CallOpts{TxID: 77}, Header{}, nil, nil)
 	if err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
-	h2, p2, err := mux.Dispatch(port, 77, Header{}, nil) // duplicate
+	h2, p2, err := NewLocal(mux).Call(port, CallOpts{TxID: 77}, Header{}, nil, nil) // duplicate
 	if err != nil {
 		t.Fatalf("Dispatch dup: %v", err)
 	}
@@ -160,8 +160,8 @@ func TestMuxDuplicateSuppression(t *testing.T) {
 	}
 
 	// txid 0 is never deduplicated.
-	mux.Dispatch(port, 0, Header{}, nil) //nolint:errcheck
-	mux.Dispatch(port, 0, Header{}, nil) //nolint:errcheck
+	NewLocal(mux).Trans(port, Header{}, nil) //nolint:errcheck
+	NewLocal(mux).Trans(port, Header{}, nil) //nolint:errcheck
 	if calls.Load() != 3 {
 		t.Fatalf("handler ran %d times, want 3", calls.Load())
 	}
@@ -176,7 +176,7 @@ func TestMuxDedupEviction(t *testing.T) {
 		return ReplyOK(), nil
 	})
 	for id := uint64(1); id <= 6; id++ {
-		if _, _, err := mux.Dispatch(port, id, Header{}, nil); err != nil {
+		if _, _, err := NewLocal(mux).Call(port, CallOpts{TxID: id}, Header{}, nil, nil); err != nil {
 			t.Fatalf("Dispatch: %v", err)
 		}
 	}
@@ -185,7 +185,7 @@ func TestMuxDedupEviction(t *testing.T) {
 	}
 	// txid 1 was evicted: replaying it re-executes (at-most-once is
 	// bounded by cache size, like any real dedup window).
-	if _, _, err := mux.Dispatch(port, 1, Header{}, nil); err != nil {
+	if _, _, err := NewLocal(mux).Call(port, CallOpts{TxID: 1}, Header{}, nil, nil); err != nil {
 		t.Fatalf("Dispatch: %v", err)
 	}
 	if calls.Load() != 7 {
@@ -310,7 +310,7 @@ func TestRetrierRecoversFromRequestLoss(t *testing.T) {
 		calls.Add(1)
 		return ReplyOK(), []byte("done")
 	})
-	flaky := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	flaky := NewFlaky(NewLocal(mux), 0, 0, 1)
 	flaky.ScriptDrops([]bool{true, false}, nil) // first request lost
 	tr := NewRetrier(flaky, 3)
 
@@ -334,7 +334,7 @@ func TestRetrierAtMostOnceOnReplyLoss(t *testing.T) {
 		n := calls.Add(1)
 		return ReplyOK(), []byte{byte(n)}
 	})
-	flaky := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	flaky := NewFlaky(NewLocal(mux), 0, 0, 1)
 	// First attempt: server executes but the reply is lost. Retry must
 	// return the CACHED first reply, not run the handler again.
 	flaky.ScriptDrops([]bool{false, false}, []bool{true, false})
@@ -356,7 +356,7 @@ func TestRetrierGivesUp(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("dead")
 	mux.Register(port, echoHandler)
-	flaky := NewFlaky(&LocalID{Mux: mux}, 1.0, 0, 1) // all requests lost
+	flaky := NewFlaky(NewLocal(mux), 1.0, 0, 1) // all requests lost
 	tr := NewRetrier(flaky, 3)
 	if _, _, err := tr.Trans(port, Header{}, nil); !errors.Is(err, ErrDropped) {
 		t.Fatalf("err = %v, want ErrDropped", err)
@@ -368,7 +368,7 @@ func TestRetrierGivesUp(t *testing.T) {
 
 func TestRetrierNoServerShortCircuits(t *testing.T) {
 	mux := NewMux(0)
-	flaky := NewFlaky(&LocalID{Mux: mux}, 0, 0, 1)
+	flaky := NewFlaky(NewLocal(mux), 0, 0, 1)
 	tr := NewRetrier(flaky, 5)
 	if _, _, err := tr.Trans(capability.PortFromString("x"), Header{}, nil); !errors.Is(err, ErrNoServer) {
 		t.Fatalf("err = %v", err)

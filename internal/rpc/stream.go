@@ -36,8 +36,8 @@ type Releaser interface {
 // wait for (CREATE's write-behind). DispatchStream calls it once,
 // last of all — the frame written or its write failed, metrics, trace and
 // dedup entry done — on the dispatching goroutine, so a TCP connection
-// reads its next request only after it; DispatchTrace, whose reply is its
-// return value, starts it on a goroutine.
+// reads its next request only after it; Local, whose reply is its return
+// value, starts it on a goroutine.
 type Payload struct {
 	Data  []byte
 	Owner Releaser
@@ -73,10 +73,11 @@ type Emitter func(h Header, p Payload, last bool) error
 // single emitted frame whose header carries the status.
 type StreamHandler func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter)
 
-// RegisterStream installs sh as the server for port. Stream handlers
-// receive every dispatch — single-frame transports see their frames
-// assembled into one reply — and may emit borrowed (Owned) payloads that
-// the dispatch layer releases after writing.
+// RegisterStream installs sh as the server for port. A stream handler
+// receives the dispatch's span arena and root span (both nil when the
+// dispatch is untraced) and may emit borrowed (Owned) payloads that the
+// dispatch layer releases after writing. Local assembles the frames for a
+// caller that asked for one reply.
 func (m *Mux) RegisterStream(port capability.Port, sh StreamHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -91,40 +92,41 @@ func (m *Mux) RegisterStream(port capability.Port, sh StreamHandler) {
 type FrameSink func(h Header, data []byte, last bool) error
 
 // DispatchStream executes one transaction, delivering the reply as one or
-// more frames through sink. Ports registered with plain or traced
-// handlers produce exactly one frame. Duplicate transactions replay the
-// cached single-frame reply; multi-frame replies are never cached (the
-// only multi-frame command, READSTREAM, is idempotent). The returned
-// error is transport-level: ErrNoServer for an unserved port, or the
-// sink's own error propagated back.
+// more frames through sink: the Mux's one dispatch, which the TCP server
+// and Local both drive. A plain Handler's reply is one frame. Duplicate
+// transactions replay the cached single-frame reply; multi-frame replies
+// are never cached (the only multi-frame commands, READSTREAM and WATCH,
+// are idempotent). The final frame's After runs last of all, on this
+// goroutine. The returned error is transport-level: ErrNoServer for an
+// unserved port, or the sink's own error propagated back.
 func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte, sink FrameSink) error {
+	after, err := m.dispatch(tc, port, txid, req, payload, sink)
+	if after != nil {
+		after()
+	}
+	return err
+}
+
+// dispatch is DispatchStream up to the final frame's After, which it
+// returns (nil when there is none) for the caller to run once the reply is
+// out of its hands.
+func (m *Mux) dispatch(tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte, sink FrameSink) (after func(), err error) {
 	m.mu.Lock()
 	e, ok := m.handlers[port]
 	mm := m.metrics
 	if !ok {
 		m.mu.Unlock()
-		return ErrNoServer
+		return nil, ErrNoServer
 	}
 	if txid != 0 {
 		if cached, dup := m.dedup[txid]; dup {
 			m.mu.Unlock()
 			m.replayStats(mm, tc, req, cached)
 			tc.Finish() // publish before the reply, as streamState.emit does
-			return sink(cached.hdr, cached.payload, true)
+			return nil, sink(cached.hdr, cached.payload, true)
 		}
 	}
 	m.mu.Unlock()
-
-	if e.stream == nil {
-		// Classic handler: DispatchTrace does metrics, tracing and dedup
-		// retention; the single reply becomes the only frame.
-		h, p, err := m.DispatchTrace(tc, port, txid, req, payload)
-		if err != nil {
-			return err
-		}
-		tc.Finish() // publish before the reply, as streamState.emit does
-		return sink(h, p, true)
-	}
 
 	root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
 	if root != nil {
@@ -133,7 +135,12 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 	}
 	start := time.Now()
 	st := streamState{m: m, sink: sink, txid: txid, tc: tc, root: root}
-	e.stream(tc, root, req, payload, st.emit)
+	if e.stream != nil {
+		e.stream(tc, root, req, payload, st.emit)
+	} else {
+		h, p := e.plain(req, payload)
+		_ = st.emit(h, Plain(p), true) // a sink error is kept in st.werr
+	}
 	if st.frames == 0 && st.werr == nil {
 		// A handler that emitted nothing is a bug; keep the wire sane.
 		st.werr = st.emit(ReplyErr(StatusInternal), Payload{}, true)
@@ -147,10 +154,7 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 		root.Status = int32(st.hdr.Status)
 	}
 	tc.End(root)
-	if st.after != nil {
-		st.after()
-	}
-	return st.werr
+	return st.after, st.werr
 }
 
 // streamState carries one streamed dispatch's bookkeeping across emits.
@@ -240,14 +244,4 @@ func (m *Mux) replayStats(mm *muxMetrics, tc *trace.Ctx, req Header, cached cach
 	}
 	tc.End(root)
 	m.bytesOut.Add(int64(len(cached.payload)))
-}
-
-// StreamTransport is a Transport that can deliver a transaction whose
-// reply arrives as multiple frames, handing each to sink in order. The
-// final frame's header is returned. Transports that cannot stream simply
-// don't implement this; callers fall back to Trans and receive the frames
-// assembled into one payload.
-type StreamTransport interface {
-	Transport
-	TransStream(port capability.Port, req Header, payload []byte, sink FrameSink) (Header, error)
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bulletfs/internal/capability"
 	"bulletfs/internal/stats"
@@ -208,7 +207,7 @@ func TestDedupByteBudgetEviction(t *testing.T) {
 	// Three 400-byte replies against a 1 KiB budget: retaining the third
 	// must evict the first.
 	for txid := uint64(1); txid <= 3; txid++ {
-		if _, _, err := mux.Dispatch(port, txid, Header{Arg: txid}, nil); err != nil {
+		if _, _, err := NewLocal(mux).Call(port, CallOpts{TxID: txid}, Header{Arg: txid}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +231,7 @@ func TestDedupByteBudgetEviction(t *testing.T) {
 	})
 	before := mux.DedupBytes()
 	for i := 0; i < 2; i++ {
-		if _, _, err := mux.Dispatch(big, 99, Header{}, nil); err != nil {
+		if _, _, err := NewLocal(mux).Call(big, CallOpts{TxID: 99}, Header{}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,60 +243,11 @@ func TestDedupByteBudgetEviction(t *testing.T) {
 	}
 }
 
-func TestTransStreamOverTCP(t *testing.T) {
-	mux := NewMux(0)
-	port := capability.PortFromString("wire-stream")
-	const chunks = 5
-	mux.RegisterStream(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter) {
-		for i := 0; i < chunks; i++ {
-			data := bytes.Repeat([]byte{byte('a' + i)}, 1000)
-			if emit(Header{Status: StatusOK, Arg: uint64(i)}, Plain(data), i == chunks-1) != nil {
-				return
-			}
-		}
-	})
-	echo := capability.PortFromString("wire-echo")
-	mux.Register(echo, echoHandler)
-	srv := NewTCPServer(mux)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer srv.Close() //nolint:errcheck // test cleanup
-	tr := NewTCPTransport(StaticResolver(map[capability.Port]string{port: addr, echo: addr}), 5*time.Second)
-	defer tr.Close() //nolint:errcheck // test cleanup
-
-	var got []byte
-	var frames int
-	rep, err := tr.TransStream(port, Header{Command: 1}, nil, func(h Header, data []byte, last bool) error {
-		frames++
-		got = append(got, data...)
-		if last != (frames == chunks) {
-			t.Errorf("frame %d: last = %v", frames, last)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("TransStream: %v", err)
-	}
-	if rep.Status != StatusOK || rep.Arg != chunks-1 {
-		t.Fatalf("final header = %+v", rep)
-	}
-	if frames != chunks || len(got) != chunks*1000 {
-		t.Fatalf("got %d frames, %d bytes; want %d frames, %d bytes", frames, len(got), chunks, chunks*1000)
-	}
-
-	// The connection is reusable for a classic transaction afterwards.
-	if rep, _, err := tr.Trans(echo, Header{Command: 2}, nil); err != nil || rep.Status != StatusOK {
-		t.Fatalf("Trans after stream: %+v, %v", rep, err)
-	}
-}
-
 // TestDispatchStreamPublishesTraceBeforeFinalFrame: by the time the sink
 // sees a transaction's last frame — that is, before the client can hold
 // its reply — the trace is in the recorder, root span closed. A handler
 // that keeps working (and tracing) behind its last emit adds no second
-// trace. Covers stream, classic and replayed dispatches.
+// trace. Covers stream, plain-handler and replayed dispatches.
 func TestDispatchStreamPublishesTraceBeforeFinalFrame(t *testing.T) {
 	rec := trace.NewRecorder(trace.WithCapacity(16, 4))
 	defer rec.Close()
@@ -310,7 +260,7 @@ func TestDispatchStreamPublishesTraceBeforeFinalFrame(t *testing.T) {
 		tc.End(tc.Begin(parent, trace.LayerEngine, trace.OpRead)) // behind the reply
 	})
 	classicPort := capability.PortFromString("publish-classic")
-	mux.RegisterTraced(classicPort, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte) (Header, []byte) {
+	mux.Register(classicPort, func(req Header, payload []byte) (Header, []byte) {
 		return ReplyOK(), []byte("c")
 	})
 
@@ -433,10 +383,10 @@ func TestDispatchStreamRunsAfterLast(t *testing.T) {
 	}
 }
 
-// TestDispatchTraceStartsAfterOnItsOwn: where the reply is the call's
-// return value (Local and simnet transports) After cannot follow it, so it
-// is started on a goroutine: the call returns while After is still held.
-func TestDispatchTraceStartsAfterOnItsOwn(t *testing.T) {
+// TestLocalStartsAfterOnItsOwn: where the reply is the call's return
+// value (Local, and simnet through it) After cannot follow it, so it is
+// started on a goroutine: the call returns while After is still held.
+func TestLocalStartsAfterOnItsOwn(t *testing.T) {
 	mux := NewMux(0)
 	port := capability.PortFromString("after-local")
 	hold, ran := make(chan struct{}), make(chan struct{})

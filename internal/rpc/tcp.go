@@ -12,7 +12,6 @@ import (
 
 	"bulletfs/internal/capability"
 	"bulletfs/internal/stats"
-	"bulletfs/internal/trace"
 )
 
 // Wire format of one TCP frame, both directions:
@@ -316,19 +315,13 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// fixed holds the prologue plus scratch for the v2 extension, so a
 	// traced request costs no more allocation than an untraced one.
 	var fixed [prologueLen + extScratchLen]byte
-	// The connection owns one pre-allocated span arena for its lifetime;
-	// each request re-arms it. With no recorder attached, tc is nil and
-	// the trace calls below are no-ops.
-	rec := s.mux.Recorder()
-	tc := rec.AcquireCtx()
-	defer rec.ReleaseCtx(tc)
-	// spare carries deadline budgets when no recorder (and hence no
-	// pooled Ctx) is attached: budgets ride on the trace Ctx, so a
-	// budgeted request always needs one. Allocated once per connection,
-	// on demand.
-	var spare *trace.Ctx
+	// The connection owns one span arena for its lifetime; each request
+	// re-arms it. With no recorder attached and no budget on the request,
+	// the Ctx is nil and the trace calls below are no-ops.
+	a := s.mux.newArena()
+	defer a.release()
 	for {
-		// Request payloads come from a pool: Dispatch (and the Handlers
+		// Request payloads come from a pool: the dispatch (and the Handlers
 		// under it) must not retain them, so the buffer is recycled as
 		// soon as the reply is built. Reply payloads are never pooled —
 		// the duplicate-suppression cache retains them.
@@ -336,22 +329,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
-		cur := tc
-		if cur == nil && budget > 0 {
-			if spare == nil {
-				spare = new(trace.Ctx)
-			}
-			cur = spare
-		}
-		if cur != nil {
-			if traceID == 0 && tc != nil {
-				traceID = rec.NextLocalID()
-			}
-			cur.Reset(traceID)
-			if budget > 0 {
-				cur.ArmDeadline(budget, s.mux.nowNanos)
-			}
-		}
+		cur := a.arm(traceID, budget)
 		// Reply frames are written from inside the dispatch: the sink hands
 		// each frame's payload to a vectored socket write (header and
 		// payload in one writev, no intermediate copy), and a payload
@@ -451,16 +429,10 @@ type tcpConn struct {
 	pro [prologueLen]byte // likewise: readFrameScratch's prologue buffer
 }
 
-var (
-	_ Transport                 = (*TCPTransport)(nil)
-	_ TracedTransport           = (*TCPTransport)(nil)
-	_ identifiedTracedTransport = (*TCPTransport)(nil)
-	_ StreamTransport           = (*TCPTransport)(nil)
-	_ OptsTransport             = (*TCPTransport)(nil)
-)
+var _ Caller = (*TCPTransport)(nil)
 
-// errStreamAbandoned fails the callers queued behind a TransStream whose
-// sink gave up: the frames still in flight are in their way too.
+// errStreamAbandoned fails the callers queued behind a streamed Call whose
+// sink gave up or panicked: the frames still in flight are in their way too.
 var errStreamAbandoned = errors.New("connection dropped by an abandoned stream")
 
 // NewTCPTransport builds a client transport. timeout bounds each
@@ -557,10 +529,21 @@ func (t *TCPTransport) kill(addr string, c *tcpConn, err error) {
 	c.conn.Close()
 }
 
-// transact is the one transaction path: enter, then read reply frames up
-// to the final one. With a sink every frame goes to it; without one the
-// reply must be a single frame, whose payload is returned.
-func (t *TCPTransport) transact(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (h Header, data []byte, err error) {
+// Trans implements Transport: Call with no options and a single-frame
+// reply.
+func (t *TCPTransport) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
+	return t.Call(port, CallOpts{}, req, payload, nil)
+}
+
+// Call implements Caller and is the one transaction path: enter, then read
+// reply frames up to the final one. Any non-zero option upgrades the
+// request frame to v2; zero options send a v1 frame, so such calls stay
+// wire-compatible with pre-extension servers. With a sink every frame goes
+// to it as it arrives off the wire, under the receive turn and the
+// per-transaction deadline; without one the reply must be a single frame,
+// whose payload is returned. A sink that fails or panics drops the
+// connection: frames in flight and callers queued behind die with it.
+func (t *TCPTransport) Call(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (h Header, data []byte, err error) {
 	addr, err := t.resolve(port)
 	if err != nil {
 		return Header{}, nil, err
@@ -581,10 +564,10 @@ func (t *TCPTransport) transact(port capability.Port, opts CallOpts, req Header,
 			break
 		}
 		if sink != nil {
-			if serr := sink(h, data, last); serr != nil {
-				t.kill(addr, c, errStreamAbandoned)
+			if serr := t.deliver(addr, c, sink, h, data, last); serr != nil {
 				return h, nil, serr
 			}
+			data = nil
 		}
 		if last {
 			c.passTurn()
@@ -597,45 +580,20 @@ func (t *TCPTransport) transact(port capability.Port, opts CallOpts, req Header,
 	return Header{}, nil, err
 }
 
-// Trans implements Transport.
-func (t *TCPTransport) Trans(port capability.Port, req Header, payload []byte) (Header, []byte, error) {
-	return t.TransID(port, 0, req, payload)
-}
-
-// TransTraced implements TracedTransport: the trace ID rides in the v2
-// prologue extension.
-func (t *TCPTransport) TransTraced(port capability.Port, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	return t.TransIDTraced(port, 0, traceID, req, payload)
-}
-
-// TransID is Trans with an explicit transaction ID for at-most-once
-// semantics across retries (see Retrier).
-func (t *TCPTransport) TransID(port capability.Port, txid uint64, req Header, payload []byte) (Header, []byte, error) {
-	return t.TransIDTraced(port, txid, 0, req, payload)
-}
-
-// TransIDTraced carries both the at-most-once transaction ID and the
-// trace ID (0 for either means "none"). traceID 0 emits a v1 frame, so
-// untraced clients stay wire-compatible with pre-extension servers.
-func (t *TCPTransport) TransIDTraced(port capability.Port, txid, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	return t.TransOpts(port, CallOpts{TxID: txid, TraceID: traceID}, req, payload)
-}
-
-// TransOpts implements OptsTransport: the full per-call option set —
-// at-most-once txid, trace ID, and deadline budget. Any non-zero
-// extension field upgrades the request frame to v2.
-func (t *TCPTransport) TransOpts(port capability.Port, opts CallOpts, req Header, payload []byte) (Header, []byte, error) {
-	return t.transact(port, opts, req, payload, nil)
-}
-
-// TransStream implements StreamTransport: the request goes out once and
-// each reply frame is handed to sink as it arrives off the wire, ending
-// with the final frame (whose header is returned). The receive turn and
-// the per-transaction deadline cover the whole stream. A sink error drops
-// the connection: frames in flight and callers queued behind die with it.
-func (t *TCPTransport) TransStream(port capability.Port, req Header, payload []byte, sink FrameSink) (Header, error) {
-	h, _, err := t.transact(port, CallOpts{}, req, payload, sink)
-	return h, err
+// deliver hands one frame to sink under the receive turn. A sink that
+// returns an error or panics abandons the stream: the rest of its frames
+// are still on the wire, so the connection is killed — counted as the
+// caller's own failure, not a transport error — and a panic goes on up.
+func (t *TCPTransport) deliver(addr string, c *tcpConn, sink FrameSink, h Header, data []byte, last bool) error {
+	abandoned := true
+	defer func() {
+		if abandoned {
+			t.kill(addr, c, errStreamAbandoned)
+		}
+	}()
+	err := sink(h, data, last)
+	abandoned = err != nil
+	return err
 }
 
 // Close drops all pooled connections.

@@ -1,66 +1,53 @@
 package rpc
 
 import (
-	"bulletfs/internal/capability"
+	"time"
+
 	"bulletfs/internal/trace"
 )
 
-// TraceHandler is a Handler that can emit spans: tc is the dispatch's
-// span arena and parent its root span (both nil when the dispatch is
-// untraced — implementations must tolerate that, which trace.Ctx's
-// nil-safe methods make free). The payload contract is the same as
-// Handler's: request payloads are pooled and must not be retained.
-type TraceHandler func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte) (Header, []byte)
-
-// TracedTransport is a Transport that can propagate a client-generated
-// trace ID to the server. Transports that cannot carry one (or talk to
-// peers that predate the extension) simply don't implement this; callers
-// fall back to Trans and the server assigns a local ID.
-type TracedTransport interface {
-	Transport
-	// TransTraced is Trans with a trace ID. traceID 0 degrades to Trans.
-	TransTraced(port capability.Port, traceID uint64, req Header, payload []byte) (Header, []byte, error)
+// arena is the span arena one serving context re-arms per request: a TCP
+// connection keeps one for its lifetime, a Local call borrows one for the
+// call. It is the only place a request's trace ID is assigned and its
+// deadline budget armed.
+type arena struct {
+	m     *Mux
+	rec   *trace.Recorder
+	tc    *trace.Ctx // borrowed from rec; nil when no recorder is attached
+	spare *trace.Ctx // a bare Ctx for budgets when tc is nil, allocated on demand
 }
 
-// identifiedTracedTransport carries both an at-most-once transaction ID
-// and a trace ID (the retry layer needs to pin the former across
-// attempts while propagating the latter).
-type identifiedTracedTransport interface {
-	TransIDTraced(port capability.Port, txid, traceID uint64, req Header, payload []byte) (Header, []byte, error)
+// newArena borrows a span arena from the attached recorder (none when no
+// recorder is attached). Call release when done with it.
+func (m *Mux) newArena() arena {
+	rec := m.Recorder()
+	return arena{m: m, rec: rec, tc: rec.AcquireCtx()}
 }
 
-// transIDTraced dispatches with the richest form the transport supports,
-// degrading gracefully: trace-unaware transports still get the
-// transaction ID, plain transports just get the request.
-func transIDTraced(t Transport, port capability.Port, txid, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	if traceID != 0 {
-		if itt, ok := t.(identifiedTracedTransport); ok {
-			return itt.TransIDTraced(port, txid, traceID, req, payload)
+// arm readies the arena for one request and returns the Ctx to dispatch
+// it with: the recorder's arena reset to traceID — a server-assigned local
+// ID when the caller propagated none — or, with no recorder, a bare Ctx
+// when a budget needs one to ride on, else nil. A budget (0 = none) is
+// armed against the Mux's clock.
+func (a *arena) arm(traceID uint64, budget time.Duration) *trace.Ctx {
+	cur := a.tc
+	if cur == nil {
+		if budget <= 0 {
+			return nil
 		}
+		if a.spare == nil {
+			a.spare = new(trace.Ctx)
+		}
+		cur = a.spare
+	} else if traceID == 0 {
+		traceID = a.rec.NextLocalID()
 	}
-	return transID(t, port, txid, req, payload)
+	cur.Reset(traceID)
+	if budget > 0 {
+		cur.ArmDeadline(budget, a.m.nowNanos)
+	}
+	return cur
 }
 
-// TransTraced implements TracedTransport: the transaction ID is drawn
-// per call, and the trace ID rides along on every retry attempt so the
-// server's flight recorder sees each attempt under the same trace.
-func (r *Retrier) TransTraced(port capability.Port, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	return r.trans(port, traceID, 0, req, payload)
-}
-
-// TransIDTraced implements identifiedTracedTransport with injected loss.
-func (f *Flaky) TransIDTraced(port capability.Port, txid, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	return f.run(func() (Header, []byte, error) {
-		return transIDTraced(f.inner, port, txid, traceID, req, payload)
-	})
-}
-
-// TransIDTraced implements identifiedTracedTransport in-process.
-func (l *LocalID) TransIDTraced(port capability.Port, txid, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	return l.Mux.DispatchTraceID(traceID, port, txid, req, payload)
-}
-
-// TransTraced implements TracedTransport in-process.
-func (l *LocalID) TransTraced(port capability.Port, traceID uint64, req Header, payload []byte) (Header, []byte, error) {
-	return l.Mux.DispatchTraceID(traceID, port, 0, req, payload)
-}
+// release returns the recorder's arena.
+func (a *arena) release() { a.rec.ReleaseCtx(a.tc) }

@@ -153,54 +153,6 @@ func TestLargeExtensionBeyondScratch(t *testing.T) {
 	}
 }
 
-// TestTraceIDPropagatesOverTCP drives a traced transaction through the
-// real TCP stack and asserts the server's flight recorder saw the
-// client's trace ID with an rpc root span.
-func TestTraceIDPropagatesOverTCP(t *testing.T) {
-	port := capability.PortFromString("traced-tcp")
-	mux := NewMux(0)
-	rec := trace.NewRecorder(trace.WithCapacity(8, 8))
-	mux.AttachRecorder(rec)
-	mux.RegisterTraced(port, func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte) (Header, []byte) {
-		sp := tc.Begin(parent, trace.LayerEngine, trace.OpRead)
-		tc.End(sp)
-		return Header{Status: StatusOK, Arg: 1}, []byte("ok")
-	})
-	srv := NewTCPServer(mux)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer srv.Close()
-
-	tr := NewTCPTransport(StaticResolver(map[capability.Port]string{port: addr}), 5*time.Second)
-	defer tr.Close()
-	const wantID = uint64(0x1122334455)
-	rep, payload, err := tr.TransTraced(port, wantID, Header{Command: 2}, []byte("req"))
-	if err != nil {
-		t.Fatalf("TransTraced: %v", err)
-	}
-	if rep.Status != StatusOK || string(payload) != "ok" {
-		t.Fatalf("reply %v %q", rep.Status, payload)
-	}
-
-	traces := rec.Recent()
-	if len(traces) != 1 {
-		t.Fatalf("recorder has %d traces, want 1", len(traces))
-	}
-	tr0 := traces[0]
-	if tr0.ID != wantID {
-		t.Fatalf("recorded trace ID %#x, want %#x", tr0.ID, wantID)
-	}
-	root := tr0.Root()
-	if root == nil || root.Layer != trace.LayerRPC || root.Op != trace.OpRequest || root.Cmd != 2 {
-		t.Fatalf("bad root span: %+v", root)
-	}
-	if tr0.N != 2 || tr0.Spans[1].Layer != trace.LayerEngine || tr0.Spans[1].Parent != root.ID {
-		t.Fatalf("handler span missing or mis-parented: %+v", tr0.Spans[:tr0.N])
-	}
-}
-
 // TestUntracedRequestGetsLocalID: with a recorder attached, a v1 request
 // is still recorded — under a server-assigned ID with the local bit set.
 func TestUntracedRequestGetsLocalID(t *testing.T) {
@@ -243,11 +195,12 @@ func TestDispatchTraceDupReplayRecordsSpan(t *testing.T) {
 		calls++
 		return Header{Status: StatusOK, Arg: 42}, nil
 	})
+	tr := NewLocal(mux)
 	const txid = 77
-	if _, _, err := mux.DispatchTraceID(1, port, txid, Header{Command: 3}, nil); err != nil {
+	if _, _, err := tr.Call(port, CallOpts{TxID: txid, TraceID: 1}, Header{Command: 3}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := mux.DispatchTraceID(2, port, txid, Header{Command: 3}, nil)
+	rep, _, err := tr.Call(port, CallOpts{TxID: txid, TraceID: 2}, Header{Command: 3}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,10 @@ import (
 	"bulletfs/internal/rpc"
 )
 
-// Net is a timed rpc.Transport over an rpc.Mux.
+// Net is a timed rpc.Transport over an rpc.Mux, calling through an
+// rpc.Local.
 type Net struct {
-	mux   *rpc.Mux
+	local *rpc.Local
 	clock *hwmodel.Clock
 	model hwmodel.NetModel
 	cpu   hwmodel.CPUModel
@@ -39,7 +40,7 @@ var _ rpc.Transport = (*Net)(nil)
 // models to clock. The CPU model covers the server's request processing
 // (the disk costs are charged by the server's SimDisks).
 func New(mux *rpc.Mux, clock *hwmodel.Clock, model hwmodel.NetModel, cpu hwmodel.CPUModel) *Net {
-	return &Net{mux: mux, clock: clock, model: model, cpu: cpu}
+	return &Net{local: rpc.NewLocal(mux), clock: clock, model: model, cpu: cpu}
 }
 
 // Parts is the virtual-time decomposition of one transaction: the request's
@@ -81,7 +82,7 @@ func (n *Net) TransParts(port capability.Port, req rpc.Header, payload []byte) (
 	// honest no matter what the handler does.
 	serverStart := n.clock.Now()
 	n.clock.Advance(n.cpu.RequestTime(int64(len(payload))))
-	repHdr, repPayload, err := n.mux.Dispatch(port, 0, req, payload)
+	repHdr, repPayload, err := n.local.Trans(port, req, payload)
 	if err != nil {
 		return repHdr, repPayload, parts, err
 	}

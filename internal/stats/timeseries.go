@@ -123,21 +123,21 @@ func NewCollector(reg *Registry, interval time.Duration, size int) *Collector {
 // Interval returns the sampling interval.
 func (c *Collector) Interval() time.Duration { return c.interval }
 
-// Start launches the sampling goroutine. The first tick happens one
-// interval after Start; updates (which need two samples) begin on the
-// second. Start more than once is a bug (the second goroutine would
+// Start takes the baseline sample and launches the sampling goroutine.
+// The first tick happens one interval after Start, and its update covers
+// [Start, Start+interval) rather than waiting two intervals. The baseline
+// is taken before Start returns, so an explicit Tick after Start always
+// follows it. Start more than once is a bug (the second goroutine would
 // double-sample); it is not guarded.
 func (c *Collector) Start() {
 	c.mu.Lock()
 	c.started = true
 	c.mu.Unlock()
+	c.Tick(time.Now())
 	go func() {
 		defer close(c.done)
 		ticker := time.NewTicker(c.interval)
 		defer ticker.Stop()
-		// Take the baseline sample immediately so the first ticked update
-		// covers [Start, Start+interval) rather than waiting two intervals.
-		c.Tick(time.Now())
 		for {
 			select {
 			case <-c.stop:

@@ -73,7 +73,7 @@ func TestMetricNamesStable(t *testing.T) {
 	svc.AttachAdmission(adm)
 	svc.Register(mux)
 
-	cl := client.New(&rpc.LocalID{Mux: mux}, client.WithTraceIDs())
+	cl := client.New(rpc.NewLocal(mux), client.WithTraceIDs())
 	cp, err := cl.Create(engine.Port(), []byte("golden"), 1)
 	if err != nil {
 		t.Fatalf("Create: %v", err)

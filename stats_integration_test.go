@@ -48,7 +48,7 @@ func newStatsWorld(t *testing.T, cacheBytes int64) *statsWorld {
 	mux := rpc.NewMux(0)
 	mux.AttachMetrics(engine.Metrics(), bulletsvc.CommandName)
 	bulletsvc.New(engine).Register(mux)
-	return &statsWorld{engine: engine, cl: client.New(&rpc.LocalID{Mux: mux})}
+	return &statsWorld{engine: engine, cl: client.New(rpc.NewLocal(mux))}
 }
 
 // TestStatsAcrossReadWarmRead drives the canonical observability

@@ -233,10 +233,19 @@ func TestWatchEndsCleanlyOnCollectorClose(t *testing.T) {
 	}
 }
 
+// transOnly hides everything but Trans, the shape of a wrapper that
+// predates rpc.Caller: the Local under it assembles a streamed reply into
+// one frame.
+type transOnly struct{ inner rpc.Transport }
+
+func (t transOnly) Trans(port capability.Port, req rpc.Header, payload []byte) (rpc.Header, []byte, error) {
+	return t.inner.Trans(port, req, payload)
+}
+
 func TestWatchAssembledFallback(t *testing.T) {
-	// Over a single-reply transport (LocalID) the frames arrive
-	// concatenated; a bounded watch still decodes them all, and an
-	// unbounded one is refused up front.
+	// Over a Trans-only transport the frames arrive concatenated; a
+	// bounded watch still decodes them all, and an unbounded one is
+	// refused up front.
 	var devs []disk.Device
 	for i := 0; i < 2; i++ {
 		mem, err := disk.NewMem(512, (8<<20)/512)
@@ -264,7 +273,7 @@ func TestWatchAssembledFallback(t *testing.T) {
 	svc := bulletsvc.New(engine)
 	svc.AttachCollector(collector)
 	svc.Register(mux)
-	cl := client.New(&rpc.LocalID{Mux: mux})
+	cl := client.New(transOnly{rpc.NewLocal(mux)})
 
 	cp, err := cl.Create(engine.Port(), []byte("x"), 1)
 	if err != nil {
