@@ -7,6 +7,12 @@
 // field implementing LRU replacement. Free rnodes and free arena space are
 // kept on free lists.
 //
+// The age field stays the one record of recency; a hit only restamps it.
+// Eviction finds the oldest rnode through an index beside the table, a
+// min-heap of (age, slot) repaired lazily at its top (lru.go), so a miss
+// costs O(log n) rather than a walk of every rnode, and picks exactly the
+// rnode such a walk would.
+//
 // The inode table points back into this cache: inode.CacheIndex zero means
 // "not cached", any other value is the rnode slot number of the cached
 // copy. This package hands out those 1-based slot numbers and reports which
@@ -112,6 +118,11 @@ type Cache struct {
 	rnodes   []rnode          // guarded by mu; slot i at rnodes[i-1]; slots are 1-based
 	freeSlot []uint16         // guarded by mu; free rnode slots
 
+	// The LRU index over the slots' ages (see lru.go).
+	lru    lruHeap    // guarded by mu; at most one entry per slot
+	queued []bool     // guarded by mu; queued[i]: slot i+1 has an entry in lru
+	aside  []lruEntry // guarded by mu; lruLocked's scratch for pinned entries
+
 	// Per-slot reader state, parallel to rnodes. Atomic so that readers
 	// holding only the shared lock can pin entries and refresh LRU ages;
 	// padded so neighbouring slots never share a cache line (see slotState).
@@ -144,6 +155,8 @@ func New(arenaBytes int64, maxFiles int) (*Cache, error) {
 		arena:    arena,
 		rnodes:   make([]rnode, maxFiles),
 		freeSlot: make([]uint16, 0, maxFiles),
+		lru:      make(lruHeap, 0, maxFiles),
+		queued:   make([]bool, maxFiles),
 		slots:    make([]slotState, maxFiles),
 	}
 	for i := maxFiles; i >= 1; i-- {
@@ -296,29 +309,11 @@ func (c *Cache) placeLocked(inode uint32, size int64) (idx uint16, evicted []Evi
 	slotNum := c.freeSlot[len(c.freeSlot)-1]
 	c.freeSlot = c.freeSlot[:len(c.freeSlot)-1]
 	c.rnodes[slotNum-1] = rnode{inode: inode, off: off, size: size, used: true}
-	c.slots[slotNum-1].age.Store(c.tick())
+	age := c.tick()
+	c.slots[slotNum-1].age.Store(age)
+	c.queueLocked(slotNum, age)
 	c.stats.Insertions++
 	return slotNum, evicted, nil
-}
-
-// lruLocked returns the slot of the least recently used evictable file, or
-// 0 if nothing can be evicted. Pinned entries have live readers copying
-// out of the arena and doomed entries are already on their way out, so
-// neither is a candidate.
-func (c *Cache) lruLocked() uint16 {
-	best := uint16(0)
-	var bestAge uint64
-	for i := range c.rnodes {
-		rn := &c.rnodes[i]
-		if !rn.used || c.slots[i].pins.Load() > 0 || rn.doomed {
-			continue
-		}
-		if age := c.slots[i].age.Load(); best == 0 || age < bestAge {
-			best = uint16(i + 1)
-			bestAge = age
-		}
-	}
-	return best
 }
 
 // removeLocked frees slot idx and returns the inode it held. A pinned slot
