@@ -13,7 +13,7 @@ package analysis
 // reported at the site that created the pin.
 //
 // The pass tracks a second resource with the same rules: engine
-// ReadLeases (bullet.ReadView and friends), which wrap pinned Views for
+// ReadLeases (bullet.ReadView), which wrap pinned Views for
 // the zero-copy reply path. Handing a lease to another call — most
 // importantly rpc.Owned(lease.Bytes(), lease), which makes the RPC
 // layer release it after the socket write — discharges the obligation,

@@ -20,7 +20,7 @@ var cp capability.Capability
 // into rpc.Owned as a direct argument, so the RPC layer owns it now and
 // no diagnostic fires (the true negative).
 func LeaseHandoff(emit rpc.Emitter) {
-	lease, err := eng.ReadView(cp)
+	lease, err := eng.ReadView(nil, nil, cp, 0, -1)
 	if err != nil {
 		_ = emit(rpc.ReplyErr(rpc.StatusInternal), rpc.Plain(nil), true)
 		return
@@ -30,7 +30,7 @@ func LeaseHandoff(emit rpc.Emitter) {
 
 // LeaseReleasedOnAllPaths is the classic deferred shape; also clean.
 func LeaseReleasedOnAllPaths() (int64, error) {
-	lease, err := eng.ReadRangeView(cp, 0, 16)
+	lease, err := eng.ReadView(nil, nil, cp, 0, 16)
 	if err != nil {
 		return 0, err
 	}
@@ -42,7 +42,7 @@ func LeaseReleasedOnAllPaths() (int64, error) {
 // writer's error return drops the pin, which would wedge cache
 // compaction (the positive).
 func LeaseLeakOnError(w io.Writer) error {
-	lease, err := eng.ReadView(cp) // want `lease obtained from bullet.Server.ReadView is not released on every path`
+	lease, err := eng.ReadView(nil, nil, cp, 0, -1) // want `lease obtained from bullet.Server.ReadView is not released on every path`
 	if err != nil {
 		return err
 	}
@@ -55,5 +55,5 @@ func LeaseLeakOnError(w io.Writer) error {
 
 // LeaseDropped discards the lease without binding it at all.
 func LeaseDropped() {
-	eng.ReadView(cp) // want `discards a lease that must be released`
+	eng.ReadView(nil, nil, cp, 0, -1) // want `discards a lease that must be released`
 }

@@ -26,7 +26,7 @@ func TestObjectsListsLiveFiles(t *testing.T) {
 	if !seen[c1.Object] || !seen[c2.Object] {
 		t.Fatalf("objects %v missing %d or %d", objs, c1.Object, c2.Object)
 	}
-	if err := w.srv.Delete(c1); err != nil {
+	if err := w.srv.Delete(nil, nil, c1); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if objs := w.srv.Objects(); len(objs) != 1 || objs[0] != c2.Object {

@@ -14,11 +14,11 @@
 // Concurrency: the paper's server was single-threaded; this engine is not
 // (see docs/CONCURRENCY.md for the full model and the departure note in
 // DESIGN.md). Reads take the metadata lock shared, pin the cached bytes,
-// and copy them to the caller outside any engine lock. Cache misses are
-// deduplicated per inode (one disk read no matter how many concurrent
-// readers miss on the same file) and the disk read itself lands in a
-// reserved cache slot with no engine or cache lock held. Create holds the
-// metadata lock only for its short allocation phase; the replica
+// and hand the pin to the caller as a lease, outside any engine lock.
+// Cache misses are deduplicated per inode (one disk read no matter how
+// many concurrent readers miss on the same file) and the disk read itself
+// lands in a reserved cache slot with no engine or cache lock held. Create
+// holds the metadata lock only for its short allocation phase; the replica
 // write-through — the P-FACTOR quorum on the request goroutine before the
 // reply, the rest on it after — happens outside it.
 package bullet
@@ -458,22 +458,7 @@ func clampUint32(n int64) uint32 {
 	return uint32(n)
 }
 
-// Create implements BULLET.CREATE (paper §2.2): it stores data as a new
-// immutable file and returns its owner capability. The paranoia factor
-// selects when the call returns relative to the write-through replication:
-// 0 returns once the file is in the RAM cache, k >= 1 returns after k disks
-// hold both the file and its inode. The write-through to every disk always
-// happens (paper §3); P-FACTOR only moves the reply.
-//
-// The metadata lock is held only while claiming the extent, the inode and
-// the cache slot. The write-through itself runs outside it — the caller
-// writes its P-FACTOR quorum, main replica first — so concurrent creates
-// overlap their disk time and readers are never blocked behind a commit.
-func (s *Server) Create(data []byte, pfactor int) (capability.Capability, error) {
-	return s.CreateTraced(nil, nil, data, pfactor)
-}
-
-// create is the body of Create with span threading; sp is the enclosing
+// create is the body of CreateDeferred; sp is the enclosing
 // engine-layer create span (nil when untraced) under which the cache
 // insert and per-replica commit spans hang. later is the write-through the
 // P-FACTOR did not wait for (disk.ReplicaSet.ApplyDeferred; nil when there
@@ -652,54 +637,6 @@ func (s *Server) clearEvicted(evicted []cache.Evicted) {
 		// The inode may have been deleted already; ignore ErrBadInode.
 		_, _ = s.table.SetCacheIndexIf(ev.Inode, ev.Slot, 0)
 	}
-}
-
-// Size implements BULLET.SIZE: the byte size of the file, so the client can
-// allocate memory before BULLET.READ (paper §2.2).
-func (s *Server) Size(c capability.Capability) (int64, error) {
-	return s.SizeTraced(nil, nil, c)
-}
-
-// Read implements BULLET.READ: the complete file contents in one
-// operation. A cache hit pins the cached bytes, leaves the engine lock,
-// and copies them out while eviction and compaction route around the pin;
-// a miss loads the file contiguously from disk into the cache first
-// (paper §3), merged with any concurrent miss on the same file. The
-// returned slice is the caller's to keep.
-func (s *Server) Read(c capability.Capability) ([]byte, error) {
-	return s.ReadTraced(nil, nil, c)
-}
-
-// ReadRange returns n bytes of the file starting at offset — the §5
-// accommodation for "processors with small memories" handling large files.
-// The server-side path is identical to Read (the whole file is cached);
-// only the reply payload shrinks.
-func (s *Server) ReadRange(c capability.Capability, offset, n int64) ([]byte, error) {
-	return s.ReadRangeTraced(nil, nil, c, offset, n)
-}
-
-// fetchSpan returns [offset, offset+n) of the file c names (n < 0 means
-// to the end) plus the file's total size. The returned slice is owned by
-// the caller: a pinned lease is copied out (and released) here, an owned
-// buffer (the cache refused the fault) is handed straight through. The
-// zero-copy alternative is fetchLease (lease.go), which this wraps.
-func (s *Server) fetchSpan(tc *trace.Ctx, parent *trace.Span, c capability.Capability, want capability.Rights, offset, n int64) ([]byte, int64, error) {
-	l, err := s.fetchLease(tc, parent, c, want, offset, n)
-	if err != nil {
-		return nil, 0, err
-	}
-	size := l.Size()
-	if !l.Pinned() {
-		out := l.Bytes()
-		l.Release()
-		return out, size, nil
-	}
-	// append instead of make+copy: the runtime skips zeroing the fresh
-	// slice, one full memory pass saved on every read.
-	out := append([]byte(nil), l.Bytes()...)
-	l.Release()
-	s.m.readCopies.Inc()
-	return out, size, nil
 }
 
 // sameRandom compares two inode random numbers in constant time. The
@@ -929,15 +866,6 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 	return nil, fmt.Errorf("bullet: object %d kept moving during fault: %w", inode, ErrNoSuchFile)
 }
 
-// Delete implements BULLET.DELETE: verify, zero the inode and write it back
-// to all disks, free the cache copy and the disk extent (paper §3). It
-// holds the metadata lock exclusively end to end: deletes are rare (the
-// nightly GC sweep), and the extent hand-back must not interleave with
-// compaction scanning or a fault publishing against the dying inode.
-func (s *Server) Delete(c capability.Capability) error {
-	return s.DeleteTraced(nil, nil, c)
-}
-
 // delete is the body of Delete with span threading; sp is the enclosing
 // engine-layer delete span.
 func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) error {
@@ -945,12 +873,7 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	defer s.mu.Unlock()
 	vsp := tc.Begin(sp, trace.LayerEngine, trace.OpVerify)
 	inode, ino, err := s.verify(c, RightDelete)
-	if vsp != nil {
-		vsp.Inode = inode
-		if err != nil {
-			vsp.Status = 1
-		}
-	}
+	annotate(vsp, inode, 0, 0, err)
 	tc.End(vsp)
 	if err != nil {
 		return err
@@ -990,62 +913,50 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	return nil
 }
 
-// Modify implements the §5 extension: generate a new immutable file from
-// an existing one, "such that for a small modification it is not necessary
-// any longer to transfer the whole file". The new file is the old contents
-// resized to newSize (zero-filled when growing, truncated when shrinking;
-// newSize < 0 keeps max(oldSize, offset+len(data))), with data spliced in
-// at offset. The original file is untouched; a fresh capability is
-// returned.
-func (s *Server) Modify(c capability.Capability, offset int64, data []byte, newSize int64, pfactor int) (capability.Capability, error) {
-	return s.ModifyTraced(nil, nil, c, offset, data, newSize, pfactor)
-}
-
-// modify is the body of Modify with span threading; sp is the enclosing
-// engine-layer modify span (the derived file's create hangs under it).
-func (s *Server) modify(tc *trace.Ctx, sp *trace.Span, c capability.Capability, offset int64, data []byte, newSize int64, pfactor int) (capability.Capability, error) {
+// modify is the body of Modify; sp is the enclosing engine-layer modify
+// span (the derived file's create hangs under it). The old bytes are
+// copied straight from the lease into the new file's buffer, and the
+// lease is released before the create.
+func (s *Server) modify(tc *trace.Ctx, sp *trace.Span, c capability.Capability, offset int64, data []byte, newSize int64, pfactor int) (capability.Capability, func(), error) {
 	if offset < 0 {
-		return capability.Capability{}, fmt.Errorf("offset %d: %w", offset, ErrBadOffset)
+		return capability.Capability{}, nil, fmt.Errorf("offset %d: %w", offset, ErrBadOffset)
 	}
 	// Modification requires both the read right (the old contents flow
 	// into the new file) and the modify right.
-	old, _, err := s.fetchSpan(tc, sp, c, RightRead|RightModify, 0, -1)
+	old, err := s.fetchLease(tc, sp, c, RightRead|RightModify, 0, -1)
 	if err != nil {
-		return capability.Capability{}, err
+		return capability.Capability{}, nil, err
 	}
 
 	size := newSize
 	if size < 0 {
-		size = int64(len(old))
+		size = old.Size()
 		if end := offset + int64(len(data)); end > size {
 			size = end
 		}
 	}
 	// Bound before allocating: a hostile request could name a size in the
-	// terabytes and the buffer is built here, not in Create.
+	// terabytes and the buffer is built here, not in create.
 	if size > s.MaxFileSize() {
-		return capability.Capability{}, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
+		old.Release()
+		return capability.Capability{}, nil, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
 	}
 	if offset+int64(len(data)) > size {
-		return capability.Capability{}, fmt.Errorf("splice [%d,%d) past size %d: %w",
+		old.Release()
+		return capability.Capability{}, nil, fmt.Errorf("splice [%d,%d) past size %d: %w",
 			offset, offset+int64(len(data)), size, ErrBadOffset)
 	}
 	merged := make([]byte, size)
-	copy(merged, old)
+	copy(merged, old.Bytes())
+	old.Release()
 	copy(merged[offset:], data)
 
-	nc, err := s.CreateTraced(tc, sp, merged, pfactor)
+	nc, later, err := s.CreateDeferred(tc, sp, merged, pfactor)
 	if err != nil {
-		return capability.Capability{}, err
+		return capability.Capability{}, nil, err
 	}
 	s.m.modifies.Inc()
-	return nc, nil
-}
-
-// Append derives a new file consisting of the old contents followed by
-// data — convenience over Modify.
-func (s *Server) Append(c capability.Capability, data []byte, pfactor int) (capability.Capability, error) {
-	return s.AppendTraced(nil, nil, c, data, pfactor)
+	return nc, later, nil
 }
 
 // Stats returns a snapshot of the engine counters, synthesized from the
@@ -1154,7 +1065,7 @@ func (s *Server) SweepExcept(keep map[uint32]bool) (int, error) {
 		// ordinary delete path, so cache, disk free list and write-through
 		// all stay consistent.
 		c := capability.Owner(s.port, n, inos[i].Random)
-		if err := s.Delete(c); err != nil {
+		if err := s.Delete(nil, nil, c); err != nil {
 			return i, fmt.Errorf("bullet: sweeping object %d: %w", n, err)
 		}
 	}

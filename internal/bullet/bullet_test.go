@@ -67,6 +67,26 @@ func mustRead(t *testing.T, s *Server, c capability.Capability) []byte {
 	return data
 }
 
+// settle runs the write-through a deferred operation returned (Modify,
+// Append, CreateDeferred) on the calling goroutine, as a server does
+// after its reply.
+func settle(c capability.Capability, later func(), err error) (capability.Capability, error) {
+	if later != nil {
+		later()
+	}
+	return c, err
+}
+
+// readRange is the copying ranged read: ReadView, a copy, Release.
+func readRange(s *Server, c capability.Capability, offset, n int64) ([]byte, error) {
+	l, err := s.ReadView(nil, nil, c, offset, n)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Release()
+	return append([]byte(nil), l.Bytes()...), nil
+}
+
 func TestCreateReadRoundTrip(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	data := []byte("files are stored contiguously, both on disk and in RAM")
@@ -74,7 +94,7 @@ func TestCreateReadRoundTrip(t *testing.T) {
 	if got := mustRead(t, w.srv, c); !bytes.Equal(got, data) {
 		t.Fatalf("Read = %q, want %q", got, data)
 	}
-	size, err := w.srv.Size(c)
+	size, err := w.srv.Size(nil, nil, c)
 	if err != nil {
 		t.Fatalf("Size: %v", err)
 	}
@@ -100,7 +120,7 @@ func TestEmptyFile(t *testing.T) {
 	if got := mustRead(t, w.srv, c); len(got) != 0 {
 		t.Fatalf("Read(empty) = %q", got)
 	}
-	size, err := w.srv.Size(c)
+	size, err := w.srv.Size(nil, nil, c)
 	if err != nil || size != 0 {
 		t.Fatalf("Size = %d, %v", size, err)
 	}
@@ -119,16 +139,16 @@ func TestReadIsACopy(t *testing.T) {
 func TestDeleteRemovesFile(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	c := mustCreate(t, w.srv, []byte("short-lived"), 2)
-	if err := w.srv.Delete(c); err != nil {
+	if err := w.srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := w.srv.Read(c); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("Read after delete err = %v, want ErrNoSuchFile", err)
 	}
-	if _, err := w.srv.Size(c); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := w.srv.Size(nil, nil, c); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("Size after delete err = %v", err)
 	}
-	if err := w.srv.Delete(c); !errors.Is(err, ErrNoSuchFile) {
+	if err := w.srv.Delete(nil, nil, c); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("double Delete err = %v", err)
 	}
 	if w.srv.Live() != 0 {
@@ -144,7 +164,7 @@ func TestDeleteFreesDiskSpace(t *testing.T) {
 	if mid.Used != before.Used+10 {
 		t.Fatalf("Used = %d blocks, want %d", mid.Used, before.Used+10)
 	}
-	if err := w.srv.Delete(c); err != nil {
+	if err := w.srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	after := w.srv.DiskStats()
@@ -164,7 +184,7 @@ func TestRightsEnforcement(t *testing.T) {
 	if _, err := w.srv.Read(readOnly); err != nil {
 		t.Fatalf("Read with read-only cap: %v", err)
 	}
-	if err := w.srv.Delete(readOnly); !errors.Is(err, capability.ErrBadRights) {
+	if err := w.srv.Delete(nil, nil, readOnly); !errors.Is(err, capability.ErrBadRights) {
 		t.Fatalf("Delete with read-only cap err = %v, want ErrBadRights", err)
 	}
 
@@ -175,7 +195,7 @@ func TestRightsEnforcement(t *testing.T) {
 	if _, err := w.srv.Read(deleteOnly); !errors.Is(err, capability.ErrBadRights) {
 		t.Fatalf("Read with delete-only cap err = %v, want ErrBadRights", err)
 	}
-	if err := w.srv.Delete(deleteOnly); err != nil {
+	if err := w.srv.Delete(nil, nil, deleteOnly); err != nil {
 		t.Fatalf("Delete with delete-only cap: %v", err)
 	}
 }
@@ -268,7 +288,7 @@ func TestRestartAfterCrashRecoversAllFiles(t *testing.T) {
 	}
 	// Delete a few.
 	for i := 0; i < 20; i += 4 {
-		if err := w.srv.Delete(files[i].cap); err != nil {
+		if err := w.srv.Delete(nil, nil, files[i].cap); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -377,7 +397,7 @@ func TestDiskFull(t *testing.T) {
 		}
 	}
 	// Delete one file; the same size must fit again.
-	if err := w.srv.Delete(caps[0]); err != nil {
+	if err := w.srv.Delete(nil, nil, caps[0]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := w.srv.Create(make([]byte, 64*1024), 2); err != nil {
@@ -401,7 +421,7 @@ func TestAutoCompactionDefeatsFragmentation(t *testing.T) {
 		caps = append(caps, c)
 	}
 	for i := 0; i < len(caps); i += 2 {
-		if err := w.srv.Delete(caps[i]); err != nil {
+		if err := w.srv.Delete(nil, nil, caps[i]); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -438,7 +458,7 @@ func TestExplicitCompactDisk(t *testing.T) {
 		datas = append(datas, d)
 	}
 	for i := 0; i < 10; i += 2 {
-		if err := w.srv.Delete(caps[i]); err != nil {
+		if err := w.srv.Delete(nil, nil, caps[i]); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -469,7 +489,7 @@ func TestExplicitCompactDisk(t *testing.T) {
 func TestModifyCreatesNewVersion(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	v1 := mustCreate(t, w.srv, []byte("hello horrid world"), 2)
-	v2, err := w.srv.Modify(v1, 6, []byte("bullet"), -1, 2)
+	v2, err := settle(w.srv.Modify(nil, nil, v1, 6, []byte("bullet"), -1, 2))
 	if err != nil {
 		t.Fatalf("Modify: %v", err)
 	}
@@ -489,7 +509,7 @@ func TestModifyGrowAndShrink(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	v1 := mustCreate(t, w.srv, []byte("abcdef"), 2)
 
-	grown, err := w.srv.Modify(v1, 8, []byte("XY"), 10, 2)
+	grown, err := settle(w.srv.Modify(nil, nil, v1, 8, []byte("XY"), 10, 2))
 	if err != nil {
 		t.Fatalf("Modify(grow): %v", err)
 	}
@@ -498,7 +518,7 @@ func TestModifyGrowAndShrink(t *testing.T) {
 		t.Fatalf("grown = %q, want %q", got, want)
 	}
 
-	shrunk, err := w.srv.Modify(v1, 0, nil, 3, 2)
+	shrunk, err := settle(w.srv.Modify(nil, nil, v1, 0, nil, 3, 2))
 	if err != nil {
 		t.Fatalf("Modify(shrink): %v", err)
 	}
@@ -510,17 +530,17 @@ func TestModifyGrowAndShrink(t *testing.T) {
 func TestModifyValidation(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	v1 := mustCreate(t, w.srv, []byte("abc"), 2)
-	if _, err := w.srv.Modify(v1, -1, []byte("x"), -1, 2); !errors.Is(err, ErrBadOffset) {
+	if _, err := settle(w.srv.Modify(nil, nil, v1, -1, []byte("x"), -1, 2)); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("negative offset err = %v", err)
 	}
-	if _, err := w.srv.Modify(v1, 5, []byte("xyz"), 6, 2); !errors.Is(err, ErrBadOffset) {
+	if _, err := settle(w.srv.Modify(nil, nil, v1, 5, []byte("xyz"), 6, 2)); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("splice past size err = %v", err)
 	}
 	readOnly, err := capability.Restrict(v1, RightRead)
 	if err != nil {
 		t.Fatalf("Restrict: %v", err)
 	}
-	if _, err := w.srv.Modify(readOnly, 0, []byte("x"), -1, 2); !errors.Is(err, capability.ErrBadRights) {
+	if _, err := settle(w.srv.Modify(nil, nil, readOnly, 0, []byte("x"), -1, 2)); !errors.Is(err, capability.ErrBadRights) {
 		t.Fatalf("modify without right err = %v", err)
 	}
 }
@@ -528,7 +548,7 @@ func TestModifyValidation(t *testing.T) {
 func TestAppend(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	v1 := mustCreate(t, w.srv, []byte("log line 1\n"), 2)
-	v2, err := w.srv.Append(v1, []byte("log line 2\n"), 2)
+	v2, err := settle(w.srv.Append(nil, nil, v1, []byte("log line 2\n"), 2))
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -550,7 +570,7 @@ func TestReadRange(t *testing.T) {
 		{10, 5, ""},    // read at EOF
 	}
 	for _, cse := range cases {
-		got, err := w.srv.ReadRange(c, cse.off, cse.n)
+		got, err := readRange(w.srv, c, cse.off, cse.n)
 		if err != nil {
 			t.Fatalf("ReadRange(%d,%d): %v", cse.off, cse.n, err)
 		}
@@ -558,10 +578,10 @@ func TestReadRange(t *testing.T) {
 			t.Fatalf("ReadRange(%d,%d) = %q, want %q", cse.off, cse.n, got, cse.want)
 		}
 	}
-	if _, err := w.srv.ReadRange(c, 11, 1); !errors.Is(err, ErrBadOffset) {
+	if _, err := readRange(w.srv, c, 11, 1); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("past-EOF offset err = %v", err)
 	}
-	if _, err := w.srv.ReadRange(c, -1, 1); !errors.Is(err, ErrBadOffset) {
+	if _, err := readRange(w.srv, c, -1, 1); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("negative offset err = %v", err)
 	}
 }
@@ -571,7 +591,7 @@ func TestStatsAccounting(t *testing.T) {
 	c := mustCreate(t, w.srv, make([]byte, 100), 2)
 	mustRead(t, w.srv, c)
 	mustRead(t, w.srv, c)
-	if err := w.srv.Delete(c); err != nil {
+	if err := w.srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	st := w.srv.Stats()
@@ -622,7 +642,7 @@ func TestConcurrentOperations(t *testing.T) {
 					done <- errors.New("read returned wrong data")
 					return
 				}
-				if err := w.srv.Delete(c); err != nil {
+				if err := w.srv.Delete(nil, nil, c); err != nil {
 					done <- err
 					return
 				}
@@ -695,7 +715,7 @@ func TestQuickEngineIntegrity(t *testing.T) {
 					continue
 				}
 				i := int(o.Victim) % len(live)
-				if err := srv.Delete(live[i].cap); err != nil {
+				if err := srv.Delete(nil, nil, live[i].cap); err != nil {
 					return false
 				}
 				live = append(live[:i], live[i+1:]...)
@@ -803,7 +823,7 @@ func TestCompactionMetrics(t *testing.T) {
 		}
 		caps = append(caps, c)
 	}
-	if err := w.srv.Delete(caps[0]); err != nil {
+	if err := w.srv.Delete(nil, nil, caps[0]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if err := w.srv.CompactDisk(); err != nil {

@@ -201,7 +201,7 @@ func TestChaosBitFlipsKillRevive(t *testing.T) {
 				fail("client-visible read-back error: %v", err)
 				return
 			}
-			if err := srv.Delete(c); err != nil {
+			if err := srv.Delete(nil, nil, c); err != nil {
 				fail("client-visible delete error: %v", err)
 				return
 			}

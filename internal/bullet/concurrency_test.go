@@ -66,7 +66,7 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 				e := stable[rng.Intn(len(stable))]
 				switch rng.Intn(4) {
 				case 3:
-					l, err := w.srv.ReadView(e.cap)
+					l, err := w.srv.ReadView(nil, nil, e.cap, 0, -1)
 					if err != nil {
 						t.Errorf("ReadView(stable): %v", err)
 						return
@@ -89,7 +89,7 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 					}
 				case 1:
 					off := int64(rng.Intn(len(e.data)))
-					got, err := w.srv.ReadRange(e.cap, off, 64)
+					got, err := readRange(w.srv, e.cap, off, 64)
 					if err != nil {
 						t.Errorf("ReadRange(stable): %v", err)
 						return
@@ -103,7 +103,7 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 						return
 					}
 				default:
-					if n, err := w.srv.Size(e.cap); err != nil || n != int64(len(e.data)) {
+					if n, err := w.srv.Size(nil, nil, e.cap); err != nil || n != int64(len(e.data)) {
 						t.Errorf("Size(stable) = %d, %v; want %d", n, err, len(e.data))
 						return
 					}
@@ -167,7 +167,7 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 				time.Sleep(time.Millisecond)
 				continue
 			}
-			if err := w.srv.Delete(victim.cap); err != nil {
+			if err := w.srv.Delete(nil, nil, victim.cap); err != nil {
 				t.Errorf("Delete: %v", err)
 				return
 			}

@@ -10,13 +10,13 @@ import (
 func TestModifyOfDeletedFile(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	c := mustCreate(t, w.srv, []byte("short lived"), 2)
-	if err := w.srv.Delete(c); err != nil {
+	if err := w.srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := w.srv.Modify(c, 0, []byte("x"), -1, 2); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := settle(w.srv.Modify(nil, nil, c, 0, []byte("x"), -1, 2)); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("Modify(deleted) err = %v", err)
 	}
-	if _, err := w.srv.Append(c, []byte("x"), 2); !errors.Is(err, ErrNoSuchFile) {
+	if _, err := settle(w.srv.Append(nil, nil, c, []byte("x"), 2)); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("Append(deleted) err = %v", err)
 	}
 }
@@ -24,7 +24,7 @@ func TestModifyOfDeletedFile(t *testing.T) {
 func TestAppendToEmptyFile(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	empty := mustCreate(t, w.srv, nil, 2)
-	v2, err := w.srv.Append(empty, []byte("first bytes"), 2)
+	v2, err := settle(w.srv.Append(nil, nil, empty, []byte("first bytes"), 2))
 	if err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -36,14 +36,14 @@ func TestAppendToEmptyFile(t *testing.T) {
 func TestModifyToEmpty(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	c := mustCreate(t, w.srv, []byte("contents"), 2)
-	emptied, err := w.srv.Modify(c, 0, nil, 0, 2)
+	emptied, err := settle(w.srv.Modify(nil, nil, c, 0, nil, 0, 2))
 	if err != nil {
 		t.Fatalf("Modify(newSize=0): %v", err)
 	}
 	if got := mustRead(t, w.srv, emptied); len(got) != 0 {
 		t.Fatalf("emptied = %q", got)
 	}
-	size, err := w.srv.Size(emptied)
+	size, err := w.srv.Size(nil, nil, emptied)
 	if err != nil || size != 0 {
 		t.Fatalf("Size = %d, %v", size, err)
 	}
@@ -71,7 +71,7 @@ func TestReadRangeOnUncachedFile(t *testing.T) {
 	c := mustCreate(t, w.srv, data, 2)
 	// Evict it with a bigger file.
 	mustCreate(t, w.srv, bytes.Repeat([]byte{9}, 6<<10), 2)
-	got, err := w.srv.ReadRange(c, 100, 8)
+	got, err := readRange(w.srv, c, 100, 8)
 	if err != nil {
 		t.Fatalf("ReadRange(uncached): %v", err)
 	}
@@ -84,7 +84,7 @@ func TestModifySpliceExactlyAtEnd(t *testing.T) {
 	w := newWorld(t, 2, Options{})
 	c := mustCreate(t, w.srv, []byte("abc"), 2)
 	// Splicing [3,6) with natural size grows the file (same as append).
-	v2, err := w.srv.Modify(c, 3, []byte("def"), -1, 2)
+	v2, err := settle(w.srv.Modify(nil, nil, c, 3, []byte("def"), -1, 2))
 	if err != nil {
 		t.Fatalf("Modify at end: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestModifySpliceExactlyAtEnd(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	// Splicing that exactly fills an explicit newSize.
-	v3, err := w.srv.Modify(c, 1, []byte("XY"), 3, 2)
+	v3, err := settle(w.srv.Modify(nil, nil, c, 1, []byte("XY"), 3, 2))
 	if err != nil {
 		t.Fatalf("Modify exact fit: %v", err)
 	}
@@ -127,13 +127,13 @@ func TestCapabilityCacheHitsAndInvalidation(t *testing.T) {
 	}
 	mustRead(t, w.srv, readOnly)
 	mustRead(t, w.srv, readOnly) // cached validation
-	if err := w.srv.Delete(readOnly); !errors.Is(err, capability.ErrBadRights) {
+	if err := w.srv.Delete(nil, nil, readOnly); !errors.Is(err, capability.ErrBadRights) {
 		t.Fatalf("cached validation leaked rights: %v", err)
 	}
 
 	// Deletion drops the cached validations: a replay of the old
 	// capability against a reused inode slot must fail the check.
-	if err := w.srv.Delete(c); err != nil {
+	if err := w.srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	c2 := mustCreate(t, w.srv, []byte("new tenant"), 2)
@@ -152,7 +152,7 @@ func TestDeleteWhileUncached(t *testing.T) {
 	w := newWorld(t, 2, Options{CacheBytes: 4 << 10})
 	c := mustCreate(t, w.srv, bytes.Repeat([]byte{7}, 3<<10), 2)
 	mustCreate(t, w.srv, bytes.Repeat([]byte{8}, 3<<10), 2) // evicts c
-	if err := w.srv.Delete(c); err != nil {
+	if err := w.srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete(uncached): %v", err)
 	}
 	if _, err := w.srv.Read(c); !errors.Is(err, ErrNoSuchFile) {
@@ -165,7 +165,7 @@ func TestModifyRejectsAbsurdNewSize(t *testing.T) {
 	c := mustCreate(t, w.srv, []byte("small"), 2)
 	// A hostile client names a terabyte-scale size: the engine must
 	// refuse before allocating anything.
-	if _, err := w.srv.Modify(c, 0, []byte("x"), 1<<40, 2); !errors.Is(err, ErrTooLarge) {
+	if _, err := settle(w.srv.Modify(nil, nil, c, 0, []byte("x"), 1<<40, 2)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("huge newSize err = %v, want ErrTooLarge", err)
 	}
 }
@@ -199,7 +199,7 @@ func TestCapabilityCacheIndexedByObject(t *testing.T) {
 	if total, sum := capCount(); total != 6 || sum != 6 {
 		t.Fatalf("cached validations = %d (sum %d), want 6", total, sum)
 	}
-	if err := w.srv.Delete(owners[1]); err != nil {
+	if err := w.srv.Delete(nil, nil, owners[1]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if total, sum := capCount(); total != 4 || sum != 4 {
@@ -222,7 +222,7 @@ func TestCapabilityCacheIndexedByObject(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Restrict: %v", err)
 			}
-			_, _ = w.srv.Size(rc) // masks without the read right fail, after being cached
+			_, _ = w.srv.Size(nil, nil, rc) // masks without the read right fail, after being cached
 			if total, sum := capCount(); total != sum || total > maxCapCache {
 				t.Fatalf("capCount = %d, entries = %d, bound %d", total, sum, maxCapCache)
 			}

@@ -26,16 +26,20 @@ func Example() {
 	defer srv.Sync()
 
 	cap1, _ := srv.Create([]byte("an immutable file"), 2) // on both disks
-	size, _ := srv.Size(cap1)
+	size, _ := srv.Size(nil, nil, cap1)
 	data, _ := srv.Read(cap1)
 	fmt.Printf("%d bytes: %s\n", size, data)
 
-	// There is no write: updating means deriving a new file (§5).
-	cap2, _ := srv.Append(cap1, []byte(", new version"), 2)
+	// There is no write: updating means deriving a new file (§5). later is
+	// the write-through the P-FACTOR did not wait for; run it after replying.
+	cap2, later, _ := srv.Append(nil, nil, cap1, []byte(", new version"), 2)
+	if later != nil {
+		later()
+	}
 	v2, _ := srv.Read(cap2)
 	fmt.Println(string(v2))
 
-	_ = srv.Delete(cap1)
+	_ = srv.Delete(nil, nil, cap1)
 	if _, err := srv.Read(cap1); err != nil {
 		fmt.Println("v1 deleted; v2 unaffected")
 	}

@@ -47,7 +47,7 @@ func TestFaultInPlaceFailsOverAndPublishesVerifiedBytes(t *testing.T) {
 	// in the reserved slot first, and must be overwritten by a sibling's
 	// verified copy before the slot is named anywhere.
 	w.faulty[0].CorruptNextReads(1)
-	lease, err := srv.ReadView(c)
+	lease, err := srv.ReadView(nil, nil, c, 0, -1)
 	if err != nil {
 		t.Fatalf("ReadView over a lying main: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestFaultInPlaceAllReplicasCorrupt(t *testing.T) {
 	w.corruptStored(t, 0, c.Object)
 	w.corruptStored(t, 1, c.Object)
 
-	if _, err := srv.ReadView(c); !errors.Is(err, disk.ErrChecksum) {
+	if _, err := srv.ReadView(nil, nil, c, 0, -1); !errors.Is(err, disk.ErrChecksum) {
 		t.Fatalf("ReadView = %v, want ErrChecksum", err)
 	}
 	if idx := cacheIndex(t, srv, c.Object); idx != 0 {
@@ -132,7 +132,7 @@ func stallFault(w *healWorld, srv *Server, c capability.Capability) (resume func
 	w.faulty[0].StallNextReads(1)
 	ch := make(chan faultResult, 1)
 	go func() {
-		l, err := srv.ReadView(c)
+		l, err := srv.ReadView(nil, nil, c, 0, -1)
 		ch <- faultResult{l, err}
 	}()
 	w.faulty[0].WaitStalled(1)
@@ -146,7 +146,7 @@ func TestFaultRetriesWhenCompactionMovesFileMidRead(t *testing.T) {
 	c := mustCreate(t, w.srv, data, 2)
 	w.srv.Sync()
 	srv := w.mustBoot(t)
-	if err := srv.Delete(hole); err != nil {
+	if err := srv.Delete(nil, nil, hole); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 
@@ -190,7 +190,7 @@ func TestDeleteDuringFaultRead(t *testing.T) {
 	srv := w.mustBoot(t)
 
 	resume, done := stallFault(w, srv, c)
-	if err := srv.Delete(c); err != nil {
+	if err := srv.Delete(nil, nil, c); err != nil {
 		t.Fatalf("Delete under an in-flight fault: %v", err)
 	}
 	resume()
@@ -208,7 +208,7 @@ func TestFaultServedFromOwnedBufferWhenArenaPinnedSolid(t *testing.T) {
 	}
 	big := bytes.Repeat([]byte{1}, 6<<10)
 	hog := mustCreate(t, srv, big, 2)
-	pin, err := srv.ReadView(hog) // 6 of the arena's 8 KiB now immovable
+	pin, err := srv.ReadView(nil, nil, hog, 0, -1) // 6 of the arena's 8 KiB now immovable
 	if err != nil {
 		t.Fatalf("ReadView: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestFaultServedFromOwnedBufferWhenArenaPinnedSolid(t *testing.T) {
 	}
 	owned := w.counter("bullet.lease_owned")
 
-	lease, err := srv.ReadView(c)
+	lease, err := srv.ReadView(nil, nil, c, 0, -1)
 	if err != nil {
 		t.Fatalf("ReadView with the arena pinned solid: %v", err)
 	}
@@ -238,7 +238,7 @@ func TestFaultServedFromOwnedBufferWhenArenaPinnedSolid(t *testing.T) {
 	}
 
 	pin.Release()
-	lease, err = srv.ReadView(c)
+	lease, err = srv.ReadView(nil, nil, c, 0, -1)
 	if err != nil || !lease.Pinned() {
 		t.Fatalf("with room again the fault must go in place: pinned=%v err=%v", lease != nil && lease.Pinned(), err)
 	}
@@ -261,7 +261,7 @@ func TestConcurrentColdReadsShareOneSlot(t *testing.T) {
 	rest := make(chan faultResult, n-1)
 	for i := 1; i < n; i++ {
 		go func() {
-			l, err := srv.ReadView(c)
+			l, err := srv.ReadView(nil, nil, c, 0, -1)
 			rest <- faultResult{l, err}
 		}()
 	}

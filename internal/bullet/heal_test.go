@@ -407,13 +407,18 @@ func TestEngineRecoverNonBlocking(t *testing.T) {
 	defer rec.Close()
 	tc := rec.AcquireCtx()
 	tc.Reset(rec.NextLocalID())
-	got, err := srv.ReadTraced(tc, nil, pre)
+	l, err := srv.ReadView(tc, nil, pre, 0, -1)
 	tc.Finish()
-	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte("survivor "), 500)) {
+	if err != nil {
 		t.Fatalf("read during recovery: %v", err)
 	}
+	same := bytes.Equal(l.Bytes(), bytes.Repeat([]byte("survivor "), 500))
+	l.Release()
+	if !same {
+		t.Fatal("read during recovery returned wrong bytes")
+	}
 	tc.Reset(rec.NextLocalID())
-	mid, err := srv.CreateTraced(tc, nil, bytes.Repeat([]byte("mid-recovery create "), 100), 2)
+	mid, err := settle(srv.CreateDeferred(tc, nil, bytes.Repeat([]byte("mid-recovery create "), 100), 2))
 	tc.Finish()
 	rec.ReleaseCtx(tc)
 	if err != nil {

@@ -17,14 +17,13 @@ func errBadSpan(offset, size int64) error {
 	return fmt.Errorf("offset %d past size %d: %w", offset, size, ErrBadOffset)
 }
 
-// This file is the zero-copy read API. The classic Read/ReadRange copy
-// the requested span out of the pinned cache view before returning, so
-// every such read costs one full memory pass between the cache arena
-// and the reply buffer. ReadView/ReadRangeView instead return a ReadLease
-// that keeps the cache pin alive — the slot a hit found, or the slot a
-// miss just read the disk into; the caller — in practice the RPC reply
-// path — writes the bytes to the socket and only then releases the lease,
-// so a read travels cache arena -> kernel with zero payload copies.
+// This file is the engine's one read. ReadView returns a ReadLease that
+// keeps the cache pin alive — the slot a hit found, or the slot a miss
+// just read the disk into; the caller — in practice the RPC reply path —
+// writes the bytes to the socket and only then releases the lease, so a
+// read travels cache arena -> kernel with zero payload copies. Read is
+// the copying convenience for in-process callers: a lease, one copy, a
+// release.
 
 // ReadLease is a borrowed window onto a file's bytes. While unreleased,
 // a pinned lease holds a reference on the cache slot backing Bytes, which
@@ -95,20 +94,16 @@ func cut(data []byte, offset, n int64) ([]byte, int64, error) {
 	return data[offset:end], size, nil
 }
 
-// fetchLease is the lease-returning core of the read path: verify the
-// capability, pin the cached bytes (hit) or run the singleflight disk
-// fault (miss), and cut the requested span. The caller owns the returned
-// lease and must Release it on every path.
+// fetchLease is the body of ReadView, shared with Modify (which needs the
+// modify right as well and is not a read): verify the capability for
+// want, pin the cached bytes (hit) or run the singleflight disk fault
+// (miss), and cut the requested span. The caller owns the returned lease
+// and must Release it on every path.
 func (s *Server) fetchLease(tc *trace.Ctx, parent *trace.Span, c capability.Capability, want capability.Rights, offset, n int64) (*ReadLease, error) {
 	s.mu.RLock()
 	vsp := tc.Begin(parent, trace.LayerEngine, trace.OpVerify)
 	inode, ino, err := s.verify(c, want)
-	if vsp != nil {
-		vsp.Inode = inode
-		if err != nil {
-			vsp.Status = 1
-		}
-	}
+	annotate(vsp, inode, 0, 0, err)
 	tc.End(vsp)
 	if err != nil {
 		s.mu.RUnlock()
@@ -148,27 +143,13 @@ func (s *Server) fetchLease(tc *trace.Ctx, parent *trace.Span, c capability.Capa
 	return s.trim(l, offset, n)
 }
 
-// ReadView is Read without the payload copy: the returned lease pins the
-// cached file (faulting it in first if need be) and must be released by
-// the caller on every path.
-func (s *Server) ReadView(c capability.Capability) (*ReadLease, error) {
-	return s.ReadViewTraced(nil, nil, c)
-}
-
-// ReadViewTraced is ReadView with span emission.
-func (s *Server) ReadViewTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability) (*ReadLease, error) {
-	return s.ReadRangeViewTraced(tc, parent, c, 0, -1)
-}
-
-// ReadRangeView is ReadRange without the payload copy; n < 0 means "to
-// the end of the file". The returned lease must be released by the caller
-// on every path.
-func (s *Server) ReadRangeView(c capability.Capability, offset, n int64) (*ReadLease, error) {
-	return s.ReadRangeViewTraced(nil, nil, c, offset, n)
-}
-
-// ReadRangeViewTraced is ReadRangeView with span emission.
-func (s *Server) ReadRangeViewTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability, offset, n int64) (*ReadLease, error) {
+// ReadView implements BULLET.READ and its §5 ranged form: n bytes of the
+// file starting at offset (n < 0 means to the end), as a lease on the
+// cached bytes. A hit pins the cached copy; a miss loads the file
+// contiguously from disk into the cache first (paper §3), merged with any
+// concurrent miss on the same file. tc and parent may be nil (untraced).
+// The caller must Release the lease on every path.
+func (s *Server) ReadView(tc *trace.Ctx, parent *trace.Span, c capability.Capability, offset, n int64) (*ReadLease, error) {
 	if offset < 0 {
 		return nil, errBadSpan(offset, -1)
 	}
@@ -178,20 +159,38 @@ func (s *Server) ReadRangeViewTraced(tc *trace.Ctx, parent *trace.Span, c capabi
 	}
 	sp := tc.Begin(parent, trace.LayerEngine, op)
 	l, err := s.fetchLease(tc, sp, c, RightRead, offset, n)
-	if sp != nil {
-		sp.Inode = c.Object
-		if l != nil {
-			sp.Bytes = int64(len(l.data))
-		}
-		if err != nil {
-			sp.Status = 1
-		}
+	var bytes int64
+	if l != nil {
+		bytes = int64(len(l.data))
 	}
+	annotate(sp, c.Object, bytes, 0, err)
 	tc.End(sp)
 	if err != nil {
 		return nil, err
 	}
 	s.m.reads.Inc()
-	s.m.bytesOut.Add(int64(len(l.data)))
+	s.m.bytesOut.Add(bytes)
 	return l, nil
+}
+
+// Read is the whole file as a slice the caller keeps: ReadView, one copy
+// out of a pinned lease (counted in bullet.read_copies), Release. A lease
+// that owns its buffer (the cache refused the fault) is handed through
+// without a copy.
+func (s *Server) Read(c capability.Capability) ([]byte, error) {
+	l, err := s.ReadView(nil, nil, c, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	if !l.Pinned() {
+		out := l.Bytes()
+		l.Release()
+		return out, nil
+	}
+	// append instead of make+copy: the runtime skips zeroing the fresh
+	// slice, one full memory pass saved on every read.
+	out := append([]byte(nil), l.Bytes()...)
+	l.Release()
+	s.m.readCopies.Inc()
+	return out, nil
 }

@@ -69,7 +69,7 @@ func TestStressMixedOperationsWithCompaction(t *testing.T) {
 					mine = append(mine, file{cap: c, data: data})
 				case op%5 == 1 && len(mine) > 0:
 					f := mine[op%len(mine)]
-					nc, err := w.srv.Append(f.cap, []byte{0xEE}, 1)
+					nc, err := settle(w.srv.Append(nil, nil, f.cap, []byte{0xEE}, 1))
 					if errors.Is(err, ErrDiskFull) {
 						continue
 					}
@@ -80,7 +80,7 @@ func TestStressMixedOperationsWithCompaction(t *testing.T) {
 					mine = append(mine, file{cap: nc, data: append(append([]byte{}, f.data...), 0xEE)})
 				case op%5 == 2 && len(mine) > 2:
 					i := op % len(mine)
-					if err := w.srv.Delete(mine[i].cap); err != nil {
+					if err := w.srv.Delete(nil, nil, mine[i].cap); err != nil {
 						errc <- err
 						return
 					}

@@ -1,23 +1,59 @@
 package bullet
 
 import (
-	"fmt"
-
 	"bulletfs/internal/capability"
 	"bulletfs/internal/trace"
 )
 
-// This file is the engine's traced API surface: every public operation
-// has a *Traced variant taking a span context and a parent span (both may
-// be nil — the plain methods delegate with nil, so traced and untraced
-// calls share one body). Each variant opens one engine-layer op span and
-// threads tc down through the cache and disk layers, which hang their own
-// spans (cache-lookup, cache-insert, disk-read, replica-commit) under it.
+// This file is the engine's file-operation surface: one exported method
+// per operation (READ, in lease.go, is the other), each taking a span
+// context and a parent span first. Both may be nil, so traced and
+// untraced callers share one body. Each method opens one engine-layer op
+// span and threads tc down through the cache and disk layers, which hang
+// their own spans (cache-lookup, cache-insert, disk-read, replica-commit)
+// under it. The operations that write a file return the write-through the
+// P-FACTOR did not wait for as later: the caller replies, then runs it.
 
-// CreateTraced is CreateDeferred for callers whose reply is their return
-// value: the write-through the P-FACTOR did not wait for gets a goroutine.
-func (s *Server) CreateTraced(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, error) {
-	c, later, err := s.CreateDeferred(tc, parent, data, pfactor)
+// annotate records an engine span's attributes; a nil span (untraced)
+// is a no-op.
+func annotate(sp *trace.Span, inode uint32, bytes int64, pfactor int, err error) {
+	if sp == nil {
+		return
+	}
+	sp.Inode = inode
+	sp.Bytes = bytes
+	sp.PFactor = int8(pfactor)
+	if err != nil {
+		sp.Status = 1
+	}
+}
+
+// CreateDeferred implements BULLET.CREATE (paper §2.2): it stores data as
+// a new immutable file and returns its owner capability. The paranoia
+// factor selects when the call returns relative to the write-through
+// replication: 0 returns once the file is in the RAM cache, k >= 1 returns
+// after k disks hold both the file and its inode. The write-through to
+// every disk always happens (paper §3); P-FACTOR only moves the reply.
+//
+// The metadata lock is held only while claiming the extent, the inode and
+// the cache slot. The write-through itself runs outside it — the caller
+// writes its P-FACTOR quorum, main replica first — so concurrent creates
+// overlap their disk time and readers are never blocked behind a commit.
+// later, when non-nil, is the rest of the write-through: call it once the
+// reply is out, on any goroutine; until then do not Drain on this one.
+func (s *Server) CreateDeferred(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, func(), error) {
+	sp := tc.Begin(parent, trace.LayerEngine, trace.OpCreate)
+	c, later, err := s.create(tc, sp, data, pfactor)
+	annotate(sp, c.Object, int64(len(data)), pfactor, err)
+	tc.End(sp)
+	return c, later, err
+}
+
+// Create is CreateDeferred for in-process callers whose reply is their
+// return value: the write-through the P-FACTOR did not wait for gets a
+// goroutine.
+func (s *Server) Create(data []byte, pfactor int) (capability.Capability, error) {
+	c, later, err := s.CreateDeferred(nil, nil, data, pfactor)
 	if later != nil {
 		//lint:ignore goroutinestop accounted by the replica set's pending-write counter, which Sync, Close, delete and the fault path drain — and a Drain that gets there first runs it itself
 		go later()
@@ -25,88 +61,17 @@ func (s *Server) CreateTraced(tc *trace.Ctx, parent *trace.Span, data []byte, pf
 	return c, err
 }
 
-// CreateDeferred is Create with span emission, for a caller that can act
-// after its reply has left (the TCP serving goroutine): later, when
-// non-nil, is the rest of the write-through. Call it once the reply is
-// out, on any goroutine; until then do not Drain on this one.
-func (s *Server) CreateDeferred(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, func(), error) {
-	sp := tc.Begin(parent, trace.LayerEngine, trace.OpCreate)
-	c, later, err := s.create(tc, sp, data, pfactor)
-	if sp != nil {
-		sp.Bytes = int64(len(data))
-		sp.PFactor = int8(pfactor)
-		sp.Inode = c.Object
-		if err != nil {
-			sp.Status = 1
-		}
-	}
-	tc.End(sp)
-	return c, later, err
-}
-
-// ReadTraced is Read with span emission.
-func (s *Server) ReadTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability) ([]byte, error) {
-	sp := tc.Begin(parent, trace.LayerEngine, trace.OpRead)
-	data, _, err := s.fetchSpan(tc, sp, c, RightRead, 0, -1)
-	if sp != nil {
-		sp.Inode = c.Object
-		sp.Bytes = int64(len(data))
-		if err != nil {
-			sp.Status = 1
-		}
-	}
-	tc.End(sp)
-	if err != nil {
-		return nil, err
-	}
-	s.m.reads.Inc()
-	s.m.bytesOut.Add(int64(len(data)))
-	return data, nil
-}
-
-// ReadRangeTraced is ReadRange with span emission.
-func (s *Server) ReadRangeTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability, offset, n int64) ([]byte, error) {
-	if offset < 0 || n < 0 {
-		return nil, fmt.Errorf("range [%d,+%d): %w", offset, n, ErrBadOffset)
-	}
-	sp := tc.Begin(parent, trace.LayerEngine, trace.OpReadRange)
-	data, _, err := s.fetchSpan(tc, sp, c, RightRead, offset, n)
-	if sp != nil {
-		sp.Inode = c.Object
-		sp.Bytes = int64(len(data))
-		if err != nil {
-			sp.Status = 1
-		}
-	}
-	tc.End(sp)
-	if err != nil {
-		return nil, err
-	}
-	s.m.reads.Inc()
-	s.m.bytesOut.Add(int64(len(data)))
-	return data, nil
-}
-
-// SizeTraced is Size with span emission.
-func (s *Server) SizeTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability) (int64, error) {
+// Size implements BULLET.SIZE: the byte size of the file, so the client can
+// allocate memory before BULLET.READ (paper §2.2).
+func (s *Server) Size(tc *trace.Ctx, parent *trace.Span, c capability.Capability) (int64, error) {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpSize)
 	s.mu.RLock()
 	vsp := tc.Begin(sp, trace.LayerEngine, trace.OpVerify)
 	_, ino, err := s.verify(c, RightRead)
-	if vsp != nil {
-		vsp.Inode = c.Object
-		if err != nil {
-			vsp.Status = 1
-		}
-	}
+	annotate(vsp, c.Object, 0, 0, err)
 	tc.End(vsp)
 	s.mu.RUnlock()
-	if sp != nil {
-		sp.Inode = c.Object
-		if err != nil {
-			sp.Status = 1
-		}
-	}
+	annotate(sp, c.Object, 0, 0, err)
 	tc.End(sp)
 	if err != nil {
 		return 0, err
@@ -114,59 +79,48 @@ func (s *Server) SizeTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capa
 	return int64(ino.Size), nil
 }
 
-// DeleteTraced is Delete with span emission.
-func (s *Server) DeleteTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability) error {
+// Delete implements BULLET.DELETE: verify, zero the inode and write it back
+// to all disks, free the cache copy and the disk extent (paper §3). It
+// holds the metadata lock exclusively end to end: deletes are rare (the
+// nightly GC sweep), and the extent hand-back must not interleave with
+// compaction scanning or a fault publishing against the dying inode.
+func (s *Server) Delete(tc *trace.Ctx, parent *trace.Span, c capability.Capability) error {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpDelete)
 	err := s.delete(tc, sp, c)
-	if sp != nil {
-		sp.Inode = c.Object
-		if err != nil {
-			sp.Status = 1
-		}
-	}
+	annotate(sp, c.Object, 0, 0, err)
 	tc.End(sp)
 	return err
 }
 
-// ModifyTraced is Modify with span emission: the derived file's create
-// (and its replica fan-out) appears as a child of the modify span.
-func (s *Server) ModifyTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability, offset int64, data []byte, newSize int64, pfactor int) (capability.Capability, error) {
+// Modify implements the §5 extension: generate a new immutable file from
+// an existing one, "such that for a small modification it is not necessary
+// any longer to transfer the whole file". The new file is the old contents
+// resized to newSize (zero-filled when growing, truncated when shrinking;
+// newSize < 0 keeps max(oldSize, offset+len(data))), with data spliced in
+// at offset. The original file is untouched; a fresh capability is
+// returned, with later as CreateDeferred returns it. The derived file's
+// create (and its replica fan-out) appears as a child of the modify span.
+func (s *Server) Modify(tc *trace.Ctx, parent *trace.Span, c capability.Capability, offset int64, data []byte, newSize int64, pfactor int) (capability.Capability, func(), error) {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpModify)
-	nc, err := s.modify(tc, sp, c, offset, data, newSize, pfactor)
-	if sp != nil {
-		sp.Inode = c.Object
-		sp.Bytes = int64(len(data))
-		sp.PFactor = int8(pfactor)
-		if err != nil {
-			sp.Status = 1
-		}
-	}
+	nc, later, err := s.modify(tc, sp, c, offset, data, newSize, pfactor)
+	annotate(sp, c.Object, int64(len(data)), pfactor, err)
 	tc.End(sp)
-	return nc, err
+	return nc, later, err
 }
 
-// AppendTraced is Append with span emission.
-func (s *Server) AppendTraced(tc *trace.Ctx, parent *trace.Span, c capability.Capability, data []byte, pfactor int) (capability.Capability, error) {
+// Append derives a new file consisting of the old contents followed by
+// data — Modify at the old file's end.
+func (s *Server) Append(tc *trace.Ctx, parent *trace.Span, c capability.Capability, data []byte, pfactor int) (capability.Capability, func(), error) {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpAppend)
-	nc, err := s.appendBody(tc, sp, c, data, pfactor)
-	if sp != nil {
-		sp.Inode = c.Object
-		sp.Bytes = int64(len(data))
-		sp.PFactor = int8(pfactor)
-		if err != nil {
-			sp.Status = 1
-		}
+	var nc capability.Capability
+	var later func()
+	size, err := s.Size(tc, sp, c)
+	if err == nil {
+		nc, later, err = s.Modify(tc, sp, c, size, data, size+int64(len(data)), pfactor)
 	}
+	annotate(sp, c.Object, int64(len(data)), pfactor, err)
 	tc.End(sp)
-	return nc, err
-}
-
-func (s *Server) appendBody(tc *trace.Ctx, sp *trace.Span, c capability.Capability, data []byte, pfactor int) (capability.Capability, error) {
-	size, err := s.SizeTraced(tc, sp, c)
-	if err != nil {
-		return capability.Capability{}, err
-	}
-	return s.ModifyTraced(tc, sp, c, size, data, size+int64(len(data)), pfactor)
+	return nc, later, err
 }
 
 // AuthorizeRead reports whether c is a valid capability for a live file

@@ -11,8 +11,9 @@ import (
 )
 
 // TestTracedCachedReadAddsNoAllocs proves the tentpole's zero-cost
-// claim at the engine level: a warm (cache-hit) read with a live span
-// context allocates exactly as much as an untraced one — the span arena,
+// claim at the engine level: a warm (cache-hit) ReadView — the read every
+// server runs — with a live span context allocates exactly as much as an
+// untraced one — the span arena,
 // the recorder ring and the ctx pool never touch the heap on the fast
 // path. The CI workflow runs this under -race too.
 func TestTracedCachedReadAddsNoAllocs(t *testing.T) {
@@ -24,9 +25,11 @@ func TestTracedCachedReadAddsNoAllocs(t *testing.T) {
 	}
 
 	base := testing.AllocsPerRun(200, func() {
-		if _, err := w.srv.Read(c); err != nil {
+		l, err := w.srv.ReadView(nil, nil, c, 0, -1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		l.Release()
 	})
 
 	rec := trace.NewRecorder(trace.WithCapacity(8, 8))
@@ -36,9 +39,11 @@ func TestTracedCachedReadAddsNoAllocs(t *testing.T) {
 	traced := testing.AllocsPerRun(200, func() {
 		tc.Reset(rec.NextLocalID())
 		root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
-		if _, err := w.srv.ReadTraced(tc, root, c); err != nil {
+		l, err := w.srv.ReadView(tc, root, c, 0, -1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		l.Release()
 		tc.End(root)
 		tc.Finish()
 	})
@@ -141,9 +146,11 @@ func BenchmarkTracedCachedRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tc.Reset(rec.NextLocalID())
 		root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
-		if _, err := srv.ReadTraced(tc, root, c); err != nil {
+		l, err := srv.ReadView(tc, root, c, 0, -1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		l.Release()
 		tc.End(root)
 		tc.Finish()
 	}

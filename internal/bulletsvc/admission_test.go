@@ -79,14 +79,14 @@ func TestServiceShedsAtLimit(t *testing.T) {
 	adm.SetManualRelease(true) // hold the single token ourselves
 	svc.AttachAdmission(adm)
 
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("fits"))
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("fits"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("first create status = %v", rep.Status)
 	}
 	c := rep.Cap
 
 	// The token is still held: the next file operation must be shed...
-	rep, _ = svc.Handle(rpc.Header{Command: CmdRead, Cap: c}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdRead, Cap: c}, nil)
 	if rep.Status != rpc.StatusBusy {
 		t.Fatalf("read at limit status = %v, want StatusBusy", rep.Status)
 	}
@@ -94,13 +94,13 @@ func TestServiceShedsAtLimit(t *testing.T) {
 		t.Fatalf("shed counter = %d, want 1", adm.Shed())
 	}
 	// ...but maintenance commands bypass the limiter.
-	rep, _ = svc.Handle(rpc.Header{Command: CmdStat}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdStat}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("stat under full limiter status = %v", rep.Status)
 	}
 
 	adm.Release()
-	rep, _ = svc.Handle(rpc.Header{Command: CmdRead, Cap: c}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdRead, Cap: c}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("read after release status = %v", rep.Status)
 	}
@@ -119,7 +119,7 @@ func TestServiceAutoReleaseSequential(t *testing.T) {
 
 	var c struct{ cap rpc.Header }
 	for i := 0; i < 5; i++ {
-		rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("again and again"))
+		rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("again and again"))
 		if rep.Status != rpc.StatusOK {
 			t.Fatalf("create %d status = %v", i, rep.Status)
 		}

@@ -125,36 +125,57 @@ func (w *behindWorld) replicasIdentical() bool {
 }
 
 // TestWriteBehindReplyLeavesBeforeHeldReplica is the tentpole over a real
-// TCP server: the reply to a P-FACTOR 0 create, a P-FACTOR 1 create and a
-// P-FACTOR 1 CREATE-COMMIT is in the client's hands while the replica the
-// reply did not wait for is still held inside its write; that write, like
-// every other of the request, is made by the connection's serving
-// goroutine; and the next request on the connection finds the file on
-// every replica without anyone having called Drain.
+// TCP server: the reply to every command that writes a file — CREATE,
+// CREATE-COMMIT, MODIFY and APPEND, at P-FACTOR 0 and 1 — is in the
+// client's hands while the replica the reply did not wait for is still
+// held inside its write; that write, like every other of the request, is
+// made by the connection's serving goroutine; and the next request on the
+// connection finds the file on every replica without anyone having called
+// Drain.
 func TestWriteBehindReplyLeavesBeforeHeldReplica(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		cmd     uint32
 		pfactor uint64
-		commit  bool
-	}{{"pfactor0", 0, false}, {"pfactor1", 1, false}, {"commit-pfactor1", 1, true}} {
+	}{
+		{"pfactor0", CmdCreate, 0},
+		{"pfactor1", CmdCreate, 1},
+		{"commit-pfactor1", CmdCreateCommit, 1},
+		{"modify-pfactor0", CmdModify, 0},
+		{"modify-pfactor1", CmdModify, 1},
+		{"append-pfactor0", CmdAppend, 0},
+		{"append-pfactor1", CmdAppend, 1},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newBehindWorld(t, 1<<20)
 			tr := w.dial(t)
 			data := bytes.Repeat([]byte("write-behind "), 300)
 			req := rpc.Header{Command: CmdCreate, Arg: tc.pfactor}
-			payload := data
+			payload, size := data, len(data)
 			// The first request also dials, so the connection's serving
 			// goroutine exists before goroutines are counted below.
 			h, _, err := tr.Trans(w.port, rpc.Header{Command: CmdCreateStart}, nil)
 			if err != nil || h.Status != rpc.StatusOK {
 				t.Fatalf("CREATE-START: %+v %v", h, err)
 			}
-			if tc.commit {
+			switch tc.cmd {
+			case CmdCreateCommit:
 				id := h.Arg
 				if h, _, err = tr.Trans(w.port, rpc.Header{Command: CmdCreateWrite, Arg: id}, data); err != nil || h.Status != rpc.StatusOK {
 					t.Fatalf("CREATE-WRITE: %+v %v", h, err)
 				}
 				req, payload = rpc.Header{Command: CmdCreateCommit, Arg: id, Arg2: tc.pfactor}, nil
+			case CmdModify, CmdAppend:
+				// The file to derive from, on both replicas before the reply.
+				base := []byte("the old version")
+				if h, _, err = tr.Trans(w.port, rpc.Header{Command: CmdCreate, Arg: 2}, base); err != nil || h.Status != rpc.StatusOK {
+					t.Fatalf("create base: %+v %v", h, err)
+				}
+				req = rpc.Header{Command: CmdModify, Cap: h.Cap, Arg2: PackModifyArg2(-1, int(tc.pfactor))}
+				if tc.cmd == CmdAppend {
+					req = rpc.Header{Command: CmdAppend, Cap: h.Cap, Arg: tc.pfactor}
+					size += len(base)
+				}
 			}
 			held := w.devs[1]
 			held.armed.Store(true)
@@ -164,7 +185,7 @@ func TestWriteBehindReplyLeavesBeforeHeldReplica(t *testing.T) {
 
 			h, _, err = tr.Trans(w.port, req, payload)
 			if err != nil || h.Status != rpc.StatusOK {
-				t.Fatalf("create: %+v %v", h, err)
+				t.Fatalf("%s: %+v %v", CommandName(tc.cmd), h, err)
 			}
 			// The reply is here; the serving goroutine goes on to replica 1
 			// and parks there.
@@ -181,8 +202,8 @@ func TestWriteBehindReplyLeavesBeforeHeldReplica(t *testing.T) {
 			// its reply is read the serving goroutine has finished the
 			// previous request's write-behind.
 			sz, _, err := tr.Trans(w.port, rpc.Header{Command: CmdSize, Cap: h.Cap}, nil)
-			if err != nil || sz.Status != rpc.StatusOK || sz.Arg != uint64(len(data)) {
-				t.Fatalf("SIZE after create: %+v %v", sz, err)
+			if err != nil || sz.Status != rpc.StatusOK || sz.Arg != uint64(size) {
+				t.Fatalf("SIZE after %s: %+v %v", CommandName(tc.cmd), sz, err)
 			}
 			if w.set.Writes(1) != writes+1 || w.pendingWrites() != 0 || !w.replicasIdentical() {
 				t.Fatalf("after the next request: writes(1) %d -> %d pending=%d identical=%v; want one more, 0, true",
@@ -297,20 +318,19 @@ func TestStalledReplyDoesNotStallTheEngine(t *testing.T) {
 }
 
 // TestDeferredCreateOverLocalTransportDoesNotWait: where the reply is a
-// return value (Local and simnet transports, the classic Handle) there is
-// no "after the reply", so the write-behind gets a goroutine as it always
-// did: a P-FACTOR 0 create returns while a held replica is parked.
+// return value (the Local and simnet transports) there is no "after the
+// reply", so the write-behind gets a goroutine: creates at P-FACTOR 0 and 1
+// return while a held replica is parked.
 func TestDeferredCreateOverLocalTransportDoesNotWait(t *testing.T) {
 	w := newBehindWorld(t, 1<<20)
 	held, writes := w.devs[1], w.set.Writes(1)
 	held.armed.Store(true)
-	h, _, err := rpc.NewLocal(w.mux).Trans(w.port, rpc.Header{Command: CmdCreate, Arg: 0}, []byte("local"))
-	if err != nil || h.Status != rpc.StatusOK {
-		t.Fatalf("create over Local: %+v %v", h, err)
-	}
-	rep, _ := New(w.eng).Handle(rpc.Header{Command: CmdCreate, Arg: 1}, []byte("classic"))
-	if rep.Status != rpc.StatusOK {
-		t.Fatalf("create through Handle: %+v", rep)
+	local := rpc.NewLocal(w.mux)
+	for pf := uint64(0); pf <= 1; pf++ {
+		h, _, err := local.Trans(w.port, rpc.Header{Command: CmdCreate, Arg: pf}, []byte("local"))
+		if err != nil || h.Status != rpc.StatusOK {
+			t.Fatalf("P-FACTOR %d create over Local: %+v %v", pf, h, err)
+		}
 	}
 	<-held.entered
 	if n := w.set.Writes(1) - writes; n != 0 {

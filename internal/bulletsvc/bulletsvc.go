@@ -7,6 +7,10 @@
 // with MODIFY/APPEND ("generating a new file based on an existing file",
 // §5), a partial read for small-memory clients, and administrative
 // operations (stat, sync, compaction).
+//
+// The handler has one entry point, HandleStream, registered by Register
+// and run by every transport: bulletd's TCP server, rpc.Local and simnet.
+// Each file command maps onto one engine method.
 package bulletsvc
 
 import (
@@ -279,97 +283,136 @@ func (s *Service) Admission() *Admission { return s.adm }
 // StatusBadCommand (streaming telemetry not enabled).
 func (s *Service) AttachCollector(c *stats.Collector) { s.coll = c }
 
-// Register installs the service on mux under the engine's port. The
-// stream registration lets READ/READ_RANGE replies borrow the engine's
-// pinned cache bytes (zero-copy; see HandleStream) and serves the
-// multi-frame READSTREAM; single-frame transports see stream replies
-// assembled for them by the mux. Span contexts thread through either
-// way, so every layer hangs its spans under the RPC root span.
+// Register installs the service on mux under the engine's port, as a
+// stream handler: HandleStream is the one dispatch, whatever the
+// transport. TCP writes each frame as it is emitted; in-process
+// transports (rpc.Local, simnet) see the frames assembled for them by the
+// mux. Span contexts thread through either way, so every layer hangs its
+// spans under the RPC root span.
 func (s *Service) Register(mux *rpc.Mux) {
 	mux.RegisterStream(s.engine.Port(), s.HandleStream)
 }
 
-// Handle processes one Bullet transaction without tracing (tests and
-// in-process callers).
-func (s *Service) Handle(req rpc.Header, payload []byte) (rpc.Header, []byte) {
-	return s.HandleTraced(nil, nil, req, payload)
-}
-
-// HandleTraced processes one Bullet transaction, hanging engine spans
-// under parent. tc may be nil (untraced).
-func (s *Service) HandleTraced(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte) (rpc.Header, []byte) {
-	if s.shedExpired(tc, parent, req.Command) {
-		return rpc.ReplyErr(rpc.StatusDeadlineExceeded), nil
+// HandleStream processes one Bullet transaction, emitting one or more
+// reply frames. Every command first passes enter (deadline shed, then
+// admission). READ and READ_RANGE replies borrow the engine's pinned cache
+// bytes (the RPC layer writes them to the socket and releases the pin
+// afterwards — zero payload copies); READSTREAM and WATCH emit a sequence
+// of frames. CREATE, CREATE-COMMIT, MODIFY and APPEND reply once the
+// P-FACTOR quorum holds the new file and leave the rest of the
+// write-through to the RPC layer as the reply's After. Every other command
+// is a single frame built by handle.
+func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte, emit rpc.Emitter) {
+	held, ok := s.enter(tc, parent, req.Command, emit)
+	if !ok {
+		return
 	}
-	if s.adm != nil && admissionControlled(req.Command) {
-		sp := tc.Begin(parent, trace.LayerRPC, trace.OpAdmit)
-		ok := s.adm.TryEnter()
-		if !ok && sp != nil {
-			sp.Status = int32(rpc.StatusBusy)
-		}
-		tc.End(sp)
-		if !ok {
-			return rpc.ReplyErr(rpc.StatusBusy), nil
-		}
-		if !s.adm.manualRelease {
-			defer s.adm.Release()
-		}
+	if held {
+		defer s.adm.Release()
 	}
 	switch req.Command {
-	case CmdCreate:
-		// CREATE mints a brand-new object and returns its capability;
-		// there is no pre-existing capability to verify (paper §2.2 —
-		// possession of the server port is the only admission).
-		//lint:ignore rightscheck CREATE mints the object and its capability; nothing pre-existing to check
-		c, err := s.engine.CreateTraced(tc, parent, payload, int(req.Arg))
-		if err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
+	case CmdRead, CmdReadRange:
+		offset, n := int64(0), int64(-1)
+		if req.Command == CmdReadRange {
+			// Arg2 all-ones (n = -1) means "to the end of the file" — the
+			// wire form of the engine's open-ended range.
+			offset, n = int64(req.Arg), int64(req.Arg2)
 		}
-		return rpc.Header{Status: rpc.StatusOK, Cap: c}, nil
+		lease, err := s.engine.ReadView(tc, parent, req.Cap, offset, n)
+		if err != nil {
+			_ = emit(rpc.ReplyErr(StatusOf(err)), rpc.Plain(nil), true)
+			return
+		}
+		// Ownership transfer: the RPC layer releases the lease once the
+		// frame's bytes have been written.
+		_ = emit(rpc.ReplyOK(), rpc.Owned(lease.Bytes(), lease), true)
 
+	case CmdCreate, CmdCreateCommit, CmdModify, CmdAppend:
+		var c capability.Capability
+		var later func()
+		var err error
+		switch req.Command {
+		case CmdCreate, CmdCreateCommit:
+			data, pfactor := payload, int(req.Arg)
+			if req.Command == CmdCreateCommit {
+				if data, ok = s.sess.take(req.Arg); !ok {
+					_ = emit(rpc.ReplyErr(rpc.StatusNotFound), rpc.Plain(nil), true)
+					return
+				}
+				pfactor = int(req.Arg2)
+			}
+			// CREATE mints a brand-new object and returns its capability;
+			// there is no pre-existing capability to verify (paper §2.2 —
+			// possession of the server port is the only admission, and a
+			// session's opener proved no more than that).
+			//lint:ignore rightscheck CREATE mints the object and its capability; nothing pre-existing to check
+			c, later, err = s.engine.CreateDeferred(tc, parent, data, pfactor)
+		case CmdModify:
+			newSize, pfactor := UnpackModifyArg2(req.Arg2)
+			c, later, err = s.engine.Modify(tc, parent, req.Cap, int64(req.Arg), payload, newSize, pfactor)
+		default:
+			c, later, err = s.engine.Append(tc, parent, req.Cap, payload, int(req.Arg))
+		}
+		if err != nil {
+			_ = emit(rpc.ReplyErr(StatusOf(err)), rpc.Plain(nil), true)
+			return
+		}
+		_ = emit(rpc.Header{Status: rpc.StatusOK, Cap: c}, rpc.Payload{After: later}, true)
+
+	case CmdReadStream:
+		s.handleReadStream(tc, parent, req, emit)
+
+	case CmdWatch:
+		s.handleWatch(tc, parent, req, emit)
+
+	default:
+		h, p := s.handle(tc, parent, req, payload)
+		_ = emit(h, rpc.Plain(p), true)
+	}
+}
+
+// enter is the door every command passes: the deadline shed, then
+// admission. When ok is false the refusal has been emitted and the request
+// is done; when held is true the request holds an admission slot the
+// caller must Release when done.
+func (s *Service) enter(tc *trace.Ctx, parent *trace.Span, cmd uint32, emit rpc.Emitter) (held, ok bool) {
+	if s.shedExpired(tc, parent, cmd) {
+		_ = emit(rpc.ReplyErr(rpc.StatusDeadlineExceeded), rpc.Plain(nil), true)
+		return false, false
+	}
+	if s.adm == nil || !admissionControlled(cmd) {
+		return false, true
+	}
+	sp := tc.Begin(parent, trace.LayerRPC, trace.OpAdmit)
+	ok = s.adm.TryEnter()
+	if !ok && sp != nil {
+		sp.Status = int32(rpc.StatusBusy)
+	}
+	tc.End(sp)
+	if !ok {
+		_ = emit(rpc.ReplyErr(rpc.StatusBusy), rpc.Plain(nil), true)
+		return false, false
+	}
+	return !s.adm.manualRelease, true
+}
+
+// handle builds the reply to a single-frame command.
+func (s *Service) handle(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte) (rpc.Header, []byte) {
+	switch req.Command {
 	case CmdSize:
-		n, err := s.engine.SizeTraced(tc, parent, req.Cap)
+		n, err := s.engine.Size(tc, parent, req.Cap)
 		if err != nil {
 			return rpc.ReplyErr(StatusOf(err)), nil
 		}
 		return rpc.Header{Status: rpc.StatusOK, Arg: uint64(n)}, nil
 
-	case CmdRead:
-		data, err := s.engine.ReadTraced(tc, parent, req.Cap)
-		if err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
-		}
-		return rpc.ReplyOK(), data
-
 	case CmdDelete:
-		if err := s.engine.DeleteTraced(tc, parent, req.Cap); err != nil {
+		if err := s.engine.Delete(tc, parent, req.Cap); err != nil {
 			return rpc.ReplyErr(StatusOf(err)), nil
 		}
 		return rpc.ReplyOK(), nil
 
-	case CmdModify:
-		newSize, pfactor := UnpackModifyArg2(req.Arg2)
-		c, err := s.engine.ModifyTraced(tc, parent, req.Cap, int64(req.Arg), payload, newSize, pfactor)
-		if err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
-		}
-		return rpc.Header{Status: rpc.StatusOK, Cap: c}, nil
-
-	case CmdAppend:
-		c, err := s.engine.AppendTraced(tc, parent, req.Cap, payload, int(req.Arg))
-		if err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
-		}
-		return rpc.Header{Status: rpc.StatusOK, Cap: c}, nil
-
-	case CmdReadRange:
-		data, err := s.engine.ReadRangeTraced(tc, parent, req.Cap, int64(req.Arg), int64(req.Arg2))
-		if err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
-		}
-		return rpc.ReplyOK(), data
-
-	case CmdCreateStart, CmdCreateWrite, CmdCreateCommit, CmdCreateAbort:
+	case CmdCreateStart, CmdCreateWrite, CmdCreateAbort:
 		return s.handleSession(tc, parent, req, payload)
 
 	case CmdTrace:

@@ -39,31 +39,44 @@ func newService(t *testing.T) (*Service, *bullet.Server) {
 	return New(eng), eng
 }
 
+// call runs one transaction through the dispatch every server runs: svc
+// registered on a Mux, driven through the in-process transport (the path
+// simnet and the benchmarks take).
+func call(svc *Service, req rpc.Header, payload []byte) (rpc.Header, []byte) {
+	mux := rpc.NewMux(0)
+	svc.Register(mux)
+	h, body, err := rpc.NewLocal(mux).Trans(svc.engine.Port(), req, payload)
+	if err != nil {
+		panic(err) // the port is registered; Local has no other transport error
+	}
+	return h, body
+}
+
 func TestHandleCreateSizeReadDelete(t *testing.T) {
 	svc, _ := newService(t)
 	data := []byte("protocol-level round trip")
 
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, data)
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, data)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("create status = %v", rep.Status)
 	}
 	c := rep.Cap
 
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSize, Cap: c}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSize, Cap: c}, nil)
 	if rep.Status != rpc.StatusOK || rep.Arg != uint64(len(data)) {
 		t.Fatalf("size reply = %+v", rep)
 	}
 
-	rep, body := svc.Handle(rpc.Header{Command: CmdRead, Cap: c}, nil)
+	rep, body := call(svc, rpc.Header{Command: CmdRead, Cap: c}, nil)
 	if rep.Status != rpc.StatusOK || !bytes.Equal(body, data) {
 		t.Fatalf("read reply = %+v %q", rep, body)
 	}
 
-	rep, _ = svc.Handle(rpc.Header{Command: CmdDelete, Cap: c}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdDelete, Cap: c}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("delete status = %v", rep.Status)
 	}
-	rep, _ = svc.Handle(rpc.Header{Command: CmdRead, Cap: c}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdRead, Cap: c}, nil)
 	if rep.Status != rpc.StatusNoSuchObject {
 		t.Fatalf("read-after-delete status = %v", rep.Status)
 	}
@@ -71,16 +84,16 @@ func TestHandleCreateSizeReadDelete(t *testing.T) {
 
 func TestHandleStatusMapping(t *testing.T) {
 	svc, eng := newService(t)
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 99}, []byte("x"))
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 99}, []byte("x"))
 	if rep.Status != rpc.StatusBadPFactor {
 		t.Fatalf("bad p-factor status = %v", rep.Status)
 	}
 
-	rep, _ = svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("x"))
+	rep, _ = call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("x"))
 	c := rep.Cap
 	forged := c
 	forged.Check[0] ^= 1
-	rep, _ = svc.Handle(rpc.Header{Command: CmdRead, Cap: forged}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdRead, Cap: forged}, nil)
 	if rep.Status != rpc.StatusBadCheck {
 		t.Fatalf("forged status = %v", rep.Status)
 	}
@@ -89,23 +102,23 @@ func TestHandleStatusMapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restrict: %v", err)
 	}
-	rep, _ = svc.Handle(rpc.Header{Command: CmdDelete, Cap: readOnly}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdDelete, Cap: readOnly}, nil)
 	if rep.Status != rpc.StatusBadRights {
 		t.Fatalf("rights status = %v", rep.Status)
 	}
 
-	rep, _ = svc.Handle(rpc.Header{Command: CmdReadRange, Cap: c, Arg: ^uint64(0)}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdReadRange, Cap: c, Arg: ^uint64(0)}, nil)
 	if rep.Status != rpc.StatusBadOffset {
 		t.Fatalf("offset status = %v", rep.Status)
 	}
 
-	rep, _ = svc.Handle(rpc.Header{Command: 9999}, nil)
+	rep, _ = call(svc, rpc.Header{Command: 9999}, nil)
 	if rep.Status != rpc.StatusBadCommand {
 		t.Fatalf("bad command status = %v", rep.Status)
 	}
 
 	big := make([]byte, eng.MaxFileSize()+1)
-	rep, _ = svc.Handle(rpc.Header{Command: CmdCreate, Arg: 1}, big)
+	rep, _ = call(svc, rpc.Header{Command: CmdCreate, Arg: 1}, big)
 	if rep.Status != rpc.StatusTooLarge {
 		t.Fatalf("too-large status = %v", rep.Status)
 	}
@@ -113,44 +126,49 @@ func TestHandleStatusMapping(t *testing.T) {
 
 func TestHandleModifyAppendReadRange(t *testing.T) {
 	svc, _ := newService(t)
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("0123456789"))
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("0123456789"))
 	c := rep.Cap
 
-	rep, _ = svc.Handle(rpc.Header{
+	rep, _ = call(svc, rpc.Header{
 		Command: CmdModify, Cap: c, Arg: 2, Arg2: PackModifyArg2(-1, 2),
 	}, []byte("XY"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("modify status = %v", rep.Status)
 	}
-	rep2, body := svc.Handle(rpc.Header{Command: CmdRead, Cap: rep.Cap}, nil)
+	rep2, body := call(svc, rpc.Header{Command: CmdRead, Cap: rep.Cap}, nil)
 	if rep2.Status != rpc.StatusOK || string(body) != "01XY456789" {
 		t.Fatalf("modified = %q", body)
 	}
 
-	rep, _ = svc.Handle(rpc.Header{Command: CmdAppend, Cap: c, Arg: 2}, []byte("ab"))
+	rep, _ = call(svc, rpc.Header{Command: CmdAppend, Cap: c, Arg: 2}, []byte("ab"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("append status = %v", rep.Status)
 	}
-	_, body = svc.Handle(rpc.Header{Command: CmdRead, Cap: rep.Cap}, nil)
+	_, body = call(svc, rpc.Header{Command: CmdRead, Cap: rep.Cap}, nil)
 	if string(body) != "0123456789ab" {
 		t.Fatalf("appended = %q", body)
 	}
 
-	rep, body = svc.Handle(rpc.Header{Command: CmdReadRange, Cap: c, Arg: 3, Arg2: 4}, nil)
+	rep, body = call(svc, rpc.Header{Command: CmdReadRange, Cap: c, Arg: 3, Arg2: 4}, nil)
 	if rep.Status != rpc.StatusOK || string(body) != "3456" {
 		t.Fatalf("range = %v %q", rep.Status, body)
+	}
+	// Arg2 all-ones is "to the end of the file" (docs/PROTOCOL.md).
+	rep, body = call(svc, rpc.Header{Command: CmdReadRange, Cap: c, Arg: 7, Arg2: ^uint64(0)}, nil)
+	if rep.Status != rpc.StatusOK || string(body) != "789" {
+		t.Fatalf("range to end = %v %q, want OK \"789\"", rep.Status, body)
 	}
 }
 
 func TestHandleStatAndAdmin(t *testing.T) {
 	svc, _ := newService(t)
-	svc.Handle(rpc.Header{Command: CmdCreate, Arg: 0}, []byte("x")) //nolint:errcheck
+	call(svc, rpc.Header{Command: CmdCreate, Arg: 0}, []byte("x")) //nolint:errcheck
 
-	rep, _ := svc.Handle(rpc.Header{Command: CmdSync}, nil)
+	rep, _ := call(svc, rpc.Header{Command: CmdSync}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("sync status = %v", rep.Status)
 	}
-	rep, body := svc.Handle(rpc.Header{Command: CmdStat}, nil)
+	rep, body := call(svc, rpc.Header{Command: CmdStat}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("stat status = %v", rep.Status)
 	}
@@ -161,11 +179,11 @@ func TestHandleStatAndAdmin(t *testing.T) {
 	if st.Engine.Creates != 1 || st.LiveFiles != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	rep, _ = svc.Handle(rpc.Header{Command: CmdCompactDisk}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdCompactDisk}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("compact-disk status = %v", rep.Status)
 	}
-	rep, _ = svc.Handle(rpc.Header{Command: CmdCompactCache}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdCompactCache}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("compact-cache status = %v", rep.Status)
 	}
@@ -241,13 +259,13 @@ func TestRegisterRoutesByEnginePort(t *testing.T) {
 
 func TestHandleStats(t *testing.T) {
 	svc, _ := newService(t)
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 1}, []byte("stats me"))
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 1}, []byte("stats me"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("create status = %v", rep.Status)
 	}
 	c := rep.Cap
 
-	rep, body := svc.Handle(rpc.Header{Command: CmdStats, Cap: c}, nil)
+	rep, body := call(svc, rpc.Header{Command: CmdStats, Cap: c}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("stats status = %v", rep.Status)
 	}
@@ -264,7 +282,7 @@ func TestHandleStats(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restrict: %v", err)
 	}
-	rep, _ = svc.Handle(rpc.Header{Command: CmdStats, Cap: delOnly}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdStats, Cap: delOnly}, nil)
 	if rep.Status != rpc.StatusBadRights {
 		t.Errorf("stats with delete-only cap: status = %v, want StatusBadRights", rep.Status)
 	}

@@ -19,7 +19,7 @@ import (
 func TestHandleSalvage(t *testing.T) {
 	svc, eng := newService(t)
 
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("salvage me"))
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("salvage me"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("create status = %v", rep.Status)
 	}
@@ -30,7 +30,7 @@ func TestHandleSalvage(t *testing.T) {
 	}
 
 	// Health: read right suffices, reply is a JSON HealthReport.
-	rep, body := svc.Handle(rpc.Header{Command: CmdSalvage, Cap: readOnly, Arg: SalvageHealth}, nil)
+	rep, body := call(svc, rpc.Header{Command: CmdSalvage, Cap: readOnly, Arg: SalvageHealth}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("health status = %v", rep.Status)
 	}
@@ -48,7 +48,7 @@ func TestHandleSalvage(t *testing.T) {
 	// Scrub and recover are admin operations: a read-only capability is
 	// turned away with StatusBadRights.
 	for _, sel := range []uint64{SalvageScrub, SalvageRecover} {
-		rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: readOnly, Arg: sel}, nil)
+		rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: readOnly, Arg: sel}, nil)
 		if rep.Status != rpc.StatusBadRights {
 			t.Fatalf("selector %d with read-only cap: status = %v, want bad rights", sel, rep.Status)
 		}
@@ -56,7 +56,7 @@ func TestHandleSalvage(t *testing.T) {
 
 	// Scrub with the owner capability but no scrubber attached: the
 	// command is not available.
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageScrub}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageScrub}, nil)
 	if rep.Status != rpc.StatusBadCommand {
 		t.Fatalf("scrub without scrubber: status = %v, want bad command", rep.Status)
 	}
@@ -67,7 +67,7 @@ func TestHandleSalvage(t *testing.T) {
 	sc.Start()
 	defer sc.Stop()
 	svc.AttachScrubber(sc)
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageScrub}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageScrub}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("scrub status = %v", rep.Status)
 	}
@@ -78,7 +78,7 @@ func TestHandleSalvage(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rep, body = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageHealth}, nil)
+	rep, body = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageHealth}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("health status = %v", rep.Status)
 	}
@@ -92,13 +92,13 @@ func TestHandleSalvage(t *testing.T) {
 
 	// Recover with an out-of-range replica index is a bad request, not a
 	// crash or an engine-side panic.
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageRecover, Arg2: 7}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageRecover, Arg2: 7}, nil)
 	if rep.Status != rpc.StatusBadRequest {
 		t.Fatalf("recover replica 7: status = %v, want bad request", rep.Status)
 	}
 
 	// Unknown selector.
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: 9}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: 9}, nil)
 	if rep.Status != rpc.StatusBadRequest {
 		t.Fatalf("selector 9: status = %v, want bad request", rep.Status)
 	}
@@ -132,7 +132,7 @@ func TestHandleSalvageRecoverBusy(t *testing.T) {
 	t.Cleanup(func() { _ = eng.Close() })
 	svc := New(eng)
 
-	rep, _ := svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("recover me"))
+	rep, _ := call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("recover me"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("create status = %v", rep.Status)
 	}
@@ -140,7 +140,7 @@ func TestHandleSalvageRecoverBusy(t *testing.T) {
 
 	// Kill replica 1, then make the set notice through a failed write.
 	faulty[1].Fault()
-	rep, _ = svc.Handle(rpc.Header{Command: CmdCreate, Arg: 2}, []byte("discover the dead disk"))
+	rep, _ = call(svc, rpc.Header{Command: CmdCreate, Arg: 2}, []byte("discover the dead disk"))
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("create with one dead replica: status = %v", rep.Status)
 	}
@@ -149,14 +149,14 @@ func TestHandleSalvageRecoverBusy(t *testing.T) {
 	}
 	faulty[1].Heal()
 
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageRecover, Arg2: 1}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageRecover, Arg2: 1}, nil)
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("recover status = %v", rep.Status)
 	}
 	// A concurrent second recover answers busy. The first recovery is
 	// tiny, so it may already have finished — accept OK in that case but
 	// demand that at least the wire mapping never reports anything else.
-	rep, _ = svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageRecover, Arg2: 1}, nil)
+	rep, _ = call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageRecover, Arg2: 1}, nil)
 	if rep.Status != rpc.StatusOK && rep.Status != rpc.StatusBusy {
 		t.Fatalf("second recover status = %v, want ok or busy", rep.Status)
 	}
@@ -164,7 +164,7 @@ func TestHandleSalvageRecoverBusy(t *testing.T) {
 	var h HealthReport
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		rep, body := svc.Handle(rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageHealth}, nil)
+		rep, body := call(svc, rpc.Header{Command: CmdSalvage, Cap: owner, Arg: SalvageHealth}, nil)
 		if rep.Status != rpc.StatusOK {
 			t.Fatalf("health status = %v", rep.Status)
 		}

@@ -55,8 +55,9 @@ func (t *sessionTable) take(id uint64) ([]byte, bool) {
 	return cs.buf, true
 }
 
-// handleSession serves the four create-session commands (single-frame,
-// called from HandleTraced's switch).
+// handleSession serves the single-frame create-session commands: start,
+// write and abort. CmdCreateCommit is a create and is served with CREATE
+// in HandleStream.
 func (s *Service) handleSession(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte) (rpc.Header, []byte) {
 	t := &s.sess
 	switch req.Command {
@@ -115,20 +116,6 @@ func (s *Service) handleSession(tc *trace.Ctx, parent *trace.Span, req rpc.Heade
 		cs.buf = append(cs.buf, payload...)
 		t.buffered += int64(len(payload))
 		return rpc.ReplyOK(), nil
-
-	case CmdCreateCommit:
-		buf, ok := t.take(req.Arg)
-		if !ok {
-			return rpc.ReplyErr(rpc.StatusNotFound), nil
-		}
-		// The session's opener proved only possession of the server port —
-		// the same admission CREATE itself requires (paper §2.2).
-		//lint:ignore rightscheck the commit mints the object and its capability, like CREATE; nothing pre-existing to check
-		c, err := s.engine.CreateTraced(tc, parent, buf, int(req.Arg2))
-		if err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
-		}
-		return rpc.Header{Status: rpc.StatusOK, Cap: c}, nil
 
 	case CmdCreateAbort:
 		t.mu.Lock()
