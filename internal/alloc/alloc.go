@@ -93,7 +93,9 @@ func NewFromUsed(total int64, used []Extent) (*Allocator, error) {
 func (a *Allocator) Total() int64 { return a.total }
 
 // Alloc claims the first free extent of at least n units (first fit,
-// paper §3) and returns its start.
+// paper §3) and returns its start. A full allocator returns ErrNoSpace
+// bare: the cache meets it on every eviction-driven placement, and callers
+// say what they were placing when they pass it on.
 func (a *Allocator) Alloc(n int64) (int64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("non-positive allocation %d: %w", n, ErrBadExtent)
@@ -113,7 +115,7 @@ func (a *Allocator) Alloc(n int64) (int64, error) {
 		}
 		return start, nil
 	}
-	return 0, fmt.Errorf("allocating %d units: %w", n, ErrNoSpace)
+	return 0, ErrNoSpace
 }
 
 // Free returns [start, start+n) to the free pool, coalescing with adjacent

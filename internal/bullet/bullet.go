@@ -185,12 +185,13 @@ func newEngineMetrics(reg *stats.Registry, replicas int) engineMetrics {
 // on done, and once the leader has published the file pins the cached copy
 // like any other hit. random pins the fault to one incarnation of the
 // inode number, so a waiter whose file was deleted and whose inode slot
-// was reused never merges onto the other file's fault.
+// was reused never merges onto the other file's fault. done is made by the
+// first waiter, so a fault nobody merges onto makes no channel.
 type faultCall struct {
 	random  capability.Random
-	done    chan struct{}
-	waiters int   // merged callers parked on done; under faultMu. Tests poll it to know a merge happened
-	err     error // written by the leader before done closes
+	done    chan struct{} // under faultMu: made by the first waiter, closed by the leader if made
+	waiters int           // merged callers parked on done; under faultMu. Tests poll it to know a merge happened
+	err     error         // written by the leader before done closes
 }
 
 // Server is one Bullet file server instance over a replica set.
@@ -388,6 +389,13 @@ func (s *Server) MaxFileSize() int64 { return s.maxFile }
 // could re-insert a dead capability after the purge, and a reused inode
 // slot would then honor the old file's capability.
 func (s *Server) verify(c capability.Capability, want capability.Rights) (uint32, layout.Inode, error) {
+	return s.verifyCap(c, want, true)
+}
+
+// verifyCap is verify; with remember false a check-field validation is not
+// cached. DELETE passes false: its capability dies with the file, and
+// caching it would only allocate an entry for forgetCaps to drop.
+func (s *Server) verifyCap(c capability.Capability, want capability.Rights, remember bool) (uint32, layout.Inode, error) {
 	if c.Port != s.port {
 		return 0, layout.Inode{}, fmt.Errorf("capability for another server: %w", ErrNoSuchFile)
 	}
@@ -410,6 +418,18 @@ func (s *Server) verify(c capability.Capability, want capability.Rights) (uint32
 	if err != nil {
 		return 0, layout.Inode{}, err
 	}
+	if remember {
+		s.remember(c, rights)
+	}
+	if !rights.Has(want) {
+		return 0, layout.Inode{}, fmt.Errorf("need rights %08b, have %08b: %w",
+			want, rights, capability.ErrBadRights)
+	}
+	return c.Object, ino, nil
+}
+
+// remember caches a successful check-field validation of c.
+func (s *Server) remember(c capability.Capability, rights capability.Rights) {
 	s.capMu.Lock()
 	if s.capCount >= maxCapCache {
 		clear(s.capCache)
@@ -425,11 +445,6 @@ func (s *Server) verify(c capability.Capability, want capability.Rights) (uint32
 	}
 	byCap[c] = rights
 	s.capMu.Unlock()
-	if !rights.Has(want) {
-		return 0, layout.Inode{}, fmt.Errorf("need rights %08b, have %08b: %w",
-			want, rights, capability.ErrBadRights)
-	}
-	return c.Object, ino, nil
 }
 
 // forgetCaps drops cached capability validations for an object; its
@@ -562,9 +577,24 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	// new inode, per replica — this goroutine writes the first pfactor
 	// replicas (main first), replies, and writes the rest (later). The
 	// inode block is re-encoded at write time so the delayed writes publish
-	// current (never stale) metadata.
-	padded := make([]byte, blocks*int64(s.desc.BlockSize))
-	copy(padded, data)
+	// current (never stale) metadata. A cached file that fills its last
+	// block goes to disk straight from its cache copy, whose pin lasts
+	// until every replica has settled; any other is padded into a pooled
+	// buffer that goes back at settle.
+	var padded []byte
+	var pad *[]byte
+	if n := blocks * int64(s.desc.BlockSize); pin != nil && int64(pin.Len()) == n {
+		padded = pin.Bytes()
+	} else {
+		pad = padBlocks(data, n)
+		padded = *pad
+	}
+	settled := func() {
+		// Every replica has finished (or failed): the disk copy is as
+		// durable as it will get, so the cache entry may move again.
+		pin.Release()
+		putPadded(pad)
+	}
 	dataOff := s.desc.DataOffset(start)
 	commitStart := time.Now()
 	if s.committer != nil {
@@ -580,11 +610,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			Op: func(i int, dev disk.Device) error {
 				return dev.WriteAt(padded, dataOff)
 			},
-			OnSettled: func() {
-				// Every replica has finished (or failed): the disk copy is
-				// as durable as it will get, so the cache entry may move.
-				pin.Release()
-			},
+			OnSettled: settled,
 		})
 		s.commits.Done()
 		err = nil
@@ -599,11 +625,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			s.inoMu[i].Lock()
 			defer s.inoMu[i].Unlock()
 			return s.table.WriteInode(dev, inode)
-		}, func() {
-			// Every replica has finished (or failed): the disk copy is as
-			// durable as it will get, so the cache entry may move again.
-			pin.Release()
-		})
+		}, settled)
 		s.commits.Done()
 	}
 	if err != nil {
@@ -626,6 +648,34 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	s.m.creates.Inc()
 	s.m.bytesIn.Add(size)
 	return capability.Owner(s.port, inode, random), later, nil
+}
+
+// padPool recycles create's block-padded copies (see padBlocks).
+var padPool sync.Pool
+
+// Pooled padding buffers start at padPoolMin bytes, so small files share
+// one size; buffers over padPoolMax are left to the collector.
+const padPoolMin, padPoolMax = 64 << 10, 1 << 20
+
+// padBlocks returns data zero-padded to n bytes in a pooled buffer, which
+// the caller hands back with putPadded once no write reads it.
+func padBlocks(data []byte, n int64) *[]byte {
+	bp, _ := padPool.Get().(*[]byte)
+	if bp == nil || int64(cap(*bp)) < n {
+		b := make([]byte, max(n, padPoolMin))
+		bp = &b
+	}
+	*bp = (*bp)[:n]
+	copy(*bp, data)
+	clear((*bp)[len(data):])
+	return bp
+}
+
+// putPadded returns a padBlocks buffer to the pool; nil is a no-op.
+func putPadded(bp *[]byte) {
+	if bp != nil && cap(*bp) <= padPoolMax {
+		padPool.Put(bp)
+	}
 }
 
 // clearEvicted clears the cache-index field of inodes whose cached copies
@@ -667,8 +717,12 @@ func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random
 			if merged {
 				fc.waiters++
 			}
+			if fc.done == nil {
+				fc.done = make(chan struct{})
+			}
+			done := fc.done
 			s.faultMu.Unlock()
-			<-fc.done
+			<-done
 			if !merged {
 				// The in-flight fault served a previous incarnation of this
 				// inode number (deleted and reused); run our own.
@@ -692,16 +746,20 @@ func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random
 			}
 			continue
 		}
-		fc := &faultCall{random: random, done: make(chan struct{})}
+		fc := &faultCall{random: random}
 		s.faults[inode] = fc
 		s.faultMu.Unlock()
 
 		l, fc.err = s.loadFile(tc, parent, inode, random)
 
+		// Every waiter found fc in the table, under faultMu, and made done
+		// there; past the delete nobody else can.
 		s.faultMu.Lock()
 		delete(s.faults, inode)
+		if fc.done != nil {
+			close(fc.done)
+		}
 		s.faultMu.Unlock()
-		close(fc.done)
 		return l, waited, fc.err
 	}
 }
@@ -721,14 +779,14 @@ func (s *Server) pinCached(tc *trace.Ctx, parent *trace.Span, inode uint32, rand
 	if ino.CacheIndex == 0 {
 		return nil, ino, nil
 	}
-	view, verr := s.cache.GetViewTraced(tc, parent, ino.CacheIndex, inode)
-	if verr != nil {
+	l := s.pinSlot(tc, parent, ino.CacheIndex, inode)
+	if l == nil {
 		// Stale index (evicted, not yet cleared): clear it ourselves.
 		_, _ = s.table.SetCacheIndexIf(inode, ino.CacheIndex, 0)
 		ino.CacheIndex = 0
 		return nil, ino, nil
 	}
-	return pinnedLease(view), ino, nil
+	return l, ino, nil
 }
 
 // abandon gives back a reservation that will not be published: Remove
@@ -872,7 +930,7 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	vsp := tc.Begin(sp, trace.LayerEngine, trace.OpVerify)
-	inode, ino, err := s.verify(c, RightDelete)
+	inode, ino, err := s.verifyCap(c, RightDelete, false)
 	annotate(vsp, inode, 0, 0, err)
 	tc.End(vsp)
 	if err != nil {

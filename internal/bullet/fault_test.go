@@ -320,3 +320,39 @@ func TestConcurrentColdReadsShareOneSlot(t *testing.T) {
 		t.Fatalf("%d pins left after %d releases", got, n)
 	}
 }
+
+// TestUnmergedColdReadAllocs pins what a cache miss nobody merges onto
+// allocates: the singleflight entry, the reservation's View, the lease and
+// the eviction report — 4, under -race too. Two 4 KiB files take turns in
+// a 4 KiB cache, so every read faults, alone. It used to be 8: the
+// singleflight's done channel, made now only when a waiter arrives, and
+// the formatted ErrNoSpace each eviction-driven placement met.
+func TestUnmergedColdReadAllocs(t *testing.T) {
+	w := newWorld(t, 2, Options{CacheBytes: 4 << 10})
+	a, b := bytes.Repeat([]byte{0xaa}, 4<<10), bytes.Repeat([]byte{0xbb}, 4<<10)
+	ca, cb := mustCreate(t, w.srv, a, 2), mustCreate(t, w.srv, b, 2)
+	misses := w.srv.CacheStats().Misses
+	turn := 0
+	read := func() {
+		c, want := ca, a
+		if turn++; turn%2 == 0 {
+			c, want = cb, b
+		}
+		l, err := w.srv.ReadView(nil, nil, c, 0, -1)
+		if err != nil {
+			t.Fatalf("ReadView: %v", err)
+		}
+		if !bytes.Equal(l.Bytes(), want) {
+			t.Fatal("cold read returned the wrong bytes")
+		}
+		l.Release()
+	}
+	read()
+	allocs := testing.AllocsPerRun(100, read)
+	if got := w.srv.CacheStats().Misses - misses; got != 102 {
+		t.Fatalf("%d misses in 102 reads: the reads were not all cold", got)
+	}
+	if allocs > 4 {
+		t.Errorf("unmerged cold ReadView: %.0f allocs, want <= 4", allocs)
+	}
+}

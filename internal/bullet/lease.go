@@ -34,13 +34,22 @@ func errBadSpan(offset, size int64) error {
 type ReadLease struct {
 	data []byte
 	size int64
-	view *cache.View // nil when the lease owns data outright
+	view *cache.View // the pin: &pin on a hit, a fault's reservation on a miss; nil when the lease owns data outright
+	pin  cache.View  // a hit's pin, embedded so that a hit allocates one object, the lease
 }
 
-// pinnedLease wraps a pinned view of a whole file; the lease takes over
-// the pin.
-func pinnedLease(view *cache.View) *ReadLease {
-	return &ReadLease{data: view.Bytes(), size: int64(view.Len()), view: view}
+// pinSlot pins the cached copy of inode in slot idx into a new whole-file
+// lease, recording the cache lookup. A stale slot (evicted, or reused by
+// another inode) pins nothing and returns nil.
+func (s *Server) pinSlot(tc *trace.Ctx, parent *trace.Span, idx uint16, inode uint32) *ReadLease {
+	l := new(ReadLease)
+	if s.cache.ViewInto(tc, parent, &l.pin, idx, inode) != nil {
+		return nil
+	}
+	l.view = &l.pin
+	l.data = l.pin.Bytes()
+	l.size = int64(len(l.data))
+	return l
 }
 
 // Bytes is the leased span. It is valid only until Release.
@@ -110,11 +119,11 @@ func (s *Server) fetchLease(tc *trace.Ctx, parent *trace.Span, c capability.Capa
 		return nil, err
 	}
 	if ino.CacheIndex != 0 {
-		if view, verr := s.cache.GetViewTraced(tc, parent, ino.CacheIndex, inode); verr == nil {
+		if l := s.pinSlot(tc, parent, ino.CacheIndex, inode); l != nil {
 			s.mu.RUnlock()
 			// The span is cut from the pinned bytes without copying; the
 			// pin rides in the lease and keeps the slot put until Release.
-			return s.trim(pinnedLease(view), offset, n)
+			return s.trim(l, offset, n)
 		}
 		// Stale index (eviction raced the lookup): clear it, unless a
 		// concurrent fault already published a fresh binding.

@@ -279,6 +279,13 @@ func TestStalledReplyDoesNotStallTheEngine(t *testing.T) {
 				if w.eng.CacheStats().Misses != misses+1 {
 					t.Fatal("the READ was served from the cache; the test needs a cold one")
 				}
+				// The server releases the reply's pin once its write has
+				// returned, which can be after the reply reaches B. B's
+				// requests are served in order, so one more round trip
+				// proves the READ's dispatch, release included, is over.
+				if h, _, err := b.Trans(w.port, rpc.Header{Command: CmdSize, Cap: cold}, nil); err != nil || h.Status != rpc.StatusOK {
+					t.Fatalf("SIZE after the READ: %+v %v", h, err)
+				}
 			}
 			if first == "delete" {
 				del()

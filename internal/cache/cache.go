@@ -23,13 +23,23 @@
 // eviction alone cannot produce a large-enough hole but total free space
 // suffices, the cache compacts itself (slides every cached file toward the
 // bottom of the arena) and retries.
+//
+// The arena is the server's own memory, managed by the structures above,
+// so it lives outside the Go heap: New maps it anonymously and a finalizer
+// on the Cache unmaps it. The collector neither scans it nor paces on it,
+// so a server's footprint is the arena pages it has touched plus a small
+// heap, not the arena plus as much garbage again. Every View holds its
+// Cache, so a live pin keeps the mapping; a method that works on arena
+// bytes keeps the Cache alive until it is done with them.
 package cache
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"bulletfs/internal/alloc"
 	"bulletfs/internal/stats"
@@ -113,7 +123,7 @@ type Stats struct {
 // the reserving caller alone (see Reserve).
 type Cache struct {
 	mu       sync.RWMutex
-	buf      []byte           // guarded by mu (shared: read bytes; exclusive: move/overwrite)
+	buf      []byte           // guarded by mu (shared: read bytes; exclusive: move/overwrite); the mapped arena
 	arena    *alloc.Allocator // guarded by mu
 	rnodes   []rnode          // guarded by mu; slot i at rnodes[i-1]; slots are 1-based
 	freeSlot []uint16         // guarded by mu; free rnode slots
@@ -138,7 +148,9 @@ type Cache struct {
 }
 
 // New builds a cache with an arena of the given size and at most maxFiles
-// simultaneously cached files (the rnode table size).
+// simultaneously cached files (the rnode table size). The arena is mapped
+// outside the Go heap and unmapped once the Cache and every View of it are
+// unreachable; a failed mapping reports ErrConfig.
 func New(arenaBytes int64, maxFiles int) (*Cache, error) {
 	if arenaBytes <= 0 {
 		return nil, fmt.Errorf("non-positive arena %d: %w", arenaBytes, ErrConfig)
@@ -150,8 +162,12 @@ func New(arenaBytes int64, maxFiles int) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
+	buf, err := syscall.Mmap(-1, 0, int(arenaBytes), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return nil, fmt.Errorf("mapping a %d-byte arena: %v: %w", arenaBytes, err, ErrConfig)
+	}
 	c := &Cache{
-		buf:      make([]byte, arenaBytes),
+		buf:      buf,
 		arena:    arena,
 		rnodes:   make([]rnode, maxFiles),
 		freeSlot: make([]uint16, 0, maxFiles),
@@ -162,7 +178,18 @@ func New(arenaBytes int64, maxFiles int) (*Cache, error) {
 	for i := maxFiles; i >= 1; i-- {
 		c.freeSlot = append(c.freeSlot, uint16(i))
 	}
+	runtime.SetFinalizer(c, (*Cache).unmap)
 	return c, nil
+}
+
+// unmap returns the arena to the kernel. It is the Cache's finalizer: it
+// runs once nothing reaches the Cache — no View either, since every View
+// holds it — so no arena byte can be touched again.
+func (c *Cache) unmap() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_ = syscall.Munmap(c.buf) // only fails for a slice Mmap did not return
+	c.buf = nil
 }
 
 // tick returns the next age stamp; safe under the shared lock.
@@ -223,6 +250,7 @@ func (c *Cache) Insert(inode uint32, data []byte) (idx uint16, evicted []Evicted
 		return 0, evicted, err
 	}
 	copy(c.rnodes[idx-1].bytes(c.buf), data)
+	runtime.KeepAlive(c) // the mapping must outlive the copy into it
 	return idx, evicted, nil
 }
 
@@ -367,6 +395,10 @@ func (c *Cache) reclaimLocked(idx uint16) error {
 // last Release. That lets a reader leave the engine's metadata lock before
 // copying the bytes to the wire. Views are cheap; hold them only for the
 // duration of one copy-out and always Release (Release is idempotent).
+//
+// A View holds its Cache, so while it is reachable the arena stays mapped.
+// The engine embeds one in each read lease (ViewInto fills it), so a cache
+// hit allocates no View of its own.
 type View struct {
 	c    *Cache
 	idx  uint16
@@ -433,25 +465,34 @@ func (v *View) Release() {
 // refreshes its LRU age. Unlike Get, the returned view stays valid across
 // later cache operations until it is released.
 func (c *Cache) GetView(idx uint16, inode uint32) (*View, error) {
-	return c.view(idx, inode, true)
+	v := new(View)
+	if err := c.view(v, idx, inode, true); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Pin is GetView without the cache-hit accounting: the engine pins a
 // freshly inserted entry for the duration of its disk write-through,
 // which is not a read.
 func (c *Cache) Pin(idx uint16, inode uint32) (*View, error) {
-	return c.view(idx, inode, false)
+	v := new(View)
+	if err := c.view(v, idx, inode, false); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-// view runs under the shared lock: writers (Insert, Remove, Compact) are
-// excluded, so the rnode fields are stable, and the pin/age updates go
-// through the atomic side tables. Concurrent lookups proceed in parallel.
-func (c *Cache) view(idx uint16, inode uint32, countHit bool) (*View, error) {
+// view pins slot idx into v, overwriting it. It runs under the shared
+// lock: writers (Insert, Remove, Compact) are excluded, so the rnode
+// fields are stable, and the pin/age updates go through the atomic side
+// tables. Concurrent lookups proceed in parallel.
+func (c *Cache) view(v *View, idx uint16, inode uint32, countHit bool) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	rn, err := c.lookupLocked(idx, inode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sl := &c.slots[idx-1]
 	sl.age.Store(c.tick())
@@ -459,7 +500,8 @@ func (c *Cache) view(idx uint16, inode uint32, countHit bool) (*View, error) {
 	if countHit {
 		sl.hits.Add(1)
 	}
-	return &View{c: c, idx: idx, data: rn.bytes(c.buf)}, nil
+	*v = View{c: c, idx: idx, data: rn.bytes(c.buf)}
+	return nil
 }
 
 // PinnedViews returns the number of outstanding pinned views. The count
@@ -476,8 +518,9 @@ func (c *Cache) PinnedViews() int64 {
 // Get returns the cached contents for slot idx, checking that the slot
 // still belongs to the expected inode, and refreshes its LRU age. The
 // returned slice aliases the cache arena: callers must copy before the next
-// cache operation (the engine uses GetView instead, which pins the bytes
-// in place until released).
+// cache operation, and hold the Cache while they do — the slice alone does
+// not keep the arena mapped (the engine uses GetView instead, which pins
+// the bytes in place until released and holds the Cache).
 func (c *Cache) Get(idx uint16, inode uint32) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -562,6 +605,7 @@ func (c *Cache) compactLocked() error {
 		copy(c.buf[m.To:m.To+m.Count], c.buf[m.From:m.From+m.Count])
 		c.rnodes[m.Tag.(uint16)-1].off = m.To
 	}
+	runtime.KeepAlive(c) // the mapping must outlive the moves inside it
 	var after []alloc.Extent
 	for i := range c.rnodes {
 		rn := &c.rnodes[i]

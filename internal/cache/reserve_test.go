@@ -225,7 +225,9 @@ func TestAbandonedReservationReturnsExtent(t *testing.T) {
 // TestConcurrentReserveFillPublish fills reservations with no lock held
 // while other goroutines look the same slots up, insert (evicting), remove
 // and compact. A reader that gets a view must see only fully written
-// bytes. Meant for -race.
+// bytes. Meant for -race — which does not see the arena's bytes (they are
+// mapped memory it does not shadow), so every view read here is checked
+// byte for byte against what was written.
 func TestConcurrentReserveFillPublish(t *testing.T) {
 	c := mustNew(t, 64<<10, 16)
 	const workers, rounds, size = 4, 200, 4 << 10
@@ -273,8 +275,18 @@ func TestConcurrentReserveFillPublish(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				inode := uint32(1<<20 + w*rounds + i)
-				if idx, _, err := c.Insert(inode, make([]byte, size/2)); err == nil && i%3 == 0 {
-					_ = c.Remove(idx, inode)
+				want := bytes.Repeat([]byte{byte(inode) | 1}, size/2)
+				idx, _, err := c.Insert(inode, want)
+				if err == nil {
+					if got, verr := c.GetView(idx, inode); verr == nil {
+						if !bytes.Equal(got.Bytes(), want) {
+							t.Errorf("inserted slot %d reads back foreign bytes", idx)
+						}
+						got.Release()
+					}
+					if i%3 == 0 {
+						_ = c.Remove(idx, inode)
+					}
 				}
 				if i%7 == 0 {
 					_ = c.Compact()

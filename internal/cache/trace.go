@@ -2,15 +2,16 @@ package cache
 
 import "bulletfs/internal/trace"
 
-// GetViewTraced is GetView with a cache-lookup span: hit or miss, size on
-// hit. tc may be nil (untraced paths share this code path shape in the
-// engine).
-func (c *Cache) GetViewTraced(tc *trace.Ctx, parent *trace.Span, idx uint16, inode uint32) (*View, error) {
+// ViewInto is GetView into a View the caller provides — the engine's read
+// lease embeds one, so a hit allocates nothing here — with a cache-lookup
+// span: hit or miss, size on hit. On error v is untouched. tc may be nil
+// (untraced paths share this code path shape in the engine).
+func (c *Cache) ViewInto(tc *trace.Ctx, parent *trace.Span, v *View, idx uint16, inode uint32) error {
 	if !tc.Active() {
-		return c.GetView(idx, inode)
+		return c.view(v, idx, inode, true)
 	}
 	sp := tc.Begin(parent, trace.LayerCache, trace.OpCacheLookup)
-	v, err := c.GetView(idx, inode)
+	err := c.view(v, idx, inode, true)
 	if sp != nil {
 		sp.Inode = inode
 		if err == nil {
@@ -22,7 +23,7 @@ func (c *Cache) GetViewTraced(tc *trace.Ctx, parent *trace.Span, idx uint16, ino
 		}
 	}
 	tc.End(sp)
-	return v, err
+	return err
 }
 
 // InsertTraced is Insert with a cache-insert span recording the inode and

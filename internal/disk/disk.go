@@ -21,7 +21,9 @@ type Device interface {
 	Blocks() int64
 	// ReadAt fills p from the byte offset off.
 	ReadAt(p []byte, off int64) error
-	// WriteAt stores p at the byte offset off.
+	// WriteAt stores p at the byte offset off. It neither modifies p nor
+	// keeps it past its return: callers write from pinned cache bytes and
+	// reuse their buffers.
 	WriteAt(p []byte, off int64) error
 	// Sync flushes any volatile buffers to stable storage.
 	Sync() error

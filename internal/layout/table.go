@@ -29,6 +29,13 @@ type Table struct {
 	// FlushSums rather than on the create write-through path, keeping the
 	// commit cost of a create identical to the paper's.
 	dirtySums map[int64]struct{} // guarded by mu
+
+	// spare holds WriteInode's free block buffers: a device is done with a
+	// buffer when WriteAt returns, so each inode write hands its buffer
+	// back instead of leaving a block of garbage per create and delete. It
+	// never holds more buffers than inode writes have run at once.
+	blockMu sync.Mutex
+	spare   [][]byte // guarded by blockMu
 }
 
 // ScanProblem describes one inconsistency found while scanning the table.
@@ -407,28 +414,36 @@ func (t *Table) InodeBlock(n uint32) int64 {
 // holds inode n, ready to be written to disk. Creating or deleting a file
 // writes the whole block containing the inode (paper §3).
 func (t *Table) EncodeInodeBlock(n uint32) (blockNo int64, data []byte) {
+	data = make([]byte, t.desc.BlockSize)
+	return t.encodeInodeBlock(n, data), data
+}
+
+// encodeInodeBlock is EncodeInodeBlock into data, one block long; every
+// byte of it is written.
+func (t *Table) encodeInodeBlock(n uint32, data []byte) (blockNo int64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	bs := t.desc.BlockSize
 	blockNo = t.InodeBlock(n)
-	data = make([]byte, bs)
 	perBlock := bs / InodeSize
 	first := int(blockNo) * perBlock
 	for i := 0; i < perBlock; i++ {
 		slot := first + i
-		if slot == 0 {
+		b := data[i*InodeSize : (i+1)*InodeSize]
+		switch {
+		case slot == 0:
 			// Re-encode the descriptor so block 0 round-trips.
-			descriptorBytes(t.desc, data[:InodeSize])
-			continue
+			clear(b)
+			descriptorBytes(t.desc, b)
+		case slot >= len(t.inodes):
+			clear(b)
+		default:
+			ino := t.inodes[slot]
+			ino.CacheIndex = 0 // keep disk copies free of run-time state
+			ino.encode(b)
 		}
-		if slot >= len(t.inodes) {
-			break
-		}
-		ino := t.inodes[slot]
-		ino.CacheIndex = 0 // keep disk copies free of run-time state
-		ino.encode(data[i*InodeSize : (i+1)*InodeSize])
 	}
-	return blockNo, data
+	return blockNo
 }
 
 // WriteInode persists the control block containing inode n to dev. The
@@ -436,8 +451,21 @@ func (t *Table) EncodeInodeBlock(n uint32) (blockNo int64, data []byte) {
 // via their random-number tag, so create and delete stay one-block writes
 // exactly as in the paper, and checksums reach disk via FlushSums.
 func (t *Table) WriteInode(dev disk.Device, n uint32) error {
-	blockNo, data := t.EncodeInodeBlock(n)
-	if err := dev.WriteAt(data, blockNo*int64(t.desc.BlockSize)); err != nil {
+	var buf []byte
+	t.blockMu.Lock()
+	if k := len(t.spare); k > 0 {
+		buf, t.spare = t.spare[k-1], t.spare[:k-1]
+	}
+	t.blockMu.Unlock()
+	if buf == nil {
+		buf = make([]byte, t.desc.BlockSize)
+	}
+	blockNo := t.encodeInodeBlock(n, buf)
+	err := dev.WriteAt(buf, blockNo*int64(t.desc.BlockSize))
+	t.blockMu.Lock()
+	t.spare = append(t.spare, buf)
+	t.blockMu.Unlock()
+	if err != nil {
 		return fmt.Errorf("layout: writing inode block %d: %w", blockNo, err)
 	}
 	return nil

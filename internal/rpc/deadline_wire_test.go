@@ -23,7 +23,7 @@ func TestDeadlineTLVRoundTrip(t *testing.T) {
 		t.Fatalf("frame magic %08x, want v2 %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	txid, traceID, gotBudget, gotPort, h, payload, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	txid, traceID, gotBudget, gotPort, h, payload, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
 	if err != nil {
 		t.Fatalf("readFrameScratch: %v", err)
 	}
@@ -45,7 +45,7 @@ func TestDeadlineWithoutTraceStaysV2(t *testing.T) {
 		t.Fatalf("frame magic %08x, want v2 %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	_, traceID, budget, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	_, traceID, budget, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func (l *Local) Call(port capability.Port, opts CallOpts, req Header, payload []
 	}
 	a := l.mux.newArena()
 	tc := a.arm(opts.TraceID, opts.Budget)
-	after, err := l.mux.dispatch(tc, port, opts.TxID, req, payload, deliver)
+	after, err := l.mux.dispatch(l.mux.newStreamState(deliver), tc, port, opts.TxID, req, payload)
 	tc.Finish()
 	a.release()
 	if after != nil {

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"errors"
+	"io"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,18 @@ import (
 
 	"bulletfs/internal/capability"
 )
+
+// writeFrame sends one frame through a one-off frameWriter (fake peers and
+// codec tests; connections keep their own).
+func writeFrame(w io.Writer, magic uint32, txid uint64, port capability.Port, h Header, payload []byte) error {
+	return writeFrameExt(w, magic, txid, 0, 0, port, h, payload)
+}
+
+// writeFrameExt is writeFrame with the optional trace ID and budget.
+func writeFrameExt(w io.Writer, magic uint32, txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte) error {
+	var fw frameWriter
+	return fw.write(w, magic, txid, traceID, budget, port, h, payload)
+}
 
 func echoHandler(req Header, payload []byte) (Header, []byte) {
 	rep := req

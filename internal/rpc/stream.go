@@ -100,7 +100,13 @@ type FrameSink func(h Header, data []byte, last bool) error
 // goroutine. The returned error is transport-level: ErrNoServer for an
 // unserved port, or the sink's own error propagated back.
 func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte, sink FrameSink) error {
-	after, err := m.dispatch(tc, port, txid, req, payload, sink)
+	return m.serve(m.newStreamState(sink), tc, port, txid, req, payload)
+}
+
+// serve is DispatchStream on a streamState its caller keeps across
+// requests (a TCP connection): dispatch, then the final frame's After.
+func (m *Mux) serve(st *streamState, tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte) error {
+	after, err := m.dispatch(st, tc, port, txid, req, payload)
 	if after != nil {
 		after()
 	}
@@ -109,8 +115,9 @@ func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, r
 
 // dispatch is DispatchStream up to the final frame's After, which it
 // returns (nil when there is none) for the caller to run once the reply is
-// out of its hands.
-func (m *Mux) dispatch(tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte, sink FrameSink) (after func(), err error) {
+// out of its hands. st carries the sink; dispatch re-arms it for this
+// request.
+func (m *Mux) dispatch(st *streamState, tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte) (after func(), err error) {
 	m.mu.Lock()
 	e, ok := m.handlers[port]
 	mm := m.metrics
@@ -123,7 +130,7 @@ func (m *Mux) dispatch(tc *trace.Ctx, port capability.Port, txid uint64, req Hea
 			m.mu.Unlock()
 			m.replayStats(mm, tc, req, cached)
 			tc.Finish() // publish before the reply, as streamState.emit does
-			return nil, sink(cached.hdr, cached.payload, true)
+			return nil, st.sink(cached.hdr, cached.payload, true)
 		}
 	}
 	m.mu.Unlock()
@@ -134,9 +141,9 @@ func (m *Mux) dispatch(tc *trace.Ctx, port capability.Port, txid uint64, req Hea
 		root.Bytes = int64(len(payload))
 	}
 	start := time.Now()
-	st := streamState{m: m, sink: sink, txid: txid, tc: tc, root: root}
+	st.arm(txid, tc, root)
 	if e.stream != nil {
-		e.stream(tc, root, req, payload, st.emit)
+		e.stream(tc, root, req, payload, st.emitFn)
 	} else {
 		h, p := e.plain(req, payload)
 		_ = st.emit(h, Plain(p), true) // a sink error is kept in st.werr
@@ -154,13 +161,21 @@ func (m *Mux) dispatch(tc *trace.Ctx, port capability.Port, txid uint64, req Hea
 		root.Status = int32(st.hdr.Status)
 	}
 	tc.End(root)
-	return st.after, st.werr
+	after, err = st.after, st.werr
+	st.arm(0, nil, nil) // hold nothing of this request until the next
+	return after, err
 }
 
 // streamState carries one streamed dispatch's bookkeeping across emits.
+// A serving context that dispatches many requests keeps one: the sink and
+// the emitter handed to stream handlers are bound once (newStreamState),
+// and dispatch re-arms the rest per request, so a dispatch allocates
+// neither.
 type streamState struct {
-	m    *Mux
-	sink FrameSink
+	m      *Mux
+	sink   FrameSink
+	emitFn Emitter // st.emit
+
 	txid uint64
 	tc   *trace.Ctx
 	root *trace.Span // the request's root span; nil when untraced
@@ -170,6 +185,19 @@ type streamState struct {
 	hdr    Header
 	werr   error  // first sink error; later emits are dropped
 	after  func() // the final frame's Payload.After
+}
+
+// newStreamState binds sink and the emitter for dispatches through m.
+func (m *Mux) newStreamState(sink FrameSink) *streamState {
+	st := &streamState{m: m, sink: sink}
+	st.emitFn = st.emit
+	return st
+}
+
+// arm resets the per-request fields for one dispatch.
+func (st *streamState) arm(txid uint64, tc *trace.Ctx, root *trace.Span) {
+	st.txid, st.tc, st.root = txid, tc, root
+	st.frames, st.bytes, st.hdr, st.werr, st.after = 0, 0, Header{}, nil, nil
 }
 
 // emit is the Emitter handed to stream handlers: it books the frame,

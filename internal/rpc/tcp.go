@@ -70,26 +70,11 @@ const (
 	extScratchLen = 64
 )
 
-// prologuePool recycles the fixed-size prologue buffers of the vectored
-// write path, so a steady request load allocates nothing per frame. The
-// arrays carry extMax extra bytes so a traced (v2) frame's extension
-// rides in the same buffer.
-var prologuePool = sync.Pool{
-	New: func() any { return new([prologueLen + extMax]byte) },
-}
-
-// payloadPool recycles server-side request payload buffers (see
-// readFrameScratch). Only buffers up to pooledPayloadCap are pooled;
-// oversized requests fall back to one-shot allocations rather than
-// pinning megabytes in the pool.
-var payloadPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 64<<10)
-		return &b
-	},
-}
-
-const pooledPayloadCap = 1 << 20
+// scratchPayloadCap bounds the request payloads a server connection reads
+// into its reusable buffer (see readFrameScratch); larger requests fall
+// back to one-shot allocations rather than pinning megabytes per
+// connection.
+const scratchPayloadCap = 1 << 20
 
 // encodePrologue fills dst (length prologueLen) with everything before
 // the payload.
@@ -101,31 +86,38 @@ func encodePrologue(dst []byte, magic uint32, txid uint64, port capability.Port,
 	binary.BigEndian.PutUint32(dst[prologueLen-4:], uint32(paylen))
 }
 
-// writeFrame sends one frame. On a TCP connection the prologue and payload
-// go out as one vectored write (writev): no per-frame buffer is assembled
-// and the payload is never copied. Other writers get two plain writes.
-func writeFrame(w io.Writer, magic uint32, txid uint64, port capability.Port, h Header, payload []byte) error {
-	return writeFrameExt(w, magic, txid, 0, 0, port, h, payload)
+// frameWriter is one sender's frame-writing state, reused for every frame
+// it sends: the prologue buffer (with room for a v2 extension) and the
+// two-element vector a frame goes out as. A connection owns one per
+// direction it writes — the client's under its send lock, the server's on
+// the serving goroutine — so a frame costs no allocation.
+type frameWriter struct {
+	pro  [prologueLen + extMax]byte
+	vec  [2][]byte
+	bufs net.Buffers
 }
 
-// writeFrameExt is the full sender: trace ID and deadline budget both
-// optional (zero means absent). Either one upgrades a request frame to
-// v2 with the TLV extension between prologue and payload; replies never
-// carry it (the trace lives on the server).
-func writeFrameExt(w io.Writer, magic uint32, txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte) error {
+// write sends one frame. On a TCP connection the prologue and payload go
+// out as one vectored write (writev): no per-frame buffer is assembled and
+// the payload is never copied. Other writers get two plain writes. The
+// trace ID and deadline budget are both optional (zero means absent);
+// either one upgrades a request frame to v2 with the TLV extension between
+// prologue and payload. Replies never carry it (the trace lives on the
+// server).
+func (fw *frameWriter) write(w io.Writer, magic uint32, txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("%d bytes: %w", len(payload), ErrPayloadTooLarge)
 	}
-	pb := prologuePool.Get().(*[prologueLen + extMax]byte)
-	defer prologuePool.Put(pb)
 	n := prologueLen
 	if (traceID != 0 || budget > 0) && magic == magicRequest {
 		magic = magicRequestV2
-		n += encodeExt(pb[prologueLen:], traceID, budget)
+		n += encodeExt(fw.pro[prologueLen:], traceID, budget)
 	}
-	encodePrologue(pb[:prologueLen], magic, txid, port, h, len(payload))
-	bufs := net.Buffers{pb[:n], payload}
-	_, err := bufs.WriteTo(w)
+	encodePrologue(fw.pro[:prologueLen], magic, txid, port, h, len(payload))
+	fw.vec = [2][]byte{fw.pro[:n], payload}
+	fw.bufs = fw.vec[:]
+	_, err := fw.bufs.WriteTo(w)
+	fw.vec = [2][]byte{} // the payload may be a pin's bytes, released once this returns
 	return err
 }
 
@@ -151,63 +143,58 @@ func encodeExt(dst []byte, traceID uint64, budget time.Duration) int {
 
 // readFrameScratch is the one frame decoder, both directions: fixed
 // (length >= prologueLen; bytes past that are inbound-extension scratch)
-// is caller-provided, and with pooled true the payload buffer comes from
-// payloadPool — release must then be called once the payload is dead (it
-// is nil when there is nothing to return). Pooled payloads must not
-// outlive their release; the server relies on the Handler contract for
-// that. Otherwise the payload is freshly allocated and the caller's.
+// is caller-provided, and with scratch non-nil a payload of up to
+// scratchPayloadCap bytes is read into *scratch, grown as needed — it is
+// then only valid until the next call with the same scratch; the server
+// relies on the Handler contract (payloads are not retained) for that.
+// Otherwise the payload is freshly allocated and the caller's.
 //
 // When wantMagic is magicRequest, v2 request frames are accepted too:
 // their extension is parsed for a trace ID (traceID 0 = none carried)
 // and a deadline budget (0 = none), and unknown extension fields are
 // skipped. When it is magicReply, so is a non-final stream frame (AMRS),
 // reported as last == false.
-func readFrameScratch(r io.Reader, wantMagic uint32, fixed []byte, pooled bool) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte, release func(), last bool, err error) {
+func readFrameScratch(r io.Reader, wantMagic uint32, fixed []byte, scratch *[]byte) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte, last bool, err error) {
 	pro := fixed[:prologueLen]
 	if _, err = io.ReadFull(r, pro); err != nil {
-		return 0, 0, 0, port, h, nil, nil, false, err
+		return 0, 0, 0, port, h, nil, false, err
 	}
 	got := binary.BigEndian.Uint32(pro[0:4])
 	v2 := wantMagic == magicRequest && got == magicRequestV2
 	more := wantMagic == magicReply && got == magicReplyMore
 	if got != wantMagic && !v2 && !more {
-		return 0, 0, 0, port, h, nil, nil, false, fmt.Errorf("magic %08x: %w", got, ErrBadFrame)
+		return 0, 0, 0, port, h, nil, false, fmt.Errorf("magic %08x: %w", got, ErrBadFrame)
 	}
 	txid = binary.BigEndian.Uint64(pro[4:12])
 	copy(port[:], pro[12:12+capability.PortLen])
 	h, _, err = DecodeHeader(pro[12+capability.PortLen : 12+capability.PortLen+HeaderLen])
 	if err != nil {
-		return 0, 0, 0, port, h, nil, nil, false, err
+		return 0, 0, 0, port, h, nil, false, err
 	}
 	paylen := binary.BigEndian.Uint32(pro[len(pro)-4:])
 	if paylen > MaxPayload {
-		return 0, 0, 0, port, h, nil, nil, false, fmt.Errorf("%d bytes: %w", paylen, ErrPayloadTooLarge)
+		return 0, 0, 0, port, h, nil, false, fmt.Errorf("%d bytes: %w", paylen, ErrPayloadTooLarge)
 	}
 	if v2 {
 		// pro is fully decoded by now, so its first bytes double as the
 		// extlen scratch.
 		traceID, budget, err = readExt(r, pro[0:2], fixed[prologueLen:])
 		if err != nil {
-			return 0, 0, 0, port, h, nil, nil, false, err
+			return 0, 0, 0, port, h, nil, false, err
 		}
 	}
-	if pooled && paylen <= pooledPayloadCap {
-		bp := payloadPool.Get().(*[]byte)
-		if cap(*bp) < int(paylen) {
-			*bp = make([]byte, paylen)
+	if scratch != nil && paylen <= scratchPayloadCap {
+		if cap(*scratch) < int(paylen) {
+			*scratch = make([]byte, paylen)
 		}
-		payload = (*bp)[:paylen]
-		release = func() { payloadPool.Put(bp) }
+		payload = (*scratch)[:paylen]
 	} else {
 		payload = make([]byte, paylen)
 	}
 	if _, err = io.ReadFull(r, payload); err != nil {
-		if release != nil {
-			release()
-		}
-		return 0, 0, 0, port, h, nil, nil, false, err
+		return 0, 0, 0, port, h, nil, false, err
 	}
-	return txid, traceID, budget, port, h, payload, release, !more, nil
+	return txid, traceID, budget, port, h, payload, !more, nil
 }
 
 // readExt consumes a v2 prologue extension: extlen, then TLV fields.
@@ -303,6 +290,28 @@ func (s *TCPServer) acceptLoop(lis net.Listener) {
 	}
 }
 
+// connReplier writes one connection's reply frames. serveConn owns it and
+// points it at each request in turn, so the sink a dispatch writes through
+// is bound once per connection, not built per request.
+type connReplier struct {
+	conn net.Conn
+	fw   frameWriter
+	txid uint64          // the request being answered
+	port capability.Port // likewise
+}
+
+// frame is the connection's FrameSink: the frame's header and payload go
+// to the socket in one vectored write, and a payload backed by a pinned
+// cache view is released by the dispatch layer right after it returns —
+// the pin is held exactly over the write, never longer.
+func (r *connReplier) frame(h Header, data []byte, last bool) error {
+	magic := uint32(magicReplyMore)
+	if last {
+		magic = magicReply
+	}
+	return r.fw.write(r.conn, magic, r.txid, 0, 0, r.port, h, data)
+}
+
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -315,38 +324,29 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// fixed holds the prologue plus scratch for the v2 extension, so a
 	// traced request costs no more allocation than an untraced one.
 	var fixed [prologueLen + extScratchLen]byte
+	// Request payloads are read into one buffer the connection reuses: the
+	// dispatch (and the Handlers under it) must not retain them. Reply
+	// payloads are never reused — the duplicate-suppression cache retains
+	// them.
+	var reqBuf []byte
 	// The connection owns one span arena for its lifetime; each request
 	// re-arms it. With no recorder attached and no budget on the request,
 	// the Ctx is nil and the trace calls below are no-ops.
 	a := s.mux.newArena()
 	defer a.release()
+	// Likewise the reply writer and the dispatch state: bound once here,
+	// re-armed per request, so a request allocates neither.
+	rep := &connReplier{conn: conn}
+	st := s.mux.newStreamState(rep.frame)
 	for {
-		// Request payloads come from a pool: the dispatch (and the Handlers
-		// under it) must not retain them, so the buffer is recycled as
-		// soon as the reply is built. Reply payloads are never pooled —
-		// the duplicate-suppression cache retains them.
-		txid, traceID, budget, port, req, payload, release, _, err := readFrameScratch(br, magicRequest, fixed[:], true)
+		txid, traceID, budget, port, req, payload, _, err := readFrameScratch(br, magicRequest, fixed[:], &reqBuf)
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
 		cur := a.arm(traceID, budget)
-		// Reply frames are written from inside the dispatch: the sink hands
-		// each frame's payload to a vectored socket write (header and
-		// payload in one writev, no intermediate copy), and a payload
-		// backed by a pinned cache view is released by the dispatch layer
-		// right after its write returns — the pin is held exactly over the
-		// write, never longer.
-		err = s.mux.DispatchStream(cur, port, txid, req, payload, func(h Header, data []byte, last bool) error {
-			magic := uint32(magicReplyMore)
-			if last {
-				magic = magicReply
-			}
-			return writeFrame(conn, magic, txid, port, h, data)
-		})
+		rep.txid, rep.port = txid, port
+		err = s.mux.serve(st, cur, port, txid, req, payload)
 		cur.Finish()
-		if release != nil {
-			release()
-		}
 		if err != nil {
 			// A dispatch error before any frame went out still gets a
 			// reply; a mid-stream write error means the connection is gone
@@ -355,7 +355,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			if errors.Is(err, ErrNoServer) {
 				repHdr = ReplyErr(StatusNoSuchObject)
 			}
-			if werr := writeFrame(conn, magicReply, txid, port, repHdr, nil); werr != nil {
+			if werr := rep.frame(repHdr, nil, true); werr != nil {
 				return
 			}
 		}
@@ -388,7 +388,7 @@ func StaticResolver(table map[capability.Port]string) Resolver {
 	return func(p capability.Port) (string, error) {
 		addr, ok := table[p]
 		if !ok {
-			return "", fmt.Errorf("port %x: %w", p[:], ErrNoServer)
+			return "", fmt.Errorf("port %x: %w", string(p[:]), ErrNoServer) // a copy: p stays off the heap
 		}
 		return addr, nil
 	}
@@ -417,8 +417,9 @@ type TCPTransport struct {
 type tcpConn struct {
 	conn net.Conn // safe for concurrent use; smu orders writers, the turn orders readers
 
-	smu  sync.Mutex // send lock: deadline arm + one writev + taking a ticket
-	sent uint64     // guarded by smu; tickets handed out, one per request on the wire
+	smu  sync.Mutex  // send lock: deadline arm + one writev + taking a ticket
+	sent uint64      // guarded by smu; tickets handed out, one per request on the wire
+	fw   frameWriter // guarded by smu; the request frames' writer
 
 	rmu   sync.Mutex
 	turn  sync.Cond // on rmu; broadcast when recvd moves or dead is set
@@ -481,8 +482,8 @@ func (c *tcpConn) enter(timeout time.Duration, port capability.Port, opts CallOp
 		err = c.conn.SetWriteDeadline(deadline)
 	}
 	if err == nil {
-		// One vectored write per request (see writeFrame): nothing to flush.
-		err = writeFrameExt(c.conn, magicRequest, opts.TxID, opts.TraceID, opts.Budget, port, req, payload)
+		// One vectored write per request (see frameWriter): nothing to flush.
+		err = c.fw.write(c.conn, magicRequest, opts.TxID, opts.TraceID, opts.Budget, port, req, payload)
 	}
 	ticket := c.sent
 	c.sent++ // even after a failed write: the connection dies with it, tickets and all
@@ -556,7 +557,7 @@ func (t *TCPTransport) Call(port capability.Port, opts CallOpts, req Header, pay
 	err = c.enter(t.timeout, port, opts, req, payload)
 	for err == nil {
 		var last bool
-		_, _, _, _, h, data, _, last, err = readFrameScratch(c.br, magicReply, c.pro[:], false)
+		_, _, _, _, h, data, last, err = readFrameScratch(c.br, magicReply, c.pro[:], nil)
 		if err == nil && sink == nil && !last {
 			err = fmt.Errorf("stream frame in a single-frame reply: %w", ErrBadFrame)
 		}

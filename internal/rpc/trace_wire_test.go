@@ -22,7 +22,7 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 		t.Fatalf("traced frame magic %08x, want %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	txid, traceID, _, gotPort, h, payload, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	txid, traceID, _, gotPort, h, payload, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
 	if err != nil {
 		t.Fatalf("readFrameScratch: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestUnknownExtensionFieldsSkipped(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var fixed [prologueLen + extScratchLen]byte
-			_, traceID, _, _, gotH, payload, _, _, err := readFrameScratch(bytes.NewReader(build(tc.ext, 3)), magicRequest, fixed[:], false)
+			_, traceID, _, _, gotH, payload, _, err := readFrameScratch(bytes.NewReader(build(tc.ext, 3)), magicRequest, fixed[:], nil)
 			if err != nil {
 				t.Fatalf("readFrameScratch: %v", err)
 			}
@@ -114,7 +114,7 @@ func TestTruncatedExtensionRejected(t *testing.T) {
 	buf.Write(two[:])
 	buf.Write([]byte{extTypeTraceID, 8, 0x01}) // claims 8 value bytes, has 1
 	var fixed [prologueLen + extScratchLen]byte
-	_, _, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	_, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
 	if err == nil {
 		t.Fatal("truncated TLV accepted")
 	}
@@ -144,7 +144,7 @@ func TestLargeExtensionBeyondScratch(t *testing.T) {
 	buf.Write(two[:])
 	buf.Write(ext)
 	var fixed [prologueLen + extScratchLen]byte
-	_, traceID, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], false)
+	_, traceID, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
 	if err != nil {
 		t.Fatalf("readFrameScratch: %v", err)
 	}
