@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -129,7 +130,10 @@ func (l *loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// goFilesIn lists the non-test buildable .go files of dir, sorted.
+// goFilesIn lists the non-test .go files of dir that build on the host,
+// sorted. go/build decides, from file-name suffixes and //go:build lines
+// alike, so a package with per-platform files (internal/layout's checksum)
+// is checked as the host compiles it.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -138,14 +142,12 @@ func goFilesIn(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") ||
-			strings.HasPrefix(name, "_") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		ok, err := buildable(filepath.Join(dir, name))
+		ok, err := build.Default.MatchFile(dir, name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		if ok {
 			names = append(names, name)
@@ -153,27 +155,6 @@ func goFilesIn(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// buildable reports whether the file lacks a "//go:build ignore"-style
-// constraint. The module does not use platform build tags; any //go:build
-// line at all excludes the file from analysis rather than teaching the
-// loader constraint evaluation.
-func buildable(path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, fmt.Errorf("analysis: reading %s: %w", path, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "//go:build") || strings.HasPrefix(line, "// +build") {
-			return false, nil
-		}
-		if line != "" && !strings.HasPrefix(line, "//") {
-			break // past the header comments
-		}
-	}
-	return true, nil
 }
 
 // modulePathOf reads the module path out of dir/go.mod.

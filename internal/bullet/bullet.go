@@ -27,7 +27,6 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -277,11 +276,6 @@ type RecoverReport struct {
 // maxCapCache bounds the verified-capability cache.
 const maxCapCache = 4096
 
-// castagnoli is the CRC32C polynomial table used for file checksums
-// (layout.Inode.Sum). Castagnoli is hardware-accelerated on every platform
-// Go targets, so verification on fault-in costs one linear pass.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // maxFaultRetries bounds how often a fault leader re-reads a file that
 // compaction keeps moving out from under it.
 const maxFaultRetries = 8
@@ -522,7 +516,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	// the scrubber), so the write-through below stays one inode block per
 	// create. A lost flush costs a lazy recompute on the next boot's first
 	// fault-in, never correctness.
-	_ = s.table.SetSum(inode, crc32.Checksum(data, castagnoli))
+	_ = s.table.SetSum(inode, layout.Checksum(data))
 
 	// Into the RAM cache first: BULLET.CREATE with P-FACTOR 0 returns
 	// "immediately after the file has been copied to the file server's RAM
@@ -867,7 +861,7 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 				// next replica and rewrites the bad extent in place.
 				want := ino.Sum
 				rerr = s.replicas.ReadVerifiedTraced(tc, parent, data, off, func(p []byte) bool {
-					return crc32.Checksum(p, castagnoli) == want
+					return layout.Checksum(p) == want
 				})
 			} else {
 				rerr = s.replicas.ReadAtTraced(tc, parent, data, off)
@@ -901,7 +895,7 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 			// Lazy backfill for files that predate checksums (v1-era disks):
 			// the bytes just read — and just revalidated against the live
 			// inode — define the file's CRC32C from here on.
-			if s.table.SetSum(inode, crc32.Checksum(data, castagnoli)) == nil {
+			if s.table.SetSum(inode, layout.Checksum(data)) == nil {
 				s.m.sumBackfills.Inc()
 			}
 		}

@@ -2,6 +2,8 @@ package bullet
 
 import (
 	"bytes"
+	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -119,34 +121,42 @@ func (w *healWorld) extentEqual(t *testing.T, a, b int, obj uint32) bool {
 // TestVerifiedFaultInHealsCorruptReplica: silently corrupt the main
 // replica's stored copy of a file, fault it in through a cold cache, and
 // require the read to return the true bytes (served from a sibling), count
-// the checksum error, and rewrite the main's extent in place.
+// the checksum error, and rewrite the main's extent in place. The sizes
+// straddle the vector checksum's 1 KiB threshold, end past its last
+// 64-byte block, and reach the 1 MiB of cold_large_read, where the verify
+// runs thousands of rounds of the fold loop.
 func TestVerifiedFaultInHealsCorruptReplica(t *testing.T) {
-	w := newHealWorld(t, 3, nil)
-	data := bytes.Repeat([]byte("checksums catch what replication spreads "), 50)
-	c := mustCreate(t, w.srv, data, 3)
-	w.srv.Sync()
+	for _, size := range []int{1023, 1024, 1025, 2050, 4096 + 63, 1 << 20} {
+		t.Run(strconv.Itoa(size), func(t *testing.T) {
+			w := newHealWorld(t, 3, nil)
+			data := make([]byte, size)
+			rand.New(rand.NewSource(int64(size))).Read(data)
+			c := mustCreate(t, w.srv, data, 3)
+			w.srv.Sync()
 
-	srv2 := w.mustBoot(t) // cold cache: next read is a disk fault-in
-	w.corruptStored(t, 0, c.Object)
+			srv2 := w.mustBoot(t) // cold cache: next read is a disk fault-in
+			w.corruptStored(t, 0, c.Object)
 
-	got, err := srv2.Read(c)
-	if err != nil {
-		t.Fatalf("Read over corrupt main: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("Read returned corrupt data")
-	}
-	if n := w.set.ChecksumErrors(0); n == 0 {
-		t.Fatalf("checksum error on replica 0 not counted")
-	}
-	if n := w.set.Repairs(0); n == 0 {
-		t.Fatalf("self-heal repair on replica 0 not counted")
-	}
-	if !w.set.Alive(0) {
-		t.Fatalf("one checksum error quarantined replica 0 (budget should absorb it)")
-	}
-	if !w.extentEqual(t, 0, 1, c.Object) {
-		t.Fatalf("replica 0's extent not rewritten in place")
+			got, err := srv2.Read(c)
+			if err != nil {
+				t.Fatalf("Read over corrupt main: %v", err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("Read returned corrupt data")
+			}
+			if n := w.set.ChecksumErrors(0); n != 1 {
+				t.Fatalf("checksum errors on replica 0 = %d, want 1", n)
+			}
+			if n := w.set.Repairs(0); n != 1 {
+				t.Fatalf("self-heal repairs on replica 0 = %d, want 1", n)
+			}
+			if !w.set.Alive(0) {
+				t.Fatalf("one checksum error quarantined replica 0 (budget should absorb it)")
+			}
+			if !w.extentEqual(t, 0, 1, c.Object) {
+				t.Fatalf("replica 0's extent not rewritten in place")
+			}
+		})
 	}
 }
 

@@ -3,10 +3,10 @@ package bullet
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 
 	"bulletfs/internal/capability"
 	"bulletfs/internal/disk"
+	"bulletfs/internal/layout"
 )
 
 // This file is the engine's self-healing surface: per-object scrubbing
@@ -90,7 +90,7 @@ func (s *Server) ScrubObject(obj uint32) ScrubResult {
 	}
 
 	verifies := func(buf []byte) bool {
-		return buf != nil && crc32.Checksum(buf[:ino.Size], castagnoli) == ino.Sum
+		return buf != nil && layout.Checksum(buf[:ino.Size]) == ino.Sum
 	}
 
 	// Pick the reference copy: the first one matching the checksum, or —
@@ -129,7 +129,7 @@ func (s *Server) ScrubObject(obj uint32) ScrubResult {
 			res.Skipped = true // every replica dead or unreadable
 			return res
 		}
-		if s.table.SetSum(obj, crc32.Checksum(copies[ref][:ino.Size], castagnoli)) == nil {
+		if s.table.SetSum(obj, layout.Checksum(copies[ref][:ino.Size])) == nil {
 			res.Backfilled = true
 			s.m.sumBackfills.Inc()
 		}
