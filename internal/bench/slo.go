@@ -307,8 +307,8 @@ const (
 // probe closes the breaker), and a mild phase below the slowness floor
 // (predictive hedging absorbs it under the hard rate cap). The injected
 // latency is delivered to the virtual clock, never to the wall clock, and
-// the hedge timer is disabled (nil-channel After), so the cell is exactly
-// as deterministic as the steady regime.
+// the read ladder runs every attempt in place on the reading goroutine, so
+// the cell is exactly as deterministic as the steady regime.
 func runBrownoutSLO() (*loadgen.Result, *disk.ReplicaSet, error) {
 	profile := hwmodel.AmoebaProfile()
 	clock := &hwmodel.Clock{}
@@ -330,12 +330,9 @@ func runBrownoutSLO() (*loadgen.Result, *disk.ReplicaSet, error) {
 		return nil, nil, err
 	}
 	set.EnableBreakers(disk.BreakerConfig{
-		MinSlow:       500 * time.Millisecond,
-		Cooldown:      2 * time.Second,
-		HedgeDelayMin: 50 * time.Millisecond,
-		HedgeDelayMax: 250 * time.Millisecond,
-		Now:           func() int64 { return int64(clock.Now()) },
-		After:         func(time.Duration) <-chan time.Time { return nil },
+		MinSlow:  500 * time.Millisecond,
+		Cooldown: 2 * time.Second,
+		Now:      func() int64 { return int64(clock.Now()) },
 	})
 	// The small cache forces read misses so the ladder actually runs.
 	eng, err := bullet.New(set, bullet.Options{CacheBytes: 256 << 10})

@@ -855,17 +855,15 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 		var rerr error
 		if ino.Size > 0 {
 			off := s.desc.DataOffset(int64(ino.FirstBlock))
+			// Verified fault-in: when the inode carries a CRC32C, a replica
+			// copy is only accepted if it matches; a mismatch fails over to
+			// the next replica and rewrites the bad extent in place.
+			var verify func([]byte) bool
 			if ino.HasSum {
-				// Verified fault-in: a replica copy is only accepted if it
-				// matches the inode's CRC32C; a mismatch fails over to the
-				// next replica and rewrites the bad extent in place.
 				want := ino.Sum
-				rerr = s.replicas.ReadVerifiedTraced(tc, parent, data, off, func(p []byte) bool {
-					return layout.Checksum(p) == want
-				})
-			} else {
-				rerr = s.replicas.ReadAtTraced(tc, parent, data, off)
+				verify = func(p []byte) bool { return layout.Checksum(p) == want }
 			}
+			rerr = s.replicas.ReadVerified(tc, parent, data, off, verify)
 		}
 
 		s.mu.RLock()

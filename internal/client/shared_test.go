@@ -16,12 +16,14 @@ import (
 )
 
 // countingProxy forwards loopback TCP to addr and counts the client's
-// bytes once they have been written to the server's socket — i.e. once
-// the server could read them.
+// bytes as it reads them, before it forwards them: a counted byte has
+// left the client, and every byte the server has read is already
+// counted, so a reply never arrives before the request bytes it answers
+// are in the count.
 type countingProxy struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
-	delivered int  // guarded by mu; client → server bytes written so far
+	delivered int  // guarded by mu; client → server bytes read so far
 	gaveUp    bool // guarded by mu; set by waitDelivered's timer
 }
 
@@ -53,20 +55,20 @@ func startCountingProxy(t *testing.T, addr string) (*countingProxy, string) {
 				io.Copy(down, up) //nolint:errcheck // ends when either side closes
 				down.Close()
 			}()
-			go func() { // requests: client → server, counted after the write
+			go func() { // requests: client → server, counted before the write
 				defer wg.Done()
 				defer up.Close()
 				buf := make([]byte, 4096)
 				for {
 					n, err := down.Read(buf)
 					if n > 0 {
-						if _, werr := up.Write(buf[:n]); werr != nil {
-							return
-						}
 						p.mu.Lock()
 						p.delivered += n
 						p.mu.Unlock()
 						p.cond.Broadcast()
+						if _, werr := up.Write(buf[:n]); werr != nil {
+							return
+						}
 					}
 					if err != nil {
 						return
@@ -88,8 +90,8 @@ func (p *countingProxy) deliveredBytes() int {
 	return p.delivered
 }
 
-// waitDelivered blocks until the server's socket has been handed at least
-// want bytes, or limit passes; it reports which.
+// waitDelivered blocks until at least want bytes have left the client, or
+// limit passes; it reports which.
 func (p *countingProxy) waitDelivered(want int, limit time.Duration) bool {
 	timer := time.AfterFunc(limit, func() {
 		p.mu.Lock()
@@ -108,11 +110,11 @@ func (p *countingProxy) waitDelivered(want int, limit time.Duration) bool {
 
 // TestSharedClientKeepsServerFed: two goroutines share one Client. The
 // server's handler holds the first READ until the second READ's bytes
-// have reached the server's socket, so when the first reply is written
-// the next request is already there to be read — the server never has to
-// park between the two. With one transaction in flight per connection
-// the second request is not sent until the first reply arrives, and the
-// handler gives up waiting.
+// have left the client, so when the first reply is written the next
+// request is already on its way — the server never has to park between
+// the two. With one transaction in flight per connection the second
+// request is not sent until the first reply arrives, and the handler
+// gives up waiting.
 func TestSharedClientKeepsServerFed(t *testing.T) {
 	eng := newEngine(t)
 	svc := bulletsvc.New(eng)

@@ -6,23 +6,24 @@ package disk
 // of magnitude more slowly — and a fail-stop reader behind a gray main
 // turns every read into a stall. This file adds the three mechanisms
 // that bound the damage, all off by default (EnableBreakers) and all
-// driven by injectable clocks so tests never sleep:
+// driven by an injectable clock so tests never sleep:
 //
 //   - Per-replica health scoring: an EWMA of observed read latency per
-//     replica, fed by every attempt — including abandoned hedges, so a
-//     replica the ladder routes around still accumulates evidence.
+//     replica, fed by every attempt the read ladder makes.
 //   - Circuit breakers: a replica whose reads are persistently slow
 //     relative to its fastest peer trips open and is read only as a
 //     last resort; after a cooldown it half-opens and one probe read
 //     decides whether it closes again.
-//   - Hedged reads: when the preferred replica is slow — predicted by
-//     EWMA ranking, or detected in flight by a timer — the read is
-//     issued to a second replica and the first response wins. Hedges
-//     are capped at a hard percentage of reads so a misbehaving
-//     heuristic can at worst double a small fraction of read load.
+//   - Predictive hedging: when a peer's EWMA is less than half the
+//     main's, the ladder reads that peer first. Such hedges are capped
+//     at DefaultHedgeRatePct of laddered reads, so a misbehaving
+//     heuristic can at worst reroute a small fraction of read load.
+//
+// The ladder itself is ReadVerified's: every attempt runs in place, on
+// the caller's goroutine, into the caller's buffer. Breakers change only
+// the order of the attempts (grayOrder).
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -47,9 +48,8 @@ func breakerStateName(s int32) string {
 }
 
 // breaker is one replica's health score and circuit state. All fields
-// are atomics: observations arrive from read-attempt goroutines
-// (including abandoned hedge losers) while the ladder reads them
-// lock-free.
+// are atomics: concurrent readers feed observations while others rank
+// the ladder from them, lock-free.
 type breaker struct {
 	state    atomic.Int32 // breakerClosed / breakerOpen / breakerHalfOpen
 	ewmaNs   atomic.Int64 // smoothed read latency; 0 = no observation yet
@@ -58,121 +58,65 @@ type breaker struct {
 }
 
 // DefaultSlowStreak is how many consecutive slow reads open a breaker.
+// A streak, not a rate: one hiccup is weather.
 const DefaultSlowStreak = 3
 
-// DefaultHedgeRatePct is the hard cap on hedged reads as a percentage
-// of laddered reads.
+// DefaultHedgeRatePct is the hard cap on predictive hedges as a
+// percentage of laddered reads.
 const DefaultHedgeRatePct = 5
 
+// slowFactor: a read is "slow" when it exceeds slowFactor times the
+// fastest peer's EWMA. The comparison is relative so a uniformly slow
+// medium (every replica equally loaded) never trips.
+const slowFactor = 8
+
 // BreakerConfig configures gray-failure handling for a ReplicaSet. The
-// zero value of any field gets a sane default; the two clock hooks make
-// the whole mechanism virtual-time friendly.
+// zero value of any field gets a sane default; the clock hook makes the
+// whole mechanism virtual-time friendly.
 type BreakerConfig struct {
-	// SlowFactor: a read is "slow" when it exceeds SlowFactor times the
-	// fastest peer's EWMA (default 8). The comparison is relative so a
-	// uniformly slow medium (every replica equally loaded) never trips.
-	SlowFactor int64
 	// MinSlow is the absolute floor below which no read counts as slow,
 	// whatever the peers look like (default 50ms). Keeps cache-warm
 	// microsecond EWMAs from branding a normal disk read as gray.
 	MinSlow time.Duration
-	// SlowStreak consecutive slow reads open the breaker (default
-	// DefaultSlowStreak). A streak, not a rate: one hiccup is weather.
-	SlowStreak int
 	// Cooldown is how long an open breaker waits before half-opening
 	// for a probe read (default 5s).
 	Cooldown time.Duration
-	// HedgeDelayMin/Max clamp the hedge delay derived from the observed
-	// read-latency p99 (defaults 10ms / 500ms).
-	HedgeDelayMin time.Duration
-	HedgeDelayMax time.Duration
-	// HedgeRatePct is the hard hedge-rate cap in percent of laddered
-	// reads (default DefaultHedgeRatePct). Both predictive and timer
-	// hedges count against it.
-	HedgeRatePct int64
 	// Now supplies nanoseconds for EWMA timing and cooldowns; nil means
 	// wall clock. Simulated worlds pass their virtual clock.
 	Now func() int64
-	// After arms the in-flight hedge timer; nil means time.After. A
-	// hook that returns a nil channel disables timer hedging entirely —
-	// the right choice for discrete-event worlds, where predictive
-	// (EWMA-ranked) hedging does the work deterministically.
-	After func(time.Duration) <-chan time.Time
 }
 
 // grayConfig is BreakerConfig with defaults resolved, stored behind an
 // atomic pointer so the read path branches on one load.
 type grayConfig struct {
-	slowFactor int64
 	minSlowNs  int64
-	slowStreak int32
 	cooldownNs int64
-	hedgeMinNs int64
-	hedgeMaxNs int64
-	hedgePct   int64
 	now        func() int64
-	after      func(time.Duration) <-chan time.Time
 }
 
 // EnableBreakers turns on per-replica health scoring, circuit breaking
-// and hedged reads. Until it is called the read path is byte-for-byte
-// the fail-stop ladder. Call before serving; re-configuring a live set
-// is safe (the pointer swap is atomic) but resets no breaker state.
+// and predictive hedging. Until it is called the read order is the
+// fail-stop ladder's. Call before serving; re-configuring a live set is
+// safe (the pointer swap is atomic) but resets no breaker state.
 func (s *ReplicaSet) EnableBreakers(cfg BreakerConfig) {
-	g := &grayConfig{
-		slowFactor: cfg.SlowFactor,
-		minSlowNs:  int64(cfg.MinSlow),
-		slowStreak: int32(cfg.SlowStreak),
-		cooldownNs: int64(cfg.Cooldown),
-		hedgeMinNs: int64(cfg.HedgeDelayMin),
-		hedgeMaxNs: int64(cfg.HedgeDelayMax),
-		hedgePct:   cfg.HedgeRatePct,
-		now:        cfg.Now,
-		after:      cfg.After,
-	}
-	if g.slowFactor <= 0 {
-		g.slowFactor = 8
-	}
+	g := &grayConfig{minSlowNs: int64(cfg.MinSlow), cooldownNs: int64(cfg.Cooldown), now: cfg.Now}
 	if g.minSlowNs <= 0 {
 		g.minSlowNs = int64(50 * time.Millisecond)
-	}
-	if g.slowStreak <= 0 {
-		g.slowStreak = DefaultSlowStreak
 	}
 	if g.cooldownNs <= 0 {
 		g.cooldownNs = int64(5 * time.Second)
 	}
-	if g.hedgeMinNs <= 0 {
-		g.hedgeMinNs = int64(10 * time.Millisecond)
-	}
-	if g.hedgeMaxNs <= g.hedgeMinNs {
-		g.hedgeMaxNs = int64(500 * time.Millisecond)
-		if g.hedgeMaxNs < g.hedgeMinNs {
-			g.hedgeMaxNs = g.hedgeMinNs
-		}
-	}
-	if g.hedgePct <= 0 {
-		g.hedgePct = DefaultHedgeRatePct
-	}
 	if g.now == nil {
 		g.now = func() int64 { return time.Now().UnixNano() }
-	}
-	if g.after == nil {
-		g.after = time.After
 	}
 	s.gray.Store(g)
 }
 
-// BreakersEnabled reports whether gray-failure handling is on.
-func (s *ReplicaSet) BreakersEnabled() bool { return s.gray.Load() != nil }
-
 // observeRead feeds one read attempt's outcome into replica i's health
-// score and breaker. Runs on the attempt goroutine — abandoned hedge
-// losers still report, which is what lets the breaker open on a replica
-// the ladder has already learned to avoid. Atomics only; no locks.
-func (s *ReplicaSet) observeRead(g *grayConfig, i int, dur time.Duration, failed bool) {
+// score and breaker. The ladder calls it after every device read, on
+// the reader's goroutine. Atomics only; no locks.
+func (s *ReplicaSet) observeRead(g *grayConfig, i int, ns int64, failed bool) {
 	b := &s.brk[i]
-	ns := int64(dur)
 	if ns < 1 {
 		ns = 1
 	}
@@ -182,7 +126,6 @@ func (s *ReplicaSet) observeRead(g *grayConfig, i int, dur time.Duration, failed
 	} else {
 		b.ewmaNs.Store((7*old + ns) / 8)
 	}
-	s.readHist.Observe(ns)
 
 	slow := failed || ns >= s.slowThreshold(g, i)
 	switch b.state.Load() {
@@ -191,7 +134,7 @@ func (s *ReplicaSet) observeRead(g *grayConfig, i int, dur time.Duration, failed
 			b.streak.Store(0)
 			return
 		}
-		if b.streak.Add(1) >= g.slowStreak {
+		if b.streak.Add(1) >= DefaultSlowStreak {
 			if b.state.CompareAndSwap(breakerClosed, breakerOpen) {
 				b.openedAt.Store(g.now())
 				b.streak.Store(0)
@@ -213,7 +156,7 @@ func (s *ReplicaSet) observeRead(g *grayConfig, i int, dur time.Duration, failed
 }
 
 // slowThreshold is the latency above which a read on replica i counts
-// as slow: SlowFactor times the fastest *other* replica's EWMA, floored
+// as slow: slowFactor times the fastest *other* replica's EWMA, floored
 // at MinSlow. Relative to peers so a uniformly loaded set never trips.
 func (s *ReplicaSet) slowThreshold(g *grayConfig, i int) int64 {
 	best := int64(0)
@@ -226,22 +169,22 @@ func (s *ReplicaSet) slowThreshold(g *grayConfig, i int) int64 {
 		}
 	}
 	thr := g.minSlowNs
-	if best > 0 && best*g.slowFactor > thr {
-		thr = best * g.slowFactor
+	if best > 0 && best*slowFactor > thr {
+		thr = best * slowFactor
 	}
 	return thr
 }
 
-// grayOrder builds the read ladder under gray-failure rules: any
-// half-open replica first (its probe read is the point of half-open),
-// then closed replicas — fastest EWMA first, with the main winning
-// unless a peer is at least twice as fast — and open-breaker replicas
-// dead last, kept only so a read can still succeed when everything
-// healthy has failed. Open breakers whose cooldown has passed are
-// flipped half-open here (CAS; one winner per transition).
-func (s *ReplicaSet) grayOrder(g *grayConfig, main int, aliveMask uint64) []int {
+// grayOrder fills order with the read ladder under gray-failure rules
+// and returns its length: any half-open replica first (its probe read is
+// the point of half-open), then closed replicas — fastest EWMA first,
+// with the main winning unless a peer is at least twice as fast — and
+// open-breaker replicas dead last, kept only so a read can still succeed
+// when everything healthy has failed. Open breakers whose cooldown has
+// passed are flipped half-open here (CAS; one winner per transition).
+func (s *ReplicaSet) grayOrder(g *grayConfig, order *[maxReplicas]int, main int, aliveMask uint64) int {
 	now := g.now()
-	var half, closed, open []int
+	var state [maxReplicas]int32
 	for i := range s.devs {
 		if aliveMask&(1<<uint(i)) == 0 {
 			continue
@@ -254,89 +197,53 @@ func (s *ReplicaSet) grayOrder(g *grayConfig, main int, aliveMask uint64) []int 
 			}
 			st = b.state.Load()
 		}
-		switch st {
-		case breakerHalfOpen:
-			half = append(half, i)
-		case breakerOpen:
-			open = append(open, i)
-		default:
-			closed = append(closed, i)
-		}
+		state[i] = st
 	}
+	n := 0
+	fill := func(want int32) int {
+		for i := range s.devs {
+			if aliveMask&(1<<uint(i)) != 0 && state[i] == want {
+				order[n] = i
+				n++
+			}
+		}
+		return n
+	}
+	lo := fill(breakerHalfOpen)
+	hi := fill(breakerClosed)
+	fill(breakerOpen)
 	// Closed ranking: keep the paper's main-first order (sequential
 	// locality on the main spindle) unless a peer's EWMA is less than
-	// half the main's — a demotion that readGray accounts as a
-	// predictive hedge, subject to the cap.
-	sort.SliceStable(closed, func(a, b int) bool {
-		ia, ib := closed[a], closed[b]
-		ea, eb := s.brk[ia].ewmaNs.Load(), s.brk[ib].ewmaNs.Load()
-		if ea > 0 && eb > 0 && (ea*2 < eb || eb*2 < ea) {
-			return ea < eb
+	// half the main's — a demotion that ReadVerified accounts as a
+	// predictive hedge, subject to the cap. The 2x rule is not
+	// transitive, so the algorithm is part of the order: an insertion
+	// sort, which is what sort.SliceStable runs on up to 20 elements.
+	run := order[lo:hi]
+	for k := 1; k < len(run); k++ {
+		for j := k; j > 0 && s.rankBefore(run[j], run[j-1], main); j-- {
+			run[j], run[j-1] = run[j-1], run[j]
 		}
-		if (ia == main) != (ib == main) {
-			return ia == main
-		}
-		return ia < ib
-	})
-	order := make([]int, 0, len(half)+len(closed)+len(open))
-	order = append(order, half...)
-	order = append(order, closed...)
-	order = append(order, open...)
-	return order
+	}
+	return n
+}
+
+// rankBefore orders two closed replicas: by EWMA when one is at least
+// twice as fast as the other, else the main first, else by index.
+func (s *ReplicaSet) rankBefore(ia, ib, main int) bool {
+	ea, eb := s.brk[ia].ewmaNs.Load(), s.brk[ib].ewmaNs.Load()
+	if ea > 0 && eb > 0 && (ea*2 < eb || eb*2 < ea) {
+		return ea < eb
+	}
+	if (ia == main) != (ib == main) {
+		return ia == main
+	}
+	return ia < ib
 }
 
 // allowHedge applies the hard hedge-rate cap: granting this hedge must
-// keep hedges within hedgePct percent of laddered reads. The +1 makes
-// the check conservative from the first read — at 5%, no hedge is
-// granted until twenty reads have been served.
-func (s *ReplicaSet) allowHedge(g *grayConfig) bool {
-	return (s.hedgedReads.Load()+1)*100 <= s.grayLadderReads.Load()*g.hedgePct
-}
-
-// hedgeDelay derives the in-flight hedge timer from the observed
-// read-latency p99, clamped to the configured window. Before enough
-// observations exist the delay sits at the clamp maximum — hedging
-// starts conservative and tightens as evidence accumulates.
-func (s *ReplicaSet) hedgeDelay(g *grayConfig) time.Duration {
-	p99 := int64(s.readHist.Snapshot().Quantile(0.99))
-	if p99 <= 0 {
-		return time.Duration(g.hedgeMaxNs)
-	}
-	if p99 < g.hedgeMinNs {
-		p99 = g.hedgeMinNs
-	}
-	if p99 > g.hedgeMaxNs {
-		p99 = g.hedgeMaxNs
-	}
-	return time.Duration(p99)
-}
-
-// beginRead registers one in-flight read attempt with the read drain
-// tracker (see DrainReads).
-func (s *ReplicaSet) beginRead() {
-	s.readMu.Lock()
-	s.pendingReads++
-	s.readMu.Unlock()
-}
-
-// endRead retires one in-flight read attempt.
-func (s *ReplicaSet) endRead() {
-	s.readMu.Lock()
-	s.pendingReads--
-	if s.pendingReads == 0 {
-		s.readCond.Broadcast()
-	}
-	s.readMu.Unlock()
-}
-
-// DrainReads blocks until no hedged-read attempt is in flight. Tests
-// use it to assert loser bookkeeping. Close deliberately does NOT wait
-// on reads: a read stuck on a gray device must not hang shutdown — the
-// abandoned attempt writes only to its private buffer.
-func (s *ReplicaSet) DrainReads() {
-	s.readMu.Lock()
-	for s.pendingReads > 0 {
-		s.readCond.Wait()
-	}
-	s.readMu.Unlock()
+// keep hedges within DefaultHedgeRatePct percent of laddered reads. The
+// +1 makes the check conservative from the first read — at 5%, no hedge
+// is granted until twenty reads have been served.
+func (s *ReplicaSet) allowHedge() bool {
+	return (s.hedgedReads.Load()+1)*100 <= s.grayLadderReads.Load()*DefaultHedgeRatePct
 }

@@ -2,7 +2,14 @@ package disk
 
 import (
 	"bytes"
+	"hash/crc32"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,10 +33,6 @@ func (c *vclock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// noTimerHedge disables in-flight timer hedging: a nil channel never
-// fires, so the ladder stays sequential and deterministic.
-func noTimerHedge(time.Duration) <-chan time.Time { return nil }
-
 // TestBreakerBrownoutOpensAndRecovers is the deterministic brownout
 // test: one replica answers 100x slower than healthy, every read still
 // completes with zero client-visible errors, the slow replica's breaker
@@ -43,7 +46,6 @@ func TestBreakerBrownoutOpensAndRecovers(t *testing.T) {
 		MinSlow:  500 * time.Millisecond,
 		Cooldown: 5 * time.Second,
 		Now:      clk.Now,
-		After:    noTimerHedge,
 	})
 	in := []byte("gray failure: answering, just two seconds late")
 	writeAll(t, s, in, 512)
@@ -116,7 +118,6 @@ func TestBreakerReopensOnSlowProbe(t *testing.T) {
 		MinSlow:  500 * time.Millisecond,
 		Cooldown: time.Second,
 		Now:      clk.Now,
-		After:    noTimerHedge,
 	})
 	in := []byte("still gray")
 	writeAll(t, s, in, 0)
@@ -140,61 +141,260 @@ func TestBreakerReopensOnSlowProbe(t *testing.T) {
 	}
 }
 
-// TestHedgeTimerLaunchesSecondReplica pins the in-flight hedge: with the
-// first attempt stuck on a never-completing read, the hedge timer fires
-// (injected channel, no wall clock) and the second replica's response
-// wins; the stuck loser is released and drained afterwards.
-func TestHedgeTimerLaunchesSecondReplica(t *testing.T) {
-	s, faulty := newSet(t, 2)
-	clk := &vclock{}
-	s.EnableBreakers(BreakerConfig{
-		MinSlow:      500 * time.Millisecond,
-		HedgeRatePct: 50,
-		Now:          clk.Now,
-		After:        noTimerHedge,
-	})
-	in := []byte("first response wins")
-	writeAll(t, s, in, 1024)
-	out := make([]byte, len(in))
-
-	// Warm the cap: at 50% one hedge needs two prior laddered reads.
-	for i := 0; i < 2; i++ {
-		if err := s.ReadAt(out, 1024); err != nil {
-			t.Fatal(err)
+// grayOrderRef is grayOrder written with slices and sort.SliceStable,
+// kept as the reference the stack version must agree with.
+func (s *ReplicaSet) grayOrderRef(g *grayConfig, main int, aliveMask uint64) []int {
+	now := g.now()
+	var half, closed, open []int
+	for i := range s.devs {
+		if aliveMask&(1<<uint(i)) == 0 {
+			continue
+		}
+		b := &s.brk[i]
+		st := b.state.Load()
+		if st == breakerOpen && now-b.openedAt.Load() >= g.cooldownNs {
+			if b.state.CompareAndSwap(breakerOpen, breakerHalfOpen) {
+				s.breakerProbes.Inc()
+			}
+			st = b.state.Load()
+		}
+		switch st {
+		case breakerHalfOpen:
+			half = append(half, i)
+		case breakerOpen:
+			open = append(open, i)
+		default:
+			closed = append(closed, i)
 		}
 	}
-
-	// Now arm a timer that "fires" the moment it is consulted, and a
-	// first attempt that never completes.
-	fire := make(chan time.Time, 1)
-	fire <- time.Time{}
-	s.EnableBreakers(BreakerConfig{
-		MinSlow:      500 * time.Millisecond,
-		HedgeRatePct: 50,
-		Now:          clk.Now,
-		After:        func(time.Duration) <-chan time.Time { return fire },
+	sort.SliceStable(closed, func(a, b int) bool {
+		ia, ib := closed[a], closed[b]
+		ea, eb := s.brk[ia].ewmaNs.Load(), s.brk[ib].ewmaNs.Load()
+		if ea > 0 && eb > 0 && (ea*2 < eb || eb*2 < ea) {
+			return ea < eb
+		}
+		if (ia == main) != (ib == main) {
+			return ia == main
+		}
+		return ia < ib
 	})
-	faulty[0].StallNextReads(1)
-	if err := s.ReadAt(out, 1024); err != nil {
-		t.Fatalf("hedged read: %v", err)
+	order := make([]int, 0, len(half)+len(closed)+len(open))
+	order = append(order, half...)
+	order = append(order, closed...)
+	order = append(order, open...)
+	return order
+}
+
+// TestGrayOrderMatchesReference draws random replica worlds — 2 to 8
+// replicas, alive masks, breaker states, cooldown ages on either side of
+// the boundary, main indices and EWMAs including zeros and values at and
+// around twice a base (where the ranking's 2x rule is not transitive) —
+// and checks that grayOrder and grayOrderRef give the same order and
+// leave the same breaker states and probe count behind.
+func TestGrayOrderMatchesReference(t *testing.T) {
+	const seeds = 500
+	const cooldown, now = int64(time.Second), int64(time.Minute)
+	g := &grayConfig{cooldownNs: cooldown, now: func() int64 { return now }}
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(7)
+		base := 2 + rng.Int63n(int64(time.Millisecond))
+		ewmas := [...]int64{0, base, base / 2, 2*base - 1, 2 * base, 2*base + 1, 4 * base, 1 + rng.Int63n(5*base)}
+		state := make([]int32, n)
+		openedAt := make([]int64, n)
+		ewma := make([]int64, n)
+		for i := 0; i < n; i++ {
+			state[i] = int32(rng.Intn(3))
+			openedAt[i] = now - cooldown + rng.Int63n(3) - 1 // due, just due, not yet
+			if rng.Intn(2) == 0 {
+				openedAt[i] = now - rng.Int63n(2*cooldown)
+			}
+			ewma[i] = ewmas[rng.Intn(len(ewmas))]
+		}
+		aliveMask := rng.Uint64() & (1<<uint(n) - 1)
+		main := rng.Intn(n)
+		world := func() *ReplicaSet {
+			s := &ReplicaSet{devs: make([]Device, n), brk: make([]breaker, n)}
+			for i := range s.brk {
+				s.brk[i].state.Store(state[i])
+				s.brk[i].openedAt.Store(openedAt[i])
+				s.brk[i].ewmaNs.Store(ewma[i])
+			}
+			return s
+		}
+
+		ref, got := world(), world()
+		want := ref.grayOrderRef(g, main, aliveMask)
+		var order [maxReplicas]int
+		k := got.grayOrder(g, &order, main, aliveMask)
+		if !slices.Equal(order[:k], want) {
+			t.Fatalf("seed %d (n=%d main=%d alive=%b state=%v ewma=%v): order %v, reference %v",
+				seed, n, main, aliveMask, state, ewma, order[:k], want)
+		}
+		for i := 0; i < n; i++ {
+			if a, b := got.brk[i].state.Load(), ref.brk[i].state.Load(); a != b {
+				t.Fatalf("seed %d: replica %d left %s, reference %s", seed, i, breakerStateName(a), breakerStateName(b))
+			}
+		}
+		if a, b := got.breakerProbes.Load(), ref.breakerProbes.Load(); a != b {
+			t.Fatalf("seed %d: %d probes, reference %d", seed, a, b)
+		}
+	}
+}
+
+// stackDevice is a MemDisk that, while watched, records whether its
+// ReadAt ran with the named function on the calling goroutine's stack.
+type stackDevice struct {
+	*MemDisk
+	watch   string
+	onStack atomic.Bool
+}
+
+func (d *stackDevice) ReadAt(p []byte, off int64) error {
+	if d.watch != "" {
+		d.onStack.Store(callerOnStack(d.watch))
+	}
+	return d.MemDisk.ReadAt(p, off)
+}
+
+func callerOnStack(suffix string) bool {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, suffix) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestGrayLadderReadsInPlace pins the breakers-on read to the fail-stop
+// ladder's cost: a verified 1 MiB read allocates nothing and reads the
+// device on the caller's own goroutine, straight into the caller's
+// buffer.
+func TestGrayLadderReadsInPlace(t *testing.T) {
+	const size = 1 << 20
+	main := &stackDevice{MemDisk: newMem(t, 512, size/512)}
+	s, err := NewReplicaSet(main, newMem(t, 512, size/512))
+	if err != nil {
+		t.Fatalf("NewReplicaSet: %v", err)
+	}
+	s.EnableBreakers(BreakerConfig{Now: (&vclock{}).Now})
+	in := bytes.Repeat([]byte("in place "), size/9+1)[:size]
+	writeAll(t, s, in, 0)
+	verify := crcVerify(crc32.Checksum(in, castagnoli))
+	out := make([]byte, size)
+
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := s.ReadVerified(nil, nil, out, 0, verify); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("breakers-on verified 1 MiB read: %v allocs, want 0", allocs)
 	}
 	if !bytes.Equal(out, in) {
-		t.Fatal("hedged read returned wrong bytes")
-	}
-	if got := s.HedgedReads(); got != 1 {
-		t.Fatalf("HedgedReads = %d, want 1", got)
-	}
-	if got := s.Reads(1); got != 1 {
-		t.Fatalf("replica 1 served %d reads, want the 1 hedge win", got)
+		t.Fatal("verified read returned wrong bytes")
 	}
 
-	// The loser is still parked on the stall gate; release and drain it.
-	faulty[0].ReleaseStalled()
-	s.DrainReads()
+	main.watch = ".TestGrayLadderReadsInPlace"
+	if err := s.ReadVerified(nil, nil, out, 0, verify); err != nil {
+		t.Fatal(err)
+	}
+	if !main.onStack.Load() {
+		t.Fatal("the device read ran off the caller's goroutine")
+	}
+}
+
+// TestGrayLadderConcurrentReaders runs breakers-on reads from several
+// goroutines at once through a brownout of the main, so health scores,
+// breaker transitions and the hedge cap are updated concurrently: every
+// read must still return the right bytes, exactly one replica read must
+// serve each call, and hedges must stay within the cap.
+func TestGrayLadderConcurrentReaders(t *testing.T) {
+	s, faulty := newSet(t, 2)
+	clk := &vclock{}
+	s.EnableBreakers(BreakerConfig{MinSlow: 500 * time.Millisecond, Cooldown: time.Second, Now: clk.Now})
+	in := []byte("many readers, one ladder each")
+	writeAll(t, s, in, 0)
+	faulty[0].SetLatency(time.Second, 2*time.Second, 7, clk.Advance)
+
+	const readers, each = 8, 50
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]byte, len(in))
+			for i := 0; i < each; i++ {
+				if err := s.ReadAt(out, 0); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				if !bytes.Equal(out, in) {
+					t.Error("read returned wrong bytes")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Reads(0) + s.Reads(1); got != readers*each {
+		t.Fatalf("replicas served %d reads, want %d", got, readers*each)
+	}
+	if h, n := s.HedgedReads(), s.GrayLadderReads(); h*100 > n*DefaultHedgeRatePct {
+		t.Fatalf("%d hedges across %d laddered reads breaks the %d%% cap", h, n, DefaultHedgeRatePct)
+	}
+}
+
+// BenchmarkReadVerified is a verified read over two MemDisks, with the
+// fail-stop order and with breakers on.
+func BenchmarkReadVerified(b *testing.B) {
+	for _, breakers := range []string{"off", "on"} {
+		for _, sz := range []struct {
+			name string
+			size int
+		}{{"4KiB", 4 << 10}, {"1MiB", 1 << 20}} {
+			size := sz.size
+			b.Run("breakers="+breakers+"/"+sz.name, func(b *testing.B) {
+				devs := make([]Device, 2)
+				for i := range devs {
+					m, err := NewMem(512, int64(size/512))
+					if err != nil {
+						b.Fatal(err)
+					}
+					devs[i] = m
+				}
+				s, err := NewReplicaSet(devs...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if breakers == "on" {
+					s.EnableBreakers(BreakerConfig{})
+				}
+				in := bytes.Repeat([]byte{0x5a}, size)
+				if err := s.WriteAt(in, 0); err != nil {
+					b.Fatal(err)
+				}
+				verify := crcVerify(crc32.Checksum(in, castagnoli))
+				out := make([]byte, size)
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.ReadVerified(nil, nil, out, 0, verify); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestHedgeRateCapEnforced pins the hard cap: with the EWMA ranking
-// wanting a hedge on every read, only HedgeRatePct percent are granted;
+// wanting a hedge on every read, only DefaultHedgeRatePct percent are granted;
 // the rest go to the main as usual.
 func TestHedgeRateCapEnforced(t *testing.T) {
 	s, _ := newSet(t, 2)
@@ -202,7 +402,6 @@ func TestHedgeRateCapEnforced(t *testing.T) {
 	s.EnableBreakers(BreakerConfig{
 		MinSlow: 500 * time.Millisecond, // EWMAs below this never open the breaker
 		Now:     clk.Now,
-		After:   noTimerHedge,
 	})
 	in := []byte("capped")
 	writeAll(t, s, in, 0)
@@ -240,7 +439,6 @@ func TestBreakerOpenExcludedFromQuorum(t *testing.T) {
 		MinSlow:  500 * time.Millisecond,
 		Cooldown: time.Hour,
 		Now:      clk.Now,
-		After:    noTimerHedge,
 	})
 	in := []byte("quorum without the gray disk")
 	writeAll(t, s, in, 0)

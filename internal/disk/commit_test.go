@@ -175,7 +175,7 @@ func TestCommitMainFailsMidCommit(t *testing.T) {
 // the commit (or leave a write in flight behind an error return).
 func TestCommitQuorumFallsBackToOpenBreaker(t *testing.T) {
 	s, faulty := newSet(t, 2)
-	s.EnableBreakers(BreakerConfig{After: noTimerHedge})
+	s.EnableBreakers(BreakerConfig{})
 	s.brk[0].state.Store(breakerOpen)
 	var log orderLog
 	if err := s.Apply(2, log.op); err != nil {

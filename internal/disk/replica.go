@@ -96,26 +96,17 @@ type ReplicaSet struct {
 	recoveries    stats.Counter // completed online recoveries
 
 	// Gray-failure state (see breaker.go). gray is nil until
-	// EnableBreakers; the read path branches on that one load, so the
-	// disabled set behaves exactly like the fail-stop original. brk and
-	// readHist are always allocated so health reports and metrics are
-	// uniform either way.
-	gray     atomic.Pointer[grayConfig]
-	brk      []breaker
-	readHist *stats.Histogram
+	// EnableBreakers; the read ladder branches on that one load, so the
+	// disabled set reads in exactly the fail-stop order. brk is always
+	// allocated so health reports and metrics are uniform either way.
+	gray atomic.Pointer[grayConfig]
+	brk  []breaker
 
-	grayLadderReads stats.Counter // reads that went through the gray ladder
-	hedgedReads     stats.Counter // predictive + timer hedges granted
+	grayLadderReads stats.Counter // reads laddered in grayOrder's order
+	hedgedReads     stats.Counter // predictive hedges granted
 	breakerOpens    stats.Counter
 	breakerCloses   stats.Counter
 	breakerProbes   stats.Counter
-
-	// In-flight hedged-read attempts, for DrainReads. Separate from the
-	// write tracker: Close waits on writes but never on reads, so a read
-	// stuck on a gray device cannot hang shutdown.
-	readMu       sync.Mutex
-	readCond     *sync.Cond
-	pendingReads int // guarded by readMu
 
 	// Commit observability: commits with a synchronous phase, and the
 	// total quorum width of those phases. fanout/commits is the mean number
@@ -159,10 +150,9 @@ func NewReplicaSet(devs ...Device) (*ReplicaSet, error) {
 		selfheals:    make([]stats.Counter, len(devs)),
 		faults:       make([]atomic.Int64, len(devs)),
 		brk:          make([]breaker, len(devs)),
-		readHist:     stats.NewHistogram(nil),
 		parked:       make(map[*behind]struct{}),
 	}
-	s.pendCond, s.readCond = sync.NewCond(&s.pendMu), sync.NewCond(&s.readMu)
+	s.pendCond = sync.NewCond(&s.pendMu)
 	s.errBudget.Store(DefaultErrorBudget)
 	s.recovering.Store(-1)
 	return s, nil
@@ -262,101 +252,105 @@ func (s *ReplicaSet) readSnapshot() (main int, aliveMask uint64) {
 // ReadAt reads from the main disk, failing over to any other live replica.
 // It returns ErrNoReplica only when every replica has failed.
 func (s *ReplicaSet) ReadAt(p []byte, off int64) error {
-	return s.readVerified(nil, nil, p, off, nil)
+	return s.ReadVerified(nil, nil, p, off, nil)
 }
 
-// ReadAtTraced is ReadAt with span emission: one disk-read span per
-// replica attempted, so a trace shows exactly which disk served the read
-// and any failovers along the way. tc may be nil.
-func (s *ReplicaSet) ReadAtTraced(tc *trace.Ctx, parent *trace.Span, p []byte, off int64) error {
-	return s.readVerified(tc, parent, p, off, nil)
-}
-
-// ReadVerified is ReadAt with an integrity check: verify is called on the
-// bytes each replica returns, and a replica whose bytes fail it is treated
-// like a failed read — the set fails over to the next live replica — except
-// that the lying replica stays alive. Once a replica's copy verifies, every
-// replica that returned corrupt bytes during this call has the bad extent
-// rewritten in place from the good copy (self-heal). A replica is
-// quarantined (marked dead) only after its checksum-error budget is
-// exhausted; see SetErrorBudget.
-func (s *ReplicaSet) ReadVerified(p []byte, off int64, verify func([]byte) bool) error {
-	return s.readVerified(nil, nil, p, off, verify)
-}
-
-// ReadVerifiedTraced is ReadVerified with span emission: disk-read spans
-// per attempt (Status 2 marks a checksum mismatch), disk-repair spans per
-// self-heal rewrite, and a promote span if a demotion moved the main.
-func (s *ReplicaSet) ReadVerifiedTraced(tc *trace.Ctx, parent *trace.Span, p []byte, off int64, verify func([]byte) bool) error {
-	return s.readVerified(tc, parent, p, off, verify)
-}
-
-func (s *ReplicaSet) readVerified(tc *trace.Ctx, parent *trace.Span, p []byte, off int64, verify func([]byte) bool) error {
-	if g := s.gray.Load(); g != nil {
-		return s.readGray(g, tc, parent, p, off, verify)
-	}
+// ReadVerified is the one read ladder. It reads from the main disk, failing
+// over to the other live replicas, on the caller's goroutine and straight
+// into p. With breakers on (EnableBreakers) the order of the attempts comes
+// from grayOrder and every attempt is timed into the replica's health
+// score; nothing else changes.
+//
+// verify, when non-nil, is called on the bytes each replica returns, and a
+// replica whose bytes fail it is treated like a failed read — the set fails
+// over to the next live replica — except that the lying replica stays alive.
+// Once a replica's copy verifies, every replica that returned corrupt bytes
+// during this call has the bad extent rewritten in place from the good copy
+// (self-heal). A replica is quarantined (marked dead) only after its
+// checksum-error budget is exhausted; see SetErrorBudget.
+//
+// Spans (tc may be nil): one disk-read span per attempt (Status 1 for an I/O
+// error, 2 for a checksum mismatch), a hedge span when the health ranking
+// demoted the main, disk-repair spans per self-heal rewrite, and a promote
+// span if a demotion moved the main.
+func (s *ReplicaSet) ReadVerified(tc *trace.Ctx, parent *trace.Span, p []byte, off int64, verify func([]byte) bool) error {
 	main, aliveMask := s.readSnapshot()
+	// The order lives on the stack: no allocation, no lock held across
+	// the I/O.
+	var order [maxReplicas]int
+	n := 0
+	g := s.gray.Load()
+	if g == nil {
+		// Fail-stop: the main first, then the remaining live replicas in
+		// index order.
+		if aliveMask&(1<<uint(main)) != 0 {
+			order[n], n = main, n+1
+		}
+		for i := range s.devs {
+			if i != main && aliveMask&(1<<uint(i)) != 0 {
+				order[n], n = i, n+1
+			}
+		}
+	} else if n = s.grayOrder(g, &order, main, aliveMask); n > 0 {
+		s.grayLadderReads.Inc()
+		s.predictiveHedge(tc, parent, order[:n], main)
+	}
 
 	var lastErr error
 	tried := 0
 	var bad []int // replicas that answered with corrupt bytes this call
-	// Failover order: the main first, then the remaining live replicas in
-	// index order — derived from the snapshot, no allocation, no lock held
-	// across the I/O.
-	for pass := 0; pass < 2; pass++ {
-		for i := range s.devs {
-			isMain := i == main
-			if pass == 0 && !isMain || pass == 1 && isMain {
-				continue
+	for _, i := range order[:n] {
+		sp := tc.Begin(parent, trace.LayerDisk, trace.OpDiskRead)
+		var t0 int64
+		if g != nil {
+			t0 = g.now()
+		}
+		err := s.devs[i].ReadAt(p, off)
+		if g != nil {
+			s.observeRead(g, i, g.now()-t0, err != nil)
+		}
+		if sp != nil {
+			sp.Replica = int8(i)
+			sp.Bytes = int64(len(p))
+			if err != nil {
+				sp.Status = 1
 			}
-			if aliveMask&(1<<uint(i)) == 0 {
-				continue
-			}
-			sp := tc.Begin(parent, trace.LayerDisk, trace.OpDiskRead)
-			err := s.devs[i].ReadAt(p, off)
+		}
+		if err == nil && verify != nil && !verify(p) {
+			// The replica answered, but wrongly. Count it against the
+			// budget, keep the replica for now, and fail over.
 			if sp != nil {
-				sp.Replica = int8(i)
-				sp.Bytes = int64(len(p))
-				if err != nil {
-					sp.Status = 1
-				}
-			}
-			if err == nil && verify != nil && !verify(p) {
-				// The replica answered, but wrongly. Count it against the
-				// budget, keep the replica for now, and fail over.
-				if sp != nil {
-					sp.Status = 2
-				}
-				tc.End(sp)
-				s.checksumErrs[i].Inc()
-				tried++
-				lastErr = fmt.Errorf("replica %d at offset %d: %w", i, off, ErrChecksum)
-				bad = append(bad, i)
-				if s.faults[i].Add(1) >= s.errBudget.Load() {
-					s.notePromotion(tc, parent, s.markDead(i))
-				}
-				continue
+				sp.Status = 2
 			}
 			tc.End(sp)
-			if err == nil {
-				s.reads[i].Inc()
-				if tried > 0 {
-					s.failovers.Inc()
-				}
-				// p now holds a verified copy: rewrite it over every corrupt
-				// replica seen on the way here.
-				for _, j := range bad {
-					s.selfHeal(tc, parent, j, p, off)
-				}
-				return nil
-			}
-			if errors.Is(err, ErrOutOfRange) {
-				return err // caller bug, not a media failure
-			}
+			s.checksumErrs[i].Inc()
 			tried++
-			lastErr = err
-			s.notePromotion(tc, parent, s.markDead(i))
+			lastErr = fmt.Errorf("replica %d at offset %d: %w", i, off, ErrChecksum)
+			bad = append(bad, i)
+			if s.faults[i].Add(1) >= s.errBudget.Load() {
+				s.notePromotion(tc, parent, s.markDead(i))
+			}
+			continue
 		}
+		tc.End(sp)
+		if err == nil {
+			s.reads[i].Inc()
+			if tried > 0 {
+				s.failovers.Inc()
+			}
+			// p now holds a verified copy: rewrite it over every corrupt
+			// replica seen on the way here.
+			for _, j := range bad {
+				s.selfHeal(tc, parent, j, p, off)
+			}
+			return nil
+		}
+		if errors.Is(err, ErrOutOfRange) {
+			return err // caller bug, not a media failure
+		}
+		tried++
+		lastErr = err
+		s.notePromotion(tc, parent, s.markDead(i))
 	}
 	if lastErr != nil {
 		return fmt.Errorf("all replicas failed (last: %w): %w", lastErr, ErrNoReplica)
@@ -364,176 +358,28 @@ func (s *ReplicaSet) readVerified(tc *trace.Ctx, parent *trace.Span, p []byte, o
 	return ErrNoReplica
 }
 
-// grayAttempt is one in-flight read attempt under the gray ladder. The
-// worker goroutine owns buf and err; start/dur are atomics so the
-// ladder goroutine can stamp spans for attempts still in flight
-// (trace.Ctx is single-goroutine).
-type grayAttempt struct {
-	idx   int
-	buf   []byte
-	err   error        // written by the worker before its results send
-	start atomic.Int64 // wall nanos; 0 = worker not yet scheduled
-	dur   atomic.Int64 // observed nanos; 0 = in flight; negative = failed
-}
-
-// readGray is the verified-read ladder with gray-failure handling: the
-// rung order comes from grayOrder (health-ranked, breaker-aware), each
-// rung runs in a goroutine with a private buffer, and while a rung is
-// in flight a hedge timer may launch the next rung early — first good
-// response wins, losers are abandoned (they finish against their
-// private buffers and report their latency to the health score). The
-// verify/self-heal/quarantine semantics are exactly readVerified's.
-func (s *ReplicaSet) readGray(g *grayConfig, tc *trace.Ctx, parent *trace.Span, p []byte, off int64, verify func([]byte) bool) error {
-	main, aliveMask := s.readSnapshot()
-	order := s.grayOrder(g, main, aliveMask)
-	if len(order) == 0 {
-		return ErrNoReplica
+// predictiveHedge accounts for grayOrder's demotion of a closed main: a
+// hedge away from a slow-but-unbroken replica, paid from the hedge-rate
+// cap. With the cap spent, the main goes back first.
+func (s *ReplicaSet) predictiveHedge(tc *trace.Ctx, parent *trace.Span, order []int, main int) {
+	k := 0
+	for k < len(order) && order[k] != main {
+		k++
 	}
-	s.grayLadderReads.Inc()
-
-	// Predictive hedge accounting: grayOrder demotes a closed main only
-	// when a peer's EWMA is measurably better. That demotion is a hedge
-	// away from a slow-but-unbroken replica, so it pays from the same
-	// cap as timer hedges; with the cap spent, the main goes back first.
-	if k := indexOf(order, main); k > 0 &&
-		s.brk[main].state.Load() == breakerClosed &&
-		s.brk[order[0]].state.Load() == breakerClosed {
-		if s.allowHedge(g) {
-			s.hedgedReads.Inc()
-			if sp := tc.Add(parent, trace.LayerDisk, trace.OpHedge, time.Now(), 0); sp != nil {
-				sp.Replica = int8(order[0])
-			}
-		} else {
-			copy(order[1:k+1], order[:k])
-			order[0] = main
+	if k == 0 || k == len(order) ||
+		s.brk[main].state.Load() != breakerClosed ||
+		s.brk[order[0]].state.Load() != breakerClosed {
+		return
+	}
+	if s.allowHedge() {
+		s.hedgedReads.Inc()
+		if sp := tc.Add(parent, trace.LayerDisk, trace.OpHedge, time.Now(), 0); sp != nil {
+			sp.Replica = int8(order[0])
 		}
+		return
 	}
-
-	results := make(chan *grayAttempt, len(order))
-	attempts := make([]*grayAttempt, 0, len(order))
-	next := 0
-	launch := func() {
-		idx := order[next]
-		next++
-		at := &grayAttempt{idx: idx, buf: make([]byte, len(p))}
-		attempts = append(attempts, at)
-		s.beginRead()
-		//lint:ignore goroutinestop accounted by the set's pending-read counter: endRead signals DrainReads, and an abandoned attempt only ever touches its private buffer
-		go func() {
-			at.start.Store(time.Now().UnixNano())
-			t0 := g.now()
-			err := s.devs[idx].ReadAt(at.buf, off)
-			d := g.now() - t0
-			if d < 1 {
-				d = 1 // 0 is the in-flight sentinel
-			}
-			s.observeRead(g, idx, time.Duration(d), err != nil)
-			at.err = err
-			if err != nil {
-				d = -d
-			}
-			at.dur.Store(d)
-			results <- at
-			s.endRead()
-		}()
-	}
-	launch()
-	outstanding := 1
-
-	var bad []int // replicas that answered with corrupt bytes this call
-	var lastErr error
-	tried := 0
-	var winner *grayAttempt
-	for winner == nil && outstanding > 0 {
-		// Arm the hedge timer only when there is a rung left worth
-		// hedging to (an open breaker is not) and the cap allows it. A
-		// nil After channel (discrete-event worlds) never fires.
-		var timerC <-chan time.Time
-		if next < len(order) && s.brk[order[next]].state.Load() != breakerOpen && s.allowHedge(g) {
-			timerC = g.after(s.hedgeDelay(g))
-		}
-		select {
-		case at := <-results:
-			outstanding--
-			d := at.dur.Load()
-			if d < 0 {
-				d = -d
-			}
-			sp := tc.Add(parent, trace.LayerDisk, trace.OpDiskRead, time.Unix(0, at.start.Load()), d)
-			if sp != nil {
-				sp.Replica = int8(at.idx)
-				sp.Bytes = int64(len(p))
-				if at.err != nil {
-					sp.Status = 1
-				}
-			}
-			if at.err == nil && verify != nil && !verify(at.buf) {
-				if sp != nil {
-					sp.Status = 2
-				}
-				s.checksumErrs[at.idx].Inc()
-				tried++
-				lastErr = fmt.Errorf("replica %d at offset %d: %w", at.idx, off, ErrChecksum)
-				bad = append(bad, at.idx)
-				if s.faults[at.idx].Add(1) >= s.errBudget.Load() {
-					s.notePromotion(tc, parent, s.markDead(at.idx))
-				}
-			} else if at.err == nil {
-				winner = at
-			} else if errors.Is(at.err, ErrOutOfRange) {
-				return at.err // caller bug, not a media failure
-			} else {
-				tried++
-				lastErr = at.err
-				s.notePromotion(tc, parent, s.markDead(at.idx))
-			}
-			if winner == nil && outstanding == 0 && next < len(order) {
-				launch()
-				outstanding++
-			}
-		case <-timerC:
-			s.hedgedReads.Inc()
-			if sp := tc.Add(parent, trace.LayerDisk, trace.OpHedge, time.Now(), 0); sp != nil {
-				sp.Replica = int8(order[next])
-			}
-			launch()
-			outstanding++
-		}
-	}
-	if winner == nil {
-		if lastErr != nil {
-			return fmt.Errorf("all replicas failed (last: %w): %w", lastErr, ErrNoReplica)
-		}
-		return ErrNoReplica
-	}
-	// Abandoned losers: stamp a pending-duration span for anything still
-	// in flight so the trace shows what the reply did not wait for.
-	for _, at := range attempts {
-		if at != winner && at.dur.Load() == 0 && at.start.Load() != 0 {
-			if sp := tc.Add(parent, trace.LayerDisk, trace.OpDiskRead, time.Unix(0, at.start.Load()), trace.DurPending); sp != nil {
-				sp.Replica = int8(at.idx)
-			}
-		}
-	}
-	copy(p, winner.buf)
-	s.reads[winner.idx].Inc()
-	if tried > 0 {
-		s.failovers.Inc()
-	}
-	for _, j := range bad {
-		s.selfHeal(tc, parent, j, winner.buf, off)
-	}
-	return nil
-}
-
-// indexOf returns i's position in order, or -1.
-func indexOf(order []int, i int) int {
-	for k, v := range order {
-		if v == i {
-			return k
-		}
-	}
-	return -1
+	copy(order[1:k+1], order[:k])
+	order[0] = main
 }
 
 // selfHeal rewrites one corrupt extent of replica i with verified bytes.
@@ -1122,7 +968,7 @@ func (s *ReplicaSet) BreakerState(i int) string {
 	return breakerStateName(s.brk[i].state.Load())
 }
 
-// HedgedReads returns how many reads were hedged (predictive or timer).
+// HedgedReads returns how many reads were predictively hedged.
 func (s *ReplicaSet) HedgedReads() int64 { return s.hedgedReads.Load() }
 
 // BreakerOpens returns how many times any replica's breaker opened.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,104 +18,148 @@ func crcVerify(want uint32) func([]byte) bool {
 	return func(p []byte) bool { return crc32.Checksum(p, castagnoli) == want }
 }
 
+// ladderOutcome is what a run of reads leaves in a set's counters.
+type ladderOutcome struct {
+	Reads, ChecksumErrors, Repairs []int64
+	Alive                          []bool
+	Promotions                     int64
+}
+
+func outcomeOf(s *ReplicaSet) ladderOutcome {
+	var o ladderOutcome
+	for i := 0; i < s.N(); i++ {
+		o.Reads = append(o.Reads, s.Reads(i))
+		o.ChecksumErrors = append(o.ChecksumErrors, s.ChecksumErrors(i))
+		o.Repairs = append(o.Repairs, s.Repairs(i))
+		o.Alive = append(o.Alive, s.Alive(i))
+	}
+	o.Promotions = s.Promotions()
+	return o
+}
+
+// onBothLadders runs body on a fresh n-replica set twice: with the
+// fail-stop order, and with breakers on over a virtual clock. Verify,
+// failover, self-heal and quarantine are one code path whatever the
+// order, so both runs must leave the same counters behind.
+func onBothLadders(t *testing.T, n int, body func(t *testing.T, s *ReplicaSet, faulty []*FaultyDisk)) {
+	t.Helper()
+	var got [2]ladderOutcome
+	for k, name := range []string{"breakers=off", "breakers=on"} {
+		t.Run(name, func(t *testing.T) {
+			s, faulty := newSet(t, n)
+			if k == 1 {
+				s.EnableBreakers(BreakerConfig{Now: (&vclock{}).Now})
+			}
+			body(t, s, faulty)
+			got[k] = outcomeOf(s)
+		})
+	}
+	if !t.Failed() && !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("breakers off left %+v, breakers on %+v", got[0], got[1])
+	}
+}
+
 func TestReadVerifiedFailoverAndSelfHeal(t *testing.T) {
-	s, _ := newSet(t, 3)
-	in := []byte("silent corruption is the failure mode checksums exist for")
-	writeAll(t, s, in, 1024)
-	sum := crc32.Checksum(in, castagnoli)
+	onBothLadders(t, 3, func(t *testing.T, s *ReplicaSet, _ []*FaultyDisk) {
+		in := []byte("silent corruption is the failure mode checksums exist for")
+		writeAll(t, s, in, 1024)
+		sum := crc32.Checksum(in, castagnoli)
 
-	// Rot the stored bytes on the main replica only.
-	bad := bytes.Repeat([]byte{0xEE}, len(in))
-	if err := s.Device(0).WriteAt(bad, 1024); err != nil {
-		t.Fatalf("corrupting replica 0: %v", err)
-	}
+		// Rot the stored bytes on the main replica only.
+		bad := bytes.Repeat([]byte{0xEE}, len(in))
+		if err := s.Device(0).WriteAt(bad, 1024); err != nil {
+			t.Fatalf("corrupting replica 0: %v", err)
+		}
 
-	out := make([]byte, len(in))
-	if err := s.ReadVerified(out, 1024, crcVerify(sum)); err != nil {
-		t.Fatalf("ReadVerified: %v", err)
-	}
-	if !bytes.Equal(out, in) {
-		t.Fatalf("read %q, want %q", out, in)
-	}
-	if !s.Alive(0) {
-		t.Fatal("one checksum error quarantined the replica")
-	}
-	if got := s.ChecksumErrors(0); got != 1 {
-		t.Fatalf("ChecksumErrors(0) = %d, want 1", got)
-	}
-	if got := s.Repairs(0); got != 1 {
-		t.Fatalf("Repairs(0) = %d, want 1", got)
-	}
-	// The bad extent was rewritten in place: replica 0 now serves the
-	// verified bytes itself.
-	healed := make([]byte, len(in))
-	if err := s.Device(0).ReadAt(healed, 1024); err != nil {
-		t.Fatalf("re-reading replica 0: %v", err)
-	}
-	if !bytes.Equal(healed, in) {
-		t.Fatalf("replica 0 still holds %q after self-heal", healed)
-	}
-	// And a second verified read is served by the main with no failover.
-	before := s.Reads(0)
-	if err := s.ReadVerified(out, 1024, crcVerify(sum)); err != nil {
-		t.Fatalf("second ReadVerified: %v", err)
-	}
-	if s.Reads(0) != before+1 {
-		t.Fatal("healed main did not serve the follow-up read")
-	}
+		out := make([]byte, len(in))
+		if err := s.ReadVerified(nil, nil, out, 1024, crcVerify(sum)); err != nil {
+			t.Fatalf("ReadVerified: %v", err)
+		}
+		if !bytes.Equal(out, in) {
+			t.Fatalf("read %q, want %q", out, in)
+		}
+		if !s.Alive(0) {
+			t.Fatal("one checksum error quarantined the replica")
+		}
+		if got := s.ChecksumErrors(0); got != 1 {
+			t.Fatalf("ChecksumErrors(0) = %d, want 1", got)
+		}
+		if got := s.Repairs(0); got != 1 {
+			t.Fatalf("Repairs(0) = %d, want 1", got)
+		}
+		// The bad extent was rewritten in place: replica 0 now serves the
+		// verified bytes itself.
+		healed := make([]byte, len(in))
+		if err := s.Device(0).ReadAt(healed, 1024); err != nil {
+			t.Fatalf("re-reading replica 0: %v", err)
+		}
+		if !bytes.Equal(healed, in) {
+			t.Fatalf("replica 0 still holds %q after self-heal", healed)
+		}
+		// And a second verified read is served by the main with no failover.
+		before := s.Reads(0)
+		if err := s.ReadVerified(nil, nil, out, 1024, crcVerify(sum)); err != nil {
+			t.Fatalf("second ReadVerified: %v", err)
+		}
+		if s.Reads(0) != before+1 {
+			t.Fatal("healed main did not serve the follow-up read")
+		}
+	})
 }
 
 func TestReadVerifiedAllReplicasCorrupt(t *testing.T) {
-	s, _ := newSet(t, 2)
-	in := []byte("every copy rotted")
-	writeAll(t, s, in, 512)
-	out := make([]byte, len(in))
-	err := s.ReadVerified(out, 512, func([]byte) bool { return false })
-	if !errors.Is(err, ErrNoReplica) || !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrNoReplica wrapping ErrChecksum", err)
-	}
-	// Unverifiable data must not demote anyone by itself (budget is 8).
-	if s.AliveCount() != 2 {
-		t.Fatalf("alive = %d after mismatches, want 2", s.AliveCount())
-	}
+	onBothLadders(t, 2, func(t *testing.T, s *ReplicaSet, _ []*FaultyDisk) {
+		in := []byte("every copy rotted")
+		writeAll(t, s, in, 512)
+		out := make([]byte, len(in))
+		err := s.ReadVerified(nil, nil, out, 512, func([]byte) bool { return false })
+		if !errors.Is(err, ErrNoReplica) || !errors.Is(err, ErrChecksum) {
+			t.Fatalf("err = %v, want ErrNoReplica wrapping ErrChecksum", err)
+		}
+		// Unverifiable data must not demote anyone by itself (budget is 8).
+		if s.AliveCount() != 2 {
+			t.Fatalf("alive = %d after mismatches, want 2", s.AliveCount())
+		}
+	})
 }
 
 func TestChecksumErrorBudgetQuarantine(t *testing.T) {
-	s, faulty := newSet(t, 3)
-	s.SetErrorBudget(3)
-	in := []byte("repeat offender")
-	writeAll(t, s, in, 0)
-	sum := crc32.Checksum(in, castagnoli)
+	onBothLadders(t, 3, func(t *testing.T, s *ReplicaSet, faulty []*FaultyDisk) {
+		s.SetErrorBudget(3)
+		in := []byte("repeat offender")
+		writeAll(t, s, in, 0)
+		sum := crc32.Checksum(in, castagnoli)
 
-	// Replica 0 lies on every read from now on (stored bytes stay good, so
-	// self-heal rewrites cannot cure it).
-	faulty[0].CorruptNextReads(1000)
+		// Replica 0 lies on every read from now on (stored bytes stay good,
+		// so self-heal rewrites cannot cure it).
+		faulty[0].CorruptNextReads(1000)
 
-	out := make([]byte, len(in))
-	for i := 0; i < 3; i++ {
-		if err := s.ReadVerified(out, 0, crcVerify(sum)); err != nil {
-			t.Fatalf("ReadVerified %d: %v", i, err)
+		out := make([]byte, len(in))
+		for i := 0; i < 3; i++ {
+			if err := s.ReadVerified(nil, nil, out, 0, crcVerify(sum)); err != nil {
+				t.Fatalf("ReadVerified %d: %v", i, err)
+			}
+			if !bytes.Equal(out, in) {
+				t.Fatalf("read %d returned %q", i, out)
+			}
 		}
-		if !bytes.Equal(out, in) {
-			t.Fatalf("read %d returned %q", i, out)
+		if s.Alive(0) {
+			t.Fatal("replica 0 alive after exhausting its error budget")
 		}
-	}
-	if s.Alive(0) {
-		t.Fatal("replica 0 alive after exhausting its error budget")
-	}
-	if got := s.ChecksumErrors(0); got != 3 {
-		t.Fatalf("ChecksumErrors(0) = %d, want 3", got)
-	}
-	if s.Main() != 1 {
-		t.Fatalf("main = %d after quarantine, want 1", s.Main())
-	}
-	if got := s.Promotions(); got != 1 {
-		t.Fatalf("Promotions = %d, want 1", got)
-	}
-	// Quarantined replicas serve nothing; the survivors do.
-	if err := s.ReadVerified(out, 0, crcVerify(sum)); err != nil {
-		t.Fatalf("post-quarantine read: %v", err)
-	}
+		if got := s.ChecksumErrors(0); got != 3 {
+			t.Fatalf("ChecksumErrors(0) = %d, want 3", got)
+		}
+		if s.Main() != 1 {
+			t.Fatalf("main = %d after quarantine, want 1", s.Main())
+		}
+		if got := s.Promotions(); got != 1 {
+			t.Fatalf("Promotions = %d, want 1", got)
+		}
+		// Quarantined replicas serve nothing; the survivors do.
+		if err := s.ReadVerified(nil, nil, out, 0, crcVerify(sum)); err != nil {
+			t.Fatalf("post-quarantine read: %v", err)
+		}
+	})
 }
 
 func TestPromotionDuringInFlightReads(t *testing.T) {
