@@ -181,7 +181,7 @@ func RunParallelExp() (*Table, []Check, error) {
 		Pass:   pc == commits && fan == 2*commits,
 	})
 
-	// --- Quorum reply: Apply(1) returns while a replica is still writing.
+	// --- Quorum reply: a P-FACTOR 1 commit returns while a replica is still writing.
 	memA, err := disk.NewMem(512, 64)
 	if err != nil {
 		return nil, nil, err
@@ -196,9 +196,10 @@ func RunParallelExp() (*Table, []Check, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := qset.Apply(1, func(i int, dev disk.Device) error {
+	// The remainder stays parked in the set; the Drain below writes it.
+	if _, err := qset.ApplyDeferred(nil, nil, 1, func(i int, dev disk.Device) error {
 		return dev.WriteAt([]byte("quorum"), 0)
-	}); err != nil {
+	}, nil); err != nil {
 		return nil, nil, fmt.Errorf("bench parallel: quorum apply: %w", err)
 	}
 	pendingAtReply := float64(qset.Writes(0) - qset.Writes(1))

@@ -27,6 +27,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -193,6 +194,16 @@ type faultCall struct {
 	err     error         // written by the leader before done closes
 }
 
+// commitTicket is a create's write-through, as requests on its file wait
+// for it (awaitCommit): registered under mu before the file is published,
+// moved on by its own create only (passTicket), ended at settle.
+type commitTicket struct {
+	gen    uint64        // tells this create's ticket from a later one's for the inode
+	queued bool          // the entry is not yet taken by a group-commit flush
+	later  func()        // the parked remainder, until a waiter claims it
+	done   chan struct{} // made by the first sleeping waiter; closed at every move
+}
+
 // Server is one Bullet file server instance over a replica set.
 type Server struct {
 	port     capability.Port
@@ -215,17 +226,8 @@ type Server struct {
 
 	// committer batches concurrent creates into shared replica fan-outs
 	// (Options.GroupCommitWindow); nil when grouping is disabled. Queued
-	// entries are invisible to replicas.Drain until flushed, so every
-	// Drain site goes through flushCommits.
+	// entries are invisible to replicas.Drain; awaitCommit flushes them.
 	committer *disk.GroupCommitter
-
-	// commits tracks creates between publishing their metadata (under mu)
-	// and registering their write-through with the replica set's drain
-	// tracker. Delete and compaction must wait for it before trusting
-	// Drain, or a write-through in that window would land on reused
-	// ground. Add and Wait both happen with mu held exclusively, which
-	// serializes them as the WaitGroup contract requires.
-	commits sync.WaitGroup
 
 	// inoMu serializes inode-block writes per replica. Two concurrent
 	// creates whose inodes share a disk block would otherwise interleave
@@ -250,9 +252,12 @@ type Server struct {
 	capCount int                                                    // guarded by capMu
 
 	// faults is the per-inode singleflight table for in-flight cache-miss
-	// disk reads. faultMu is a leaf lock: never held while acquiring mu.
+	// disk reads; tickets holds each create not yet settled on every
+	// replica. faultMu is a leaf lock: never held while acquiring mu.
 	faultMu sync.Mutex
-	faults  map[uint32]*faultCall // guarded by faultMu
+	faults  map[uint32]*faultCall   // guarded by faultMu
+	tickets map[uint32]commitTicket // guarded by faultMu
+	lastGen uint64                  // guarded by faultMu; the newest ticket's gen
 
 	// bg accounts background goroutines the engine launches (currently
 	// only StartRecover's replica catch-up); Close waits for them before
@@ -344,6 +349,7 @@ func New(replicas *disk.ReplicaSet, opts Options) (*Server, error) {
 		m:        newEngineMetrics(reg, replicas.N()),
 		capCache: make(map[uint32]map[capability.Capability]capability.Rights),
 		faults:   make(map[uint32]*faultCall),
+		tickets:  make(map[uint32]commitTicket),
 	}
 	fileCache.AttachMetrics(reg)
 	replicas.AttachMetrics(reg)
@@ -527,6 +533,15 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	// back to an uncached create with at least one synchronous disk write.
 	var pin *cache.View
 	idx, evicted, cerr := s.cache.InsertTraced(tc, sp, inode, data)
+	// undo gives back the cache slot, the inode and the extent, and mu.
+	undo := func() {
+		if idx != 0 {
+			_ = s.cache.Remove(idx, inode)
+		}
+		_ = s.table.Free(inode)
+		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
+		s.mu.Unlock()
+	}
 	if cerr == nil {
 		s.clearEvicted(evicted)
 		if v, verr := s.cache.Pin(idx, inode); verr == nil {
@@ -534,10 +549,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		}
 		if err := s.table.SetCacheIndex(inode, idx); err != nil {
 			pin.Release()
-			_ = s.cache.Remove(idx, inode)
-			_ = s.table.Free(inode)
-			s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
-			s.mu.Unlock()
+			undo()
 			return capability.Capability{}, nil, err
 		}
 	} else {
@@ -553,18 +565,15 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	// again — cancelling mid-commit would let this rollback free blocks
 	// that in-flight writes still touch (internal/trace/deadline.go).
 	if tc.DeadlineExceeded() {
-		if pin != nil {
-			pin.Release()
-		}
-		if idx != 0 {
-			_ = s.cache.Remove(idx, inode)
-		}
-		_ = s.table.Free(inode)
-		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
-		s.mu.Unlock()
+		pin.Release()
+		undo()
 		return capability.Capability{}, nil, fmt.Errorf("bullet: create abandoned before commit: %w", trace.ErrDeadlineExceeded)
 	}
-	s.commits.Add(1)
+	s.faultMu.Lock()
+	s.lastGen++
+	gen := s.lastGen
+	s.tickets[inode] = commitTicket{gen: gen, queued: s.committer != nil}
+	s.faultMu.Unlock()
 	s.mu.Unlock()
 
 	// Write-through: file bytes, then the whole disk block containing the
@@ -588,6 +597,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		// durable as it will get, so the cache entry may move again.
 		pin.Release()
 		putPadded(pad)
+		s.passTicket(inode, gen, nil, true)
 	}
 	dataOff := s.desc.DataOffset(start)
 	commitStart := time.Now()
@@ -597,16 +607,19 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		// inode block once per batch). The entry's quorum wait still
 		// honours this create's P-FACTOR — it may just cover batch-mates
 		// too. P-FACTOR 0 returns at submission, exactly as the ungrouped
-		// path returns at launch.
-		done := s.committer.Submit(disk.GroupEntry{
+		// path returns at launch. Whoever flushes the batch writes its
+		// remainder: the timer, a waiter, or (if this entry filled it) our
+		// caller, after its reply.
+		var done <-chan error
+		done, later = s.committer.Submit(disk.GroupEntry{
 			SyncN: pfactor,
 			Tag:   inode,
 			Op: func(i int, dev disk.Device) error {
 				return dev.WriteAt(padded, dataOff)
 			},
 			OnSettled: settled,
+			OnFlushed: func(later func()) { s.passTicket(inode, gen, later, false) },
 		})
-		s.commits.Done()
 		err = nil
 		if pfactor > 0 {
 			err = <-done
@@ -620,21 +633,15 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			defer s.inoMu[i].Unlock()
 			return s.table.WriteInode(dev, inode)
 		}, settled)
-		s.commits.Done()
+		s.passTicket(inode, gen, later, false) // a no-op if settled already
 	}
 	if err != nil {
 		// No disk accepted the file during the synchronous phase: undo —
-		// once the mirror's write, if one is armed, is out of the extent too.
-		if later != nil {
-			later()
-		}
+		// once every write (a mirror's, if armed) is out of the extent and
+		// the ticket has settled, as a waiter under mu needs.
+		s.awaitCommit(inode)
 		s.mu.Lock()
-		if idx != 0 {
-			_ = s.cache.Remove(idx, inode)
-		}
-		_ = s.table.Free(inode)
-		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
-		s.mu.Unlock()
+		undo()
 		return capability.Capability{}, nil, fmt.Errorf("bullet: write-through failed: %w", err)
 	}
 	s.m.commit[pfactor].ObserveDuration(time.Since(commitStart))
@@ -799,9 +806,10 @@ func (s *Server) abandon(view *cache.View, inode uint32) {
 // the RAM cache" in one transfer), then publish it. The protocol is
 // reserve → fill → revalidate → publish:
 //
-//   - reserve: after the drain, claim a pinned, unfilled, unpublished slot
-//     of the file's size (cache.Reserve). Nobody else knows its number and
-//     lookups refuse it, so its bytes are this goroutine's alone.
+//   - reserve: after the file's commit, claim a pinned, unfilled,
+//     unpublished slot of the file's size (cache.Reserve). Nobody else
+//     knows its number and lookups refuse it, so its bytes are this
+//     goroutine's alone.
 //   - fill: the replica read (and, for checksummed files, the CRC32C
 //     verification with failover and repair) runs on those bytes with no
 //     engine or cache lock held.
@@ -828,20 +836,18 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 		}
 
 		// Deadline checkpoint: the cache fault is about to commit to a
-		// whole-file disk read (plus a drain of in-flight writes); a
+		// whole-file disk read (plus its create's write-through); a
 		// caller whose budget is already spent sheds here instead. Reads
 		// mutate nothing, so unlike create there is no rollback to guard.
 		if tc.DeadlineExceeded() {
 			return nil, fmt.Errorf("bullet: cache fault abandoned, budget spent: %w", trace.ErrDeadlineExceeded)
 		}
 
-		// In-flight background write-throughs (an uncached create, or
-		// replicas still catching up past the P-FACTOR) must land before
-		// the disk is readable. The reservation comes after, so its pin —
-		// which blocks cache compaction and shrinks what a create can evict
-		// — is never held across a wait for background writes.
-		s.flushCommits()
-		s.replicas.Drain()
+		// The file's own write-through must land before its disk copy is
+		// readable. The reservation comes after, so its pin — which blocks
+		// cache compaction and shrinks what a create can evict — is never
+		// held across that wait.
+		s.awaitCommit(inode)
 
 		view, evicted, cerr := s.cache.ReserveTraced(tc, parent, inode, int64(ino.Size))
 		s.clearEvicted(evicted)
@@ -916,9 +922,9 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 	return nil, fmt.Errorf("bullet: object %d kept moving during fault: %w", inode, ErrNoSuchFile)
 }
 
-// delete is the body of Delete with span threading; sp is the enclosing
-// engine-layer delete span.
-func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) error {
+// delete is the body of Delete; sp is the enclosing engine-layer delete
+// span, and later the inode write's remainder, made once mu is released.
+func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) (later func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	vsp := tc.Begin(sp, trace.LayerEngine, trace.OpVerify)
@@ -926,16 +932,12 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	annotate(vsp, inode, 0, 0, err)
 	tc.End(vsp)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// The freed extent becomes allocatable below; any still-pending
-	// write-through targeting it must land first, or it would clobber
-	// whatever file reuses the extent. Creates between metadata publish
-	// and write-through registration are waited out first (commits), then
-	// the registered writes themselves (Drain).
-	s.commits.Wait()
-	s.flushCommits()
-	s.replicas.Drain()
+	// The freed extent becomes allocatable below; this file's own
+	// write-through must land first, or it would clobber whatever file
+	// reuses the extent. No other file's writes touch it.
+	s.awaitCommit(inode)
 	if ino.CacheIndex != 0 {
 		// A pinned copy (readers mid-copy-out) is doomed, not freed; the
 		// last reader's release reclaims it.
@@ -943,24 +945,24 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	}
 	s.forgetCaps(inode)
 	if err := s.table.Free(inode); err != nil {
-		return err
+		return nil, err
 	}
 	// Deletion involves requests to all disks (paper §4 note under Fig. 2):
-	// a full quorum, so this goroutine — still holding mu, as it always
-	// waited here — writes the inode block to each replica in turn.
-	err = s.replicas.ApplyNotifyTraced(tc, sp, s.replicas.N(), func(i int, dev disk.Device) error {
+	// a full quorum, so this goroutine — still holding mu — writes the inode
+	// block to each replica in turn.
+	later, err = s.replicas.ApplyDeferred(tc, sp, s.replicas.N(), func(i int, dev disk.Device) error {
 		s.inoMu[i].Lock()
 		defer s.inoMu[i].Unlock()
 		return s.table.WriteInode(dev, inode)
 	}, nil)
 	if err != nil {
-		return fmt.Errorf("bullet: persisting delete: %w", err)
+		return later, fmt.Errorf("bullet: persisting delete: %w", err)
 	}
 	if err := s.dalloc.Free(int64(ino.FirstBlock), ino.Blocks(s.desc.BlockSize)); err != nil {
-		return fmt.Errorf("bullet: freeing extent: %w", err)
+		return later, fmt.Errorf("bullet: freeing extent: %w", err)
 	}
 	s.m.deletes.Inc()
-	return nil
+	return later, nil
 }
 
 // modify is the body of Modify; sp is the enclosing engine-layer modify
@@ -1122,29 +1124,70 @@ func (s *Server) SweepExcept(keep map[uint32]bool) (int, error) {
 	return len(victims), nil
 }
 
-// flushCommits forces any group-committed creates still waiting for
-// their batch window into the replica set, so a following
-// replicas.Drain observes them. Every engine Drain site calls this
-// first; a nil committer (grouping disabled) is a no-op. Entry errors
-// are delivered to the entries' own callers, not here.
-func (s *Server) flushCommits() {
-	if s.committer != nil {
-		_ = s.committer.Flush()
+// passTicket moves inode's ticket gen on — out of the group committer's
+// queue, holding the remainder later — or ends it when settled, and wakes
+// its waiters; a no-op once that ticket has ended.
+func (s *Server) passTicket(inode uint32, gen uint64, later func(), settled bool) {
+	s.faultMu.Lock()
+	if t, ok := s.tickets[inode]; ok && t.gen == gen {
+		if t.done != nil {
+			close(t.done)
+		}
+		s.tickets[inode] = commitTicket{gen: gen, later: later}
+		if settled {
+			delete(s.tickets, inode)
+		}
+	}
+	s.faultMu.Unlock()
+}
+
+// awaitCommit returns once inode's create, if in flight, has finished on
+// every replica; it waits for no other file. It flushes the entry out of
+// the group committer, or writes a remainder nobody has started, itself
+// (the owner may be stuck behind a client that stopped reading), or else
+// sleeps until the ticket moves. Nothing that moves a ticket takes mu.
+func (s *Server) awaitCommit(inode uint32) {
+	for {
+		s.faultMu.Lock()
+		t, ok := s.tickets[inode]
+		if ok && t.later == nil && !t.queued && t.done == nil {
+			t.done = make(chan struct{})
+		}
+		if ok { // a remainder is claimed: the next waiter sleeps
+			s.tickets[inode] = commitTicket{gen: t.gen, queued: t.queued, done: t.done}
+		}
+		s.faultMu.Unlock()
+		switch {
+		case !ok:
+			return
+		case t.later != nil:
+			t.later() // a no-op if its owner or a Drain got there first
+		case !t.queued:
+			<-t.done
+		case !s.committer.FlushTag(inode):
+			runtime.Gosched() // neither queued nor flushed: not yet submitted
+		}
 	}
 }
 
-// Sync waits for all in-flight write-throughs — creates still between
-// metadata publish and write registration, then the registered background
-// (post-P-FACTOR) replica writes — to land.
+// awaitCommits waits out every create in flight when it is called.
+func (s *Server) awaitCommits() {
+	s.faultMu.Lock()
+	inodes := make([]uint32, 0, len(s.tickets))
+	for inode := range s.tickets {
+		inodes = append(inodes, inode)
+	}
+	s.faultMu.Unlock()
+	for _, inode := range inodes {
+		s.awaitCommit(inode)
+	}
+}
+
+// Sync waits for every create in flight and every other replica write
+// (Drain), then persists the checksum entries marked dirty since.
 func (s *Server) Sync() {
-	s.mu.RLock()
-	s.commits.Wait()
-	s.mu.RUnlock()
-	s.flushCommits()
+	s.awaitCommits()
 	s.replicas.Drain()
-	// Persist checksum entries recorded since the last flush (create and
-	// lazy backfill only mark them dirty, keeping the write-through to one
-	// inode block per create). The fan-out inside FlushSums is synchronous.
 	_, _ = s.table.FlushSums(s.replicas)
 }
 

@@ -29,13 +29,9 @@ func (s *Server) CompactDisk() error {
 }
 
 func (s *Server) compactDiskLocked() error {
-	// Compaction rearranges extents; in-flight write-throughs must not
-	// land on moved ground. Wait out creates still between metadata
-	// publish and write registration (commits), then the registered
-	// writes themselves.
-	s.commits.Wait()
-	s.flushCommits()
-	s.replicas.Drain()
+	// No create's write-through may still head for a moving extent (mu
+	// keeps new ones out; a delete's remainder writes only an inode block).
+	s.awaitCommits()
 	bs := int64(s.desc.BlockSize)
 	var used []alloc.Used
 	s.table.ForEachUsed(func(n uint32, ino layout.Inode) {
@@ -55,10 +51,7 @@ func (s *Server) compactDiskLocked() error {
 			return fmt.Errorf("bullet: compaction read inode %d: %w", n, err)
 		}
 		// Data first, to all replicas, synchronously.
-		werr := s.replicas.Apply(s.replicas.N(), func(_ int, dev disk.Device) error {
-			return dev.WriteAt(buf, s.desc.DataOffset(m.To))
-		})
-		if werr != nil {
+		if werr := s.replicas.WriteAt(buf, s.desc.DataOffset(m.To)); werr != nil {
 			return fmt.Errorf("bullet: compaction write inode %d: %w", n, werr)
 		}
 		// Then the metadata: point the inode at the new extent.
@@ -85,9 +78,14 @@ func (s *Server) retarget(n, firstBlock uint32) error {
 	if err := s.table.Retarget(n, firstBlock); err != nil {
 		return fmt.Errorf("bullet: retargeting inode %d: %w", n, err)
 	}
-	err := s.replicas.Apply(s.replicas.N(), func(_ int, dev disk.Device) error {
+	later, err := s.replicas.ApplyDeferred(nil, nil, s.replicas.N(), func(i int, dev disk.Device) error {
+		s.inoMu[i].Lock()
+		defer s.inoMu[i].Unlock()
 		return s.table.WriteInode(dev, n)
-	})
+	}, nil)
+	if later != nil {
+		later()
+	}
 	if err != nil {
 		return fmt.Errorf("bullet: persisting retarget of inode %d: %w", n, err)
 	}

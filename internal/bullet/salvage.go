@@ -61,36 +61,21 @@ func (s *Server) ScrubObject(obj uint32) ScrubResult {
 	extLen := ino.Blocks(bs) * int64(bs)
 	off := s.desc.DataOffset(int64(ino.FirstBlock))
 
-	// Writes still in flight toward this extent (a create past its
-	// P-FACTOR quorum, or one still between metadata publish and write
-	// registration) would read as divergence; settle them first. Both
-	// waits are safe under the shared lock: commits.Add needs the lock
-	// exclusively and the write-behind a Drain may do never takes it at all.
-	s.commits.Wait()
-	s.flushCommits()
-	s.replicas.Drain()
+	// This file's own write-through, if still in flight, would read as
+	// divergence: wait it out (safe under the shared lock; see awaitCommit).
+	s.awaitCommit(obj)
 
 	copies := make([][]byte, s.replicas.N())
-	readExtent := func(i int) []byte {
+	for i := range copies {
 		if !s.replicas.Alive(i) {
-			return nil
+			continue
 		}
 		buf := make([]byte, extLen)
-		if s.replicas.Device(i).ReadAt(buf, off) != nil {
-			return nil
-		}
-		res.Bytes += extLen
-		return buf
-	}
-	for i := range copies {
-		copies[i] = readExtent(i)
-		if copies[i] != nil {
+		if s.replicas.Device(i).ReadAt(buf, off) == nil {
+			copies[i] = buf
+			res.Bytes += extLen
 			res.Checked++
 		}
-	}
-
-	verifies := func(buf []byte) bool {
-		return buf != nil && layout.Checksum(buf[:ino.Size]) == ino.Sum
 	}
 
 	// Pick the reference copy: the first one matching the checksum, or —
@@ -99,23 +84,9 @@ func (s *Server) ScrubObject(obj uint32) ScrubResult {
 	ref := -1
 	if ino.HasSum {
 		for i, buf := range copies {
-			if verifies(buf) {
+			if buf != nil && layout.Checksum(buf[:ino.Size]) == ino.Sum {
 				ref = i
 				break
-			}
-		}
-		if ref < 0 {
-			// Nothing verified: the reads may have raced a write-through
-			// that registered after our Drain. Settle and retry once
-			// before declaring the object unrepairable.
-			s.flushCommits()
-			s.replicas.Drain()
-			for i := range copies {
-				copies[i] = readExtent(i)
-				if verifies(copies[i]) {
-					ref = i
-					break
-				}
 			}
 		}
 		if ref < 0 {

@@ -40,7 +40,8 @@ func annotate(sp *trace.Span, inode uint32, bytes int64, pfactor int, err error)
 // writes its P-FACTOR quorum, main replica first — so concurrent creates
 // overlap their disk time and readers are never blocked behind a commit.
 // later, when non-nil, is the rest of the write-through: call it once the
-// reply is out, on any goroutine; until then do not Drain on this one.
+// reply is out, on any goroutine. A request on the same file that gets
+// there first writes it itself (see awaitCommit), and later is then a no-op.
 func (s *Server) CreateDeferred(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, func(), error) {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpCreate)
 	c, later, err := s.create(tc, sp, data, pfactor)
@@ -55,7 +56,7 @@ func (s *Server) CreateDeferred(tc *trace.Ctx, parent *trace.Span, data []byte, 
 func (s *Server) Create(data []byte, pfactor int) (capability.Capability, error) {
 	c, later, err := s.CreateDeferred(nil, nil, data, pfactor)
 	if later != nil {
-		//lint:ignore goroutinestop accounted by the replica set's pending-write counter, which Sync, Close, delete and the fault path drain — and a Drain that gets there first runs it itself
+		//lint:ignore goroutinestop accounted by the file's commit ticket, which a miss, delete or scrub of the file waits on (running the write itself if it gets there first), and by the replica set's pending-write counter, which Sync and Close drain
 		go later()
 	}
 	return c, err
@@ -80,13 +81,18 @@ func (s *Server) Size(tc *trace.Ctx, parent *trace.Span, c capability.Capability
 }
 
 // Delete implements BULLET.DELETE: verify, zero the inode and write it back
-// to all disks, free the cache copy and the disk extent (paper §3). It
-// holds the metadata lock exclusively end to end: deletes are rare (the
-// nightly GC sweep), and the extent hand-back must not interleave with
-// compaction scanning or a fault publishing against the dying inode.
+// to all disks, free the cache copy and the disk extent (paper §3). The
+// metadata lock is held exclusively from the verify to the extent hand-back
+// (deletes are rare, and the hand-back must not interleave with compaction
+// or a fault publishing against the dying inode); under it the delete waits
+// for the file's own create, if unsettled, and no other. The inode write a
+// breaker-open replica or the recovery mirror still needs follows the lock.
 func (s *Server) Delete(tc *trace.Ctx, parent *trace.Span, c capability.Capability) error {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpDelete)
-	err := s.delete(tc, sp, c)
+	later, err := s.delete(tc, sp, c)
+	if later != nil {
+		later()
+	}
 	annotate(sp, c.Object, 0, 0, err)
 	tc.End(sp)
 	return err

@@ -222,10 +222,11 @@ func TestWriteBehindReplyLeavesBeforeHeldReplica(t *testing.T) {
 // TestStalledReplyDoesNotStallTheEngine is the robustness half: connection
 // A's reply to a P-FACTOR 1 create is stuck in its socket write, so A's
 // serving goroutine cannot get to its write-behind. A DELETE of another
-// file (which drains while holding the metadata lock) and a cold READ
-// (whose fault path drains) on connection B must both complete: whichever
-// drains first does A's write-behind itself. When A finally gets unstuck
-// its own continuation is a no-op.
+// file (under the metadata lock) and a cold READ of another file on
+// connection B must both complete, and leave A's write-behind alone: a
+// request waits for its own file's commit only. A's file reads back from
+// the cache; a DELETE of it then does A's write-behind itself, and when A
+// finally gets unstuck its own continuation is a no-op.
 func TestStalledReplyDoesNotStallTheEngine(t *testing.T) {
 	for _, first := range []string{"delete", "read"} {
 		t.Run(first+"-first", func(t *testing.T) {
@@ -292,20 +293,40 @@ func TestStalledReplyDoesNotStallTheEngine(t *testing.T) {
 			} else {
 				read()
 			}
-			// A's file is on both replicas and its commit has settled (the
-			// pin is gone) though A has not moved.
-			wantWrites := writes + 1
+			// Neither request touched A's write-behind: it is still parked,
+			// and A's file is still pinned by its create.
+			untouched := func(what string, wantWrites int64) {
+				if w.set.Writes(1) != wantWrites || w.pendingWrites() != 1 || w.eng.CacheStats().PinnedViews != 1 {
+					t.Fatalf("after B's %s: writes(1)=%d pending=%d pins=%d; want %d, 1, 1",
+						what, w.set.Writes(1), w.pendingWrites(), w.eng.CacheStats().PinnedViews, wantWrites)
+				}
+			}
+			wantWrites := writes
 			if first == "delete" {
 				wantWrites++ // the delete's own inode write
 			}
-			if w.set.Writes(1) != wantWrites || w.pendingWrites() != 0 || !w.replicasIdentical() || w.eng.CacheStats().PinnedViews != 0 {
-				t.Fatalf("after B's %s: writes(1)=%d pending=%d identical=%v pins=%d; want %d, 0, true, 0",
-					first, w.set.Writes(1), w.pendingWrites(), w.replicasIdentical(), w.eng.CacheStats().PinnedViews, wantWrites)
-			}
+			untouched(first, wantWrites)
 			if first == "delete" {
 				read()
 			} else {
 				del()
+			}
+			untouched("read and delete", writes+1)
+
+			// A's file reads back whole from the cache (a hit, which leaves
+			// A's write-behind to the DELETE below).
+			if h, body, err := b.Trans(w.port, rpc.Header{Command: CmdRead, Cap: aReply.Cap}, nil); err != nil || h.Status != rpc.StatusOK || !bytes.Equal(body, file('a')) {
+				t.Fatalf("reading A's file with A stalled: %+v %v", h, err)
+			}
+
+			// A DELETE of A's file waits for A's commit, and writes it.
+			writes = w.set.Writes(1)
+			if h, _, err := b.Trans(w.port, rpc.Header{Command: CmdDelete, Cap: aReply.Cap}, nil); err != nil || h.Status != rpc.StatusOK {
+				t.Fatalf("DELETE of A's file with A stalled: %+v %v", h, err)
+			}
+			if w.set.Writes(1) != writes+2 || w.pendingWrites() != 0 || !w.replicasIdentical() || w.eng.CacheStats().PinnedViews != 0 {
+				t.Fatalf("after deleting A's file: writes(1) %d -> %d pending=%d identical=%v pins=%d; want +2 (A's write, the delete's), 0, true, 0",
+					writes, w.set.Writes(1), w.pendingWrites(), w.replicasIdentical(), w.eng.CacheStats().PinnedViews)
 			}
 
 			writes = w.set.Writes(1)
@@ -315,10 +336,6 @@ func TestStalledReplyDoesNotStallTheEngine(t *testing.T) {
 			}
 			if w.set.Writes(1) != writes || w.pendingWrites() != 0 || w.eng.CacheStats().PinnedViews != 0 {
 				t.Fatalf("A's own continuation was not a no-op: writes(1) %d -> %d", writes, w.set.Writes(1))
-			}
-			h, body, err := b.Trans(w.port, rpc.Header{Command: CmdRead, Cap: aReply.Cap}, nil)
-			if err != nil || h.Status != rpc.StatusOK || !bytes.Equal(body, file('a')) {
-				t.Fatalf("reading A's file: %+v %v", h, err)
 			}
 		})
 	}

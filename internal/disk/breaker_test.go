@@ -430,7 +430,7 @@ func TestHedgeRateCapEnforced(t *testing.T) {
 
 // TestBreakerOpenExcludedFromQuorum pins the commit-side rule: an open
 // breaker's replica still receives every write but the P-FACTOR quorum
-// is satisfied without it, so a full-sync Apply does not wait for (or
+// is satisfied without it, so a full-sync commit does not wait for (or
 // get failed by) the gray disk.
 func TestBreakerOpenExcludedFromQuorum(t *testing.T) {
 	s, faulty := newSet(t, 2)

@@ -12,7 +12,7 @@ import (
 	"bulletfs/internal/trace"
 )
 
-// onCallerStack reports whether ApplyNotifyTraced is on the calling
+// onCallerStack reports whether ApplyDeferred is on the calling
 // goroutine's stack: true inside an op the committer ran itself, false
 // inside one a background goroutine ran.
 func onCallerStack() bool {
@@ -20,7 +20,7 @@ func onCallerStack() bool {
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
 	for {
 		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, "(*ReplicaSet).ApplyNotifyTraced") {
+		if strings.HasSuffix(f.Function, "(*ReplicaSet).ApplyDeferred") {
 			return true
 		}
 		if !more {
@@ -65,7 +65,7 @@ func TestCommitQuorumOrderMainFirst(t *testing.T) {
 	s, faulty := newSet(t, 3)
 	var log orderLog
 
-	if err := s.Apply(2, log.op); err != nil {
+	if err := commit(s, nil, nil, 2, log.op, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()
@@ -79,7 +79,7 @@ func TestCommitQuorumOrderMainFirst(t *testing.T) {
 	if s.Main() != 1 {
 		t.Fatalf("main = %d after replica 0 died, want 1", s.Main())
 	}
-	if err := s.Apply(2, log.op); err != nil {
+	if err := commit(s, nil, nil, 2, log.op, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.take(); got != "[1 2] / []" {
@@ -92,7 +92,7 @@ func TestCommitQuorumOrderMainFirst(t *testing.T) {
 	if err := s.Recover(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Apply(3, log.op); err != nil {
+	if err := commit(s, nil, nil, 3, log.op, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.take(); got != "[1 0 2] / []" {
@@ -101,23 +101,23 @@ func TestCommitQuorumOrderMainFirst(t *testing.T) {
 }
 
 // TestCommitQuorumRunsOnCaller pins the tentpole: a P-FACTOR N commit on N
-// live replicas runs every op on the calling goroutine — ApplyNotifyTraced
-// is on each op's stack — and starts no goroutine.
+// live replicas runs every op on the calling goroutine — ApplyDeferred is
+// on each op's stack — and starts no goroutine.
 func TestCommitQuorumRunsOnCaller(t *testing.T) {
 	s, _ := newSet(t, 3)
 	before := runtime.NumGoroutine()
 	ran := 0
-	err := s.Apply(3, func(i int, dev Device) error {
+	err := commit(s, nil, nil, 3, func(i int, dev Device) error {
 		ran++ // unsynchronized on purpose: -race flags any second goroutine
 		// > not !=: an earlier test's background writer may still be exiting.
 		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("replica %d: %d goroutines inside op, %d before Apply", i, n, before)
+			t.Errorf("replica %d: %d goroutines inside op, %d before the commit", i, n, before)
 		}
 		if !onCallerStack() {
 			t.Errorf("replica %d: op ran off the caller's stack", i)
 		}
 		return dev.WriteAt([]byte{1}, 0)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCommitQuorumRunsOnCaller(t *testing.T) {
 		t.Fatalf("op ran %d times, want 3", ran)
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after a fully synchronous Apply, %d before", n, before)
+		t.Fatalf("%d goroutines after a fully synchronous commit, %d before", n, before)
 	}
 }
 
@@ -140,11 +140,11 @@ func TestCommitApplyAllocFree(t *testing.T) {
 	p := []byte("no garbage on the write path")
 	op := func(_ int, dev Device) error { return dev.WriteAt(p, 0) }
 	if n := testing.AllocsPerRun(100, func() {
-		if err := s.Apply(2, op); err != nil {
+		if err := commit(s, nil, nil, 2, op, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("Apply(2) on 2 live replicas allocates %.0f times per call, want 0", n)
+		t.Fatalf("commit(2) on 2 live replicas allocates %.0f times per call, want 0", n)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestCommitMainFailsMidCommit(t *testing.T) {
 	s, faulty := newSet(t, 3)
 	faulty[0].FailAfterWrites(0)
 	var log orderLog
-	if err := s.Apply(2, log.op); err != nil {
-		t.Fatalf("Apply(2) with a failing main: %v", err)
+	if err := commit(s, nil, nil, 2, log.op, nil); err != nil {
+		t.Fatalf("commit(2) with a failing main: %v", err)
 	}
 	if got := log.take(); got != "[0 1 2] / []" {
 		t.Fatalf("ops ran on %s, want [0 1 2] / [] (failed main replaced in the quorum)", got)
@@ -178,7 +178,7 @@ func TestCommitQuorumFallsBackToOpenBreaker(t *testing.T) {
 	s.EnableBreakers(BreakerConfig{})
 	s.brk[0].state.Store(breakerOpen)
 	var log orderLog
-	if err := s.Apply(2, log.op); err != nil {
+	if err := commit(s, nil, nil, 2, log.op, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Drain()
@@ -187,8 +187,8 @@ func TestCommitQuorumFallsBackToOpenBreaker(t *testing.T) {
 	}
 
 	faulty[1].FailAfterWrites(0)
-	if err := s.Apply(2, log.op); err != nil {
-		t.Fatalf("Apply with the only healthy replica failing: %v", err)
+	if err := commit(s, nil, nil, 2, log.op, nil); err != nil {
+		t.Fatalf("commit with the only healthy replica failing: %v", err)
 	}
 	if got := log.take(); got != "[1 0] / []" {
 		t.Fatalf("ops ran on %s, want [1 0] / []", got)
@@ -223,7 +223,7 @@ func TestCommitSettledExactlyOnce(t *testing.T) {
 						faulty[i].FailAfterWrites(0)
 					}
 					var settled atomic.Int32
-					err := s.ApplyNotify(syncN, func(_ int, dev Device) error {
+					err := commit(s, nil, nil, syncN, func(_ int, dev Device) error {
 						return dev.WriteAt([]byte{9}, 0)
 					}, func() { settled.Add(1) })
 					s.Drain()
@@ -242,9 +242,9 @@ func TestCommitSettledExactlyOnce(t *testing.T) {
 					}
 
 					// With every replica dead nothing is registered, and the
-					// hook still runs — before ApplyNotify returns.
+					// hook still runs — before the commit returns.
 					if len(fail) == 3 {
-						err := s.ApplyNotify(syncN, func(_ int, dev Device) error {
+						err := commit(s, nil, nil, syncN, func(_ int, dev Device) error {
 							t.Error("op ran on a set with no live replica")
 							return nil
 						}, func() { settled.Add(1) })
@@ -268,7 +268,7 @@ func TestCommitTracedSpansSplit(t *testing.T) {
 	tc := rec.AcquireCtx()
 	tc.Reset(7)
 	root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
-	if err := s.ApplyNotifyTraced(tc, root, 1, func(_ int, dev Device) error {
+	if err := commit(s, tc, root, 1, func(_ int, dev Device) error {
 		return dev.WriteAt([]byte{7}, 0)
 	}, nil); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func (d *hungDevice) WriteAt(p []byte, off int64) error {
 }
 
 // TestParallelCommitReturnsAfterSyncQuorum proves the reply waits for the
-// quorum only: Apply(1) returns once the main has the write, while the
+// quorum only: a commit at syncN 1 returns once the main has the write, while the
 // other replica's background write is still parked; Drain then settles
 // the laggard.
 func TestParallelCommitReturnsAfterSyncQuorum(t *testing.T) {
@@ -43,17 +43,17 @@ func TestParallelCommitReturnsAfterSyncQuorum(t *testing.T) {
 	payload := []byte("quorum of one")
 	errc := make(chan error, 1)
 	go func() {
-		errc <- set.Apply(1, func(i int, dev Device) error {
+		errc <- commit(set, nil, nil, 1, func(i int, dev Device) error {
 			return dev.WriteAt(payload, 0)
-		})
+		}, nil)
 	}()
 	select {
 	case err := <-errc:
 		if err != nil {
-			t.Fatalf("Apply(1): %v", err)
+			t.Fatalf("commit(1): %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Apply(1) waited for the hung replica instead of the quorum")
+		t.Fatal("commit(1) waited for the hung replica instead of the quorum")
 	}
 
 	// The laggard has not written yet.

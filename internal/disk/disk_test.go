@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"bulletfs/internal/stats"
+	"bulletfs/internal/trace"
 )
 
 func newMem(t *testing.T, blockSize int, blocks int64) *MemDisk {
@@ -234,13 +235,24 @@ func newSet(t *testing.T, n int) (*ReplicaSet, []*FaultyDisk) {
 	return s, faulty
 }
 
+// commit runs ApplyDeferred as a caller whose reply is its return value
+// would: the quorum on this goroutine, the remainder on a goroutine of its
+// own, which Drain waits for (or takes over, if it gets there first).
+func commit(s *ReplicaSet, tc *trace.Ctx, parent *trace.Span, syncN int, op func(int, Device) error, onSettled func()) error {
+	later, err := s.ApplyDeferred(tc, parent, syncN, op, onSettled)
+	if later != nil {
+		go later()
+	}
+	return err
+}
+
 func writeAll(t *testing.T, s *ReplicaSet, p []byte, off int64) {
 	t.Helper()
-	err := s.Apply(s.N(), func(_ int, dev Device) error {
+	err := commit(s, nil, nil, s.N(), func(_ int, dev Device) error {
 		return dev.WriteAt(p, off)
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("Apply: %v", err)
+		t.Fatalf("commit: %v", err)
 	}
 }
 
@@ -309,9 +321,9 @@ func TestReplicaSetAllDead(t *testing.T) {
 	if err := s.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("ReadAt with all dead err = %v, want ErrNoReplica", err)
 	}
-	err := s.Apply(1, func(_ int, dev Device) error { return dev.WriteAt([]byte{1}, 0) })
+	err := commit(s, nil, nil, 1, func(_ int, dev Device) error { return dev.WriteAt([]byte{1}, 0) }, nil)
 	if !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("Apply with all dead err = %v, want ErrNoReplica", err)
+		t.Fatalf("commit with all dead err = %v, want ErrNoReplica", err)
 	}
 }
 
@@ -346,8 +358,8 @@ func TestReplicaSetApplySurvivesOneFailure(t *testing.T) {
 func TestReplicaSetApplyAsync(t *testing.T) {
 	s, _ := newSet(t, 2)
 	in := []byte("async write")
-	if err := s.Apply(0, func(_ int, dev Device) error { return dev.WriteAt(in, 0) }); err != nil {
-		t.Fatalf("Apply(0): %v", err)
+	if err := commit(s, nil, nil, 0, func(_ int, dev Device) error { return dev.WriteAt(in, 0) }, nil); err != nil {
+		t.Fatalf("commit(0): %v", err)
 	}
 	s.Drain()
 	for i := 0; i < 2; i++ {
@@ -365,14 +377,14 @@ func TestReplicaSetApplyPartialSync(t *testing.T) {
 	s, _ := newSet(t, 3)
 	var mu sync.Mutex
 	var order []int
-	err := s.Apply(2, func(i int, dev Device) error {
+	err := commit(s, nil, nil, 2, func(i int, dev Device) error {
 		mu.Lock()
 		order = append(order, i)
 		mu.Unlock()
 		return dev.WriteAt([]byte{7}, 0)
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("Apply(2): %v", err)
+		t.Fatalf("commit(2): %v", err)
 	}
 	mu.Lock()
 	sofar := len(order)
@@ -472,7 +484,7 @@ func TestFaultyDiskClosePassesThrough(t *testing.T) {
 	}
 }
 
-// Property: data written through a full Apply is readable back through
+// Property: data written through a full commit is readable back through
 // ReadAt regardless of which single replica subsequently dies.
 func TestQuickReplicaDurability(t *testing.T) {
 	f := func(data []byte, offBlocks uint8, kill bool, which uint8) bool {
@@ -498,7 +510,7 @@ func TestQuickReplicaDurability(t *testing.T) {
 			return false
 		}
 		off := int64(offBlocks%32) * 512
-		err = s.Apply(2, func(_ int, dev Device) error { return dev.WriteAt(data, off) })
+		err = commit(s, nil, nil, 2, func(_ int, dev Device) error { return dev.WriteAt(data, off) }, nil)
 		if err != nil {
 			return false
 		}
@@ -533,10 +545,10 @@ func TestReplicaSetMetrics(t *testing.T) {
 	reg := stats.NewRegistry()
 	set.AttachMetrics(reg)
 
-	if err := set.Apply(2, func(_ int, dev Device) error {
+	if err := commit(set, nil, nil, 2, func(_ int, dev Device) error {
 		return dev.WriteAt(make([]byte, 512), 0)
-	}); err != nil {
-		t.Fatalf("Apply: %v", err)
+	}, nil); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
 	buf := make([]byte, 512)
 	if err := set.ReadAt(buf, 0); err != nil {

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,13 +10,13 @@ import (
 )
 
 // GroupCommitter batches concurrent small writes into shared replica
-// round-trips. Each engine create normally costs its own ApplyNotify
+// round-trips. Each engine create normally costs its own ApplyDeferred
 // fan-out — one data write and one inode-block write per quorum replica
 // per file — so N concurrent small creates pay N sync round-trips even
 // though each replica could absorb all N data writes plus one combined
 // metadata write in a single pass. The committer queues entries for up
 // to a flush window (or a batch-size cap, whichever trips first) and
-// then runs the whole batch as ONE ApplyNotify: per replica, every
+// then runs the whole batch as ONE ApplyDeferred: per replica, every
 // entry's op in sequence, then a caller-supplied epilogue that writes
 // the batch's combined metadata (the engine re-encodes each dirty inode
 // block exactly once, however many creates share it).
@@ -24,9 +25,8 @@ import (
 // entry's quorum wait covers the whole batch, so a caller that asked
 // for P-FACTOR k still returns only after k replicas hold its bytes —
 // it just may also wait for its batch-mates. Queued entries are NOT yet
-// registered with the replica set's drain tracker; anything that relies
-// on Drain for quiescence (delete, compaction, recovery hand-off) must
-// call Flush first. The engine does this at every Drain site.
+// registered with the replica set's drain tracker, so a Drain does not
+// see them; a waiter for one entry calls FlushTag with its tag.
 type GroupCommitter struct {
 	rs       *ReplicaSet
 	window   time.Duration
@@ -38,7 +38,7 @@ type GroupCommitter struct {
 	timer *time.Timer   // guarded by mu; armed while queue is non-empty
 
 	// flushMu serializes flushes so two batches never interleave their
-	// ApplyNotify calls (ordering per submitter is preserved).
+	// commits (ordering per submitter is preserved).
 	flushMu sync.Mutex
 
 	batches atomic.Int64 // flushes that carried at least one entry
@@ -56,13 +56,16 @@ type GroupEntry struct {
 	// inode number, so the epilogue can write each dirty inode block
 	// once).
 	Tag uint32
-	// Op writes the entry's data on one replica. Like ApplyNotify ops it
+	// Op writes the entry's data on one replica. Like ApplyDeferred ops it
 	// may run concurrently across replicas and must touch only caller-owned
 	// state plus the device.
 	Op func(i int, dev Device) error
 	// OnSettled, when non-nil, runs after every replica has finished the
-	// whole batch (the ApplyNotify settle hook, demultiplexed).
+	// whole batch (the ApplyDeferred settle hook, demultiplexed).
 	OnSettled func()
+	// OnFlushed, when non-nil, runs under the flush lock (so it must not
+	// flush) before the result is sent, with the remainder's later or nil.
+	OnFlushed func(later func())
 }
 
 type queuedEntry struct {
@@ -84,11 +87,13 @@ func NewGroupCommitter(rs *ReplicaSet, window time.Duration, maxBatch int, epilo
 // Submit queues one entry and returns the channel its commit result will
 // arrive on (buffered; the flush never blocks on a slow consumer). The
 // entry commits when the flush window elapses, the batch fills, or
-// someone calls Flush — whichever happens first.
-func (g *GroupCommitter) Submit(e GroupEntry) <-chan error {
-	done := make(chan error, 1)
+// someone calls Flush — whichever happens first. If this entry fills the
+// batch, Submit flushes it and returns the remainder as later, which the
+// caller runs once its reply is out (as with ApplyDeferred).
+func (g *GroupCommitter) Submit(e GroupEntry) (done <-chan error, later func()) {
+	ch := make(chan error, 1)
 	g.mu.Lock()
-	g.queue = append(g.queue, queuedEntry{GroupEntry: e, done: done})
+	g.queue = append(g.queue, queuedEntry{GroupEntry: e, done: ch})
 	full := len(g.queue) >= g.maxBatch
 	if len(g.queue) == 1 && !full {
 		g.timer = time.AfterFunc(g.window, func() { g.Flush() })
@@ -96,19 +101,44 @@ func (g *GroupCommitter) Submit(e GroupEntry) <-chan error {
 	g.mu.Unlock()
 	if full {
 		g.forced.Add(1)
-		g.Flush()
+		_, later, _ = g.flush(nil)
 	}
-	return done
+	return ch, later
 }
 
-// Flush commits every queued entry in one replica round-trip. It returns
-// after the batch's writes are registered with the replica set's drain
-// tracker and the batch's quorum wait is over — so Flush followed by
-// rs.Drain() observes full quiescence. Safe to call with an empty queue.
+// Flush commits every queued entry in one replica round-trip, then writes
+// the batch's remainder. Safe with an empty queue.
 func (g *GroupCommitter) Flush() error {
+	_, later, err := g.flush(nil)
+	if later != nil {
+		later()
+	}
+	return err
+}
+
+// FlushTag is Flush if an entry tagged tag is queued, and reports whether
+// one was; if not, it waits out the quorum of a flush under way, whose
+// entries have then had their OnFlushed calls.
+func (g *GroupCommitter) FlushTag(tag uint32) bool {
+	found, later, _ := g.flush(&tag)
+	if later != nil {
+		later()
+	}
+	return found
+}
+
+// flush commits the queue as one batch — if tag is nil or tags one of its
+// entries — returning the batch's remainder for the caller to write once
+// flushMu is released: a held non-quorum replica then holds up neither
+// the next batch nor a FlushTag.
+func (g *GroupCommitter) flush(tag *uint32) (found bool, later func(), err error) {
 	g.flushMu.Lock()
 	defer g.flushMu.Unlock()
 	g.mu.Lock()
+	if tag != nil && !slices.ContainsFunc(g.queue, func(e queuedEntry) bool { return e.Tag == *tag }) {
+		g.mu.Unlock()
+		return false, nil, nil
+	}
 	batch := g.queue
 	g.queue = nil
 	if g.timer != nil {
@@ -117,7 +147,7 @@ func (g *GroupCommitter) Flush() error {
 	}
 	g.mu.Unlock()
 	if len(batch) == 0 {
-		return nil
+		return false, nil, nil
 	}
 
 	syncN := 0
@@ -146,13 +176,16 @@ func (g *GroupCommitter) Flush() error {
 			}
 		}
 	}
-	err := g.rs.ApplyNotify(syncN, op, settle)
+	later, err = g.rs.ApplyDeferred(nil, nil, syncN, op, settle)
 	g.batches.Add(1)
 	g.entries.Add(int64(len(batch)))
 	for _, e := range batch {
+		if e.OnFlushed != nil {
+			e.OnFlushed(later)
+		}
 		e.done <- err
 	}
-	return err
+	return true, later, err
 }
 
 // Batches returns how many non-empty batches have committed.

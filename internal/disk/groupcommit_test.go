@@ -44,7 +44,7 @@ func TestGroupCommitBatchesConcurrentSubmits(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			done := g.Submit(GroupEntry{
+			done, later := g.Submit(GroupEntry{
 				SyncN: 1,
 				Tag:   uint32(k),
 				Op: func(i int, dev Device) error {
@@ -55,6 +55,9 @@ func TestGroupCommitBatchesConcurrentSubmits(t *testing.T) {
 			})
 			if err := <-done; err != nil {
 				t.Errorf("entry %d: %v", k, err)
+			}
+			if later != nil { // this submit filled the batch
+				later()
 			}
 		}(k)
 	}
@@ -88,7 +91,7 @@ func TestGroupCommitBatchesConcurrentSubmits(t *testing.T) {
 func TestGroupCommitWindowFlush(t *testing.T) {
 	rs := newGCSet(t)
 	g := NewGroupCommitter(rs, time.Millisecond, 64, nil)
-	done := g.Submit(GroupEntry{SyncN: 1, Op: func(i int, dev Device) error {
+	done, _ := g.Submit(GroupEntry{SyncN: 1, Op: func(i int, dev Device) error {
 		return dev.WriteAt([]byte("w"), 0)
 	}})
 	select {
@@ -108,7 +111,7 @@ func TestGroupCommitExplicitFlushBeforeDrain(t *testing.T) {
 	rs := newGCSet(t)
 	g := NewGroupCommitter(rs, time.Hour, 64, nil)
 	var wrote atomic.Bool
-	done := g.Submit(GroupEntry{SyncN: 0, Op: func(i int, dev Device) error {
+	done, _ := g.Submit(GroupEntry{SyncN: 0, Op: func(i int, dev Device) error {
 		wrote.Store(true)
 		return dev.WriteAt([]byte("q"), 0)
 	}})
@@ -144,8 +147,8 @@ func TestGroupCommitErrorFansOutToWholeBatch(t *testing.T) {
 	mkEntry := func() GroupEntry {
 		return GroupEntry{SyncN: rs.N(), Op: func(i int, dev Device) error { return bad }}
 	}
-	d1 := g.Submit(mkEntry())
-	d2 := g.Submit(mkEntry()) // fills the batch, forces the flush
+	d1, _ := g.Submit(mkEntry())
+	d2, _ := g.Submit(mkEntry()) // fills the batch, forces the flush; every replica failed, so nothing is left
 	for i, d := range []<-chan error{d1, d2} {
 		select {
 		case err := <-d:
@@ -154,6 +157,64 @@ func TestGroupCommitErrorFansOutToWholeBatch(t *testing.T) {
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("entry %d never settled", i)
+		}
+	}
+}
+
+// TestGroupCommitRemainderOutsideFlush: a batch's remainder, here hung in
+// replica 1's write, holds up neither the forced flush that made it (the
+// submitter gets it back as later) nor the next batch.
+func TestGroupCommitRemainderOutsideFlush(t *testing.T) {
+	memA, err := NewMem(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memB, err := NewMem(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hung := &hungDevice{Device: memB, release: make(chan struct{})}
+	rs, err := NewReplicaSet(memA, hung)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGroupCommitter(rs, time.Hour, 1, nil)
+	submit := func(tag byte) func() {
+		t.Helper()
+		var flushed atomic.Bool
+		type result struct {
+			err   error
+			later func()
+		}
+		res := make(chan result, 1)
+		go func() {
+			done, later := g.Submit(GroupEntry{SyncN: 1, Tag: uint32(tag),
+				Op:        func(i int, dev Device) error { return dev.WriteAt([]byte{tag}, int64(tag)*512) },
+				OnFlushed: func(func()) { flushed.Store(true) },
+			})
+			res <- result{<-done, later}
+		}()
+		select {
+		case r := <-res:
+			if r.err != nil || r.later == nil || !flushed.Load() {
+				t.Fatalf("entry %d: err %v, later nil %v, flushed %v; want its quorum, and the remainder handed back",
+					tag, r.err, r.later == nil, flushed.Load())
+			}
+			return r.later
+		case <-time.After(5 * time.Second):
+			t.Fatalf("entry %d: the forced flush waited for the hung replica", tag)
+			return nil
+		}
+	}
+	go submit(1)() // the first batch's remainder hangs in replica 1
+	later := submit(2)
+	close(hung.release)
+	rs.Drain()
+	later() // taken by the Drain: a no-op
+	for _, tag := range []byte{1, 2} {
+		got := make([]byte, 1)
+		if err := memB.ReadAt(got, int64(tag)*512); err != nil || got[0] != tag {
+			t.Fatalf("replica 1 at entry %d: %v %v", tag, got, err)
 		}
 	}
 }

@@ -54,7 +54,7 @@ type ReplicaSet struct {
 
 	// pending tracks in-flight replica writes (both the synchronous phase
 	// and the post-P-FACTOR remainder) for Drain. A plain counter with a
-	// condition variable, not a WaitGroup: concurrent readers may Drain
+	// condition variable, not a WaitGroup: a Sync or Recover may Drain
 	// while concurrent creators start new writes, which WaitGroup's
 	// Add/Wait contract forbids. parked: remainders nobody has started.
 	pendMu   sync.Mutex
@@ -63,7 +63,7 @@ type ReplicaSet struct {
 	parked   map[*behind]struct{} // guarded by pendMu
 
 	// applyGate serializes recovery state changes against write fan-out
-	// launches. ApplyNotify holds the read side only while it snapshots
+	// launches. ApplyDeferred holds the read side only while it snapshots
 	// liveness and registers its fan-out with the drain tracker — never
 	// across I/O — so the write side (taken twice per recovery, at arm
 	// and finish) stalls commits for microseconds, not for the copy.
@@ -73,7 +73,7 @@ type ReplicaSet struct {
 	applyGate sync.RWMutex
 	// recovering is the replica index under online recovery, -1 if none.
 	// Written only while holding applyGate's write side; read atomically
-	// (under the read side by ApplyNotify, lock-free by observers).
+	// (under the read side by ApplyDeferred, lock-free by observers).
 	recovering atomic.Int32
 	recDev     *recordingDevice // mirror target; guarded by applyGate
 	recFailed  atomic.Bool      // a mirrored write failed; recovery must abort
@@ -442,49 +442,18 @@ func (s *ReplicaSet) endWrites(n int) {
 	s.pendMu.Unlock()
 }
 
-// Apply runs op against every live replica. The first syncN of them — the
-// main, then the others in index order — are written by the caller, one
-// after the other; Apply returns once they hold the write, and the rest
-// are written behind it (tracked; see Drain). syncN <= 0 returns at once
-// with the whole fan-out still to do — the P-FACTOR 0 semantics of paper
-// §2.2. syncN larger than the number of live replicas means fully
-// synchronous. A replica whose op fails is marked dead and the next one
-// takes its place in the quorum; Apply fails only if every live replica's
-// op failed (for syncN <= 0, it never fails while a replica is alive).
-//
-// Remainders run concurrently with other commits, so op must be safe for
-// concurrent invocation — every engine op is (it writes caller-owned
-// buffers and re-encodes inode blocks from the internally locked table).
-func (s *ReplicaSet) Apply(syncN int, op func(i int, dev Device) error) error {
-	return s.ApplyNotifyTraced(nil, nil, syncN, op, nil)
-}
-
-// ApplyNotify is Apply with a completion hook: onSettled (when non-nil)
-// runs exactly once on every return path, after every replica — quorum and
-// remainder — has finished its op (the engine unpins the cache entry then).
-func (s *ReplicaSet) ApplyNotify(syncN int, op func(i int, dev Device) error, onSettled func()) error {
-	return s.ApplyNotifyTraced(nil, nil, syncN, op, onSettled)
-}
-
-// ApplyNotifyTraced is ApplyDeferred for callers whose reply is their
-// return value: nothing of theirs runs after it, so later gets a goroutine.
-func (s *ReplicaSet) ApplyNotifyTraced(tc *trace.Ctx, parent *trace.Span, syncN int, op func(i int, dev Device) error, onSettled func()) error {
-	later, err := s.ApplyDeferred(tc, parent, syncN, op, onSettled)
-	if later != nil {
-		//lint:ignore goroutinestop accounted by the set's pending-write counter: endWrites signals Drain, which shutdown and the engine's fault path wait on
-		go later()
-	}
-	return err
-}
-
-// ApplyDeferred is the one commit path. It returns once the quorum holds
-// the write and hands back the remainder as later (nil when nothing is
-// left; non-nil beside an error if a recovery mirror is armed): the caller
-// sends its reply, then calls later on the same goroutine — write-behind,
-// as on the paper's one-thread server. A Drain that finds the remainder
-// not yet started writes it itself; later is then, like any second call, a
-// no-op. Each live replica gets a replica-commit span: timed for a quorum
-// write, Dur = DurPending for one left to later. tc may be nil.
+// ApplyDeferred is the one commit call. It runs op on every live replica,
+// the first syncN — main first, then by index — on the caller's goroutine,
+// and returns once they hold the write (syncN <= 0: at once, paper §2.2's
+// P-FACTOR 0). A replica whose op fails is marked dead and the next takes
+// its place; the call fails only if no live replica took the write. The
+// rest comes back as later (nil when nothing is left; non-nil beside an
+// error if a recovery mirror is armed): a create's caller runs it after its
+// reply, any other caller before it returns. The first call, or a Drain
+// that finds it unstarted, writes it; any other is a no-op. onSettled (may
+// be nil) runs once, after every replica has finished; op may run
+// concurrently with other commits' ops. Each live replica gets a
+// replica-commit span, Dur = DurPending if left to later. tc may be nil.
 func (s *ReplicaSet) ApplyDeferred(tc *trace.Ctx, parent *trace.Span, syncN int, op func(i int, dev Device) error, onSettled func()) (later func(), _ error) {
 	s.applyGate.RLock()
 	main, alive := s.readSnapshot()
@@ -527,7 +496,7 @@ func (s *ReplicaSet) ApplyDeferred(tc *trace.Ctx, parent *trace.Span, syncN int,
 	}
 	// Registering the whole fan-out before the gate is released keeps
 	// Drain exact: a recovery that takes the gate and drains, or a Drain
-	// entered after Apply returns, sees every write this call will start.
+	// entered after ApplyDeferred returns, sees every write this call will start.
 	fanout := bits.OnesCount64(alive)
 	if mirror != nil {
 		fanout++
@@ -669,12 +638,11 @@ func (b *behind) write() {
 	s.endWrites(b.n)
 }
 
-// Drain blocks until every registered write has finished, and writes the
-// parked remainders itself: their owners may be stuck behind a client that
-// stopped reading its reply. Tests, the cache-miss fault path, delete and
-// orderly shutdown use it (paper §2.2 on P-FACTOR 0 durability). Safe to
-// call concurrently with new Apply calls: writes that start while a Drain
-// waits extend the wait (it returns only at true quiescence).
+// Drain blocks until every registered write has finished, writing parked
+// remainders itself (their owners may be stuck behind a client that stopped
+// reading). Sync, Close, Recover and the engine's Sync and New use it; a
+// request on one file waits for that file's commit alone. Writes that start
+// while a Drain waits extend the wait: it returns only at true quiescence.
 func (s *ReplicaSet) Drain() {
 	s.pendMu.Lock()
 	for s.pending > 0 {
@@ -771,7 +739,7 @@ func (s *ReplicaSet) RecoverTraced(tc *trace.Ctx, parent *trace.Span, i int) err
 	}
 
 	// Arm mirroring. From the moment the gate is released, every
-	// ApplyNotify fan-out also writes to replica i through the recording
+	// ApplyDeferred fan-out also writes to replica i through the recording
 	// device. Writes launched before this point are not mirrored — the
 	// Drain below waits for them, so the bulk copy (which starts after)
 	// reads their effects from the source.
@@ -981,9 +949,13 @@ func (s *ReplicaSet) GrayLadderReads() int64 { return s.grayLadderReads.Load() }
 // WriteAt writes p to every live replica synchronously, making ReplicaSet
 // itself a Device (used when formatting and by layout.Load/WriteInode).
 func (s *ReplicaSet) WriteAt(p []byte, off int64) error {
-	return s.Apply(s.N(), func(_ int, dev Device) error {
+	later, err := s.ApplyDeferred(nil, nil, s.N(), func(_ int, dev Device) error {
 		return dev.WriteAt(p, off)
-	})
+	}, nil)
+	if later != nil {
+		later() // an open breaker's or the recovery mirror's copy
+	}
+	return err
 }
 
 // Sync flushes every live replica. Like writes, it succeeds as long as at

@@ -278,9 +278,9 @@ func TestConcurrentWritesDuringRecover(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				payload := []byte(fmt.Sprintf("writer %d iteration %03d", w, i))
 				off := int64(8192 + (w*perWriter+i)*512)
-				err := s.Apply(s.N(), func(_ int, dev Device) error {
+				err := commit(s, nil, nil, s.N(), func(_ int, dev Device) error {
 					return dev.WriteAt(payload, off)
-				})
+				}, nil)
 				if err != nil {
 					werrs <- fmt.Errorf("writer %d: %w", w, err)
 					return
@@ -385,9 +385,9 @@ func TestRecoverDoesNotBlockTheSet(t *testing.T) {
 	if err := s.ReadAt(out, 0); err != nil {
 		t.Fatalf("read during recovery: %v", err)
 	}
-	if err := s.Apply(2, func(_ int, dev Device) error {
+	if err := commit(s, nil, nil, 2, func(_ int, dev Device) error {
 		return dev.WriteAt([]byte("committed mid-recovery"), 1024)
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatalf("commit during recovery: %v", err)
 	}
 	elapsed := time.Since(start)
@@ -424,7 +424,7 @@ func TestRecoverWhileRecoveringFails(t *testing.T) {
 	faulty[1].Fault()
 	faulty[2].Fault()
 	_ = s.ReadAt(make([]byte, 1), 0) // notice neither death (main is 0)
-	_ = s.Apply(3, func(_ int, dev Device) error { return dev.WriteAt([]byte("x"), 0) })
+	_ = commit(s, nil, nil, 3, func(_ int, dev Device) error { return dev.WriteAt([]byte("x"), 0) }, nil)
 	faulty[1].Heal()
 	faulty[2].Heal()
 

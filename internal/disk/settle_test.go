@@ -32,7 +32,7 @@ func TestDrainWaitsForSettleHook(t *testing.T) {
 		var settled atomic.Bool
 		// P-FACTOR 0: the whole fanout, including the settle hook, runs in
 		// the background — the interleaving the bug needed.
-		err = set.ApplyNotify(0, func(i int, dev Device) error {
+		err = commit(set, nil, nil, 0, func(i int, dev Device) error {
 			time.Sleep(time.Microsecond)
 			return dev.WriteAt([]byte{1}, 0)
 		}, func() {
@@ -75,7 +75,7 @@ func TestApplyNotifyTracedSpans(t *testing.T) {
 	tc.Reset(42)
 	root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
 
-	if err := set.ApplyNotifyTraced(tc, root, 2, func(i int, dev Device) error {
+	if err := commit(set, tc, root, 2, func(i int, dev Device) error {
 		return dev.WriteAt([]byte{7}, 0)
 	}, nil); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func (l *Local) Call(port capability.Port, opts CallOpts, req Header, payload []
 	tc.Finish()
 	a.release()
 	if after != nil {
-		//lint:ignore goroutinestop the reply is this call's return value, so its write-behind cannot follow it on this goroutine; the replica set's pending-write counter accounts for it and Drain runs it if it gets there first
+		//lint:ignore goroutinestop the reply is this call's return value, so its write-behind cannot follow it on this goroutine; it is accounted by its file's commit ticket, whose waiters run it if they get there first, and by the replica set's pending-write counter, which Sync and Close drain
 		go after()
 	}
 	return h, data, err

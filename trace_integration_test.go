@@ -236,6 +236,11 @@ func TestTraceConcurrentColdReadsMergeOnce(t *testing.T) {
 	if _, err := w.cl.Create(port, bytes.Repeat([]byte{0xDC}, 12<<10), 0); err != nil {
 		t.Fatalf("Create B: %v", err)
 	}
+	// B stays pinned until its write-behind settles, which may still be
+	// running after its reply; a miss on A waits for A's writes only, so
+	// wait here, or the leader's reservation can find the arena pinned
+	// solid, read A uncached, and leave the merged reader to read again.
+	w.engine.Sync()
 
 	clients := []*client.Client{w.cl, w.newClient()}
 	var wg sync.WaitGroup
