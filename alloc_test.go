@@ -83,7 +83,7 @@ func TestCachedReadOverTCPAllocs(t *testing.T) {
 
 // TestCreateDeleteOverTCPAllocs: Create(4 KiB, P-FACTOR 2) + Delete. The
 // block-aligned file is written to both replicas straight from its pinned
-// cache copy, each inode block is encoded into a reused buffer, and
+// cache copy, each inode block is copied into a reused buffer, and
 // DELETE does not cache the capability it is about to kill. What is left
 // is the create's pin and its two write-through closures, and the
 // delete's write-back closure: 4 (5 under -race). It used to cost 29.

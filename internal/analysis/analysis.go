@@ -138,6 +138,7 @@ func DefaultConfig() Config {
 			"bulletfs/internal/layout.Table.Allocate",
 			"bulletfs/internal/layout.Table.Free",
 			"bulletfs/internal/layout.Table.WriteInode",
+			"bulletfs/internal/layout.Table.WriteInodeBuf",
 			"bulletfs/internal/layout.Table.FlushSums",
 			"bulletfs/internal/layout.Table.Retarget",
 			"bulletfs/internal/alloc.Allocator.Alloc",

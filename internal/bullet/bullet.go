@@ -186,12 +186,16 @@ func newEngineMetrics(reg *stats.Registry, replicas int) engineMetrics {
 // like any other hit. random pins the fault to one incarnation of the
 // inode number, so a waiter whose file was deleted and whose inode slot
 // was reused never merges onto the other file's fault. done is made by the
-// first waiter, so a fault nobody merges onto makes no channel.
+// first waiter, so a fault nobody merges onto makes no channel. When the
+// cache refused the leader's reservation, owned is the file the leader
+// read into the heap, and the waiters lease it too instead of each reading
+// the file again.
 type faultCall struct {
 	random  capability.Random
 	done    chan struct{} // under faultMu: made by the first waiter, closed by the leader if made
 	waiters int           // merged callers parked on done; under faultMu. Tests poll it to know a merge happened
 	err     error         // written by the leader before done closes
+	owned   []byte        // read-only; written by the leader before done closes
 }
 
 // commitTicket is a create's write-through, as requests on its file wait
@@ -232,9 +236,11 @@ type Server struct {
 	// inoMu serializes inode-block writes per replica. Two concurrent
 	// creates whose inodes share a disk block would otherwise interleave
 	// whole-block writes of different vintages on the same device; the
-	// blocks are re-encoded from the live table inside the critical
+	// blocks are copied from the table's disk image inside the critical
 	// section, so the last writer always publishes the freshest state.
-	inoMu []sync.Mutex
+	// inoBuf[i] is replica i's block buffer, used only under inoMu[i].
+	inoMu  []sync.Mutex
+	inoBuf [][]byte
 
 	metrics *stats.Registry // immutable after New
 	m       engineMetrics   // immutable handles; counters are atomic
@@ -345,11 +351,15 @@ func New(replicas *disk.ReplicaSet, opts Options) (*Server, error) {
 		cache:    fileCache,
 		maxFile:  opts.CacheBytes,
 		inoMu:    make([]sync.Mutex, replicas.N()),
+		inoBuf:   make([][]byte, replicas.N()),
 		metrics:  reg,
 		m:        newEngineMetrics(reg, replicas.N()),
 		capCache: make(map[uint32]map[capability.Capability]capability.Rights),
 		faults:   make(map[uint32]*faultCall),
 		tickets:  make(map[uint32]commitTicket),
+	}
+	for i := range s.inoBuf {
+		s.inoBuf[i] = make([]byte, desc.BlockSize)
 	}
 	fileCache.AttachMetrics(reg)
 	replicas.AttachMetrics(reg)
@@ -358,7 +368,7 @@ func New(replicas *disk.ReplicaSet, opts Options) (*Server, error) {
 			func(i int, dev disk.Device, tags []uint32) error {
 				s.inoMu[i].Lock()
 				defer s.inoMu[i].Unlock()
-				return s.table.WriteInodes(dev, tags)
+				return s.table.WriteInodes(dev, tags, s.inoBuf[i])
 			})
 		s.committer.AttachMetrics(reg)
 	}
@@ -579,11 +589,11 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	// Write-through: file bytes, then the whole disk block containing the
 	// new inode, per replica — this goroutine writes the first pfactor
 	// replicas (main first), replies, and writes the rest (later). The
-	// inode block is re-encoded at write time so the delayed writes publish
-	// current (never stale) metadata. A cached file that fills its last
-	// block goes to disk straight from its cache copy, whose pin lasts
-	// until every replica has settled; any other is padded into a pooled
-	// buffer that goes back at settle.
+	// inode block is copied from the table's disk image at write time, so
+	// the delayed writes publish current (never stale) metadata. A cached
+	// file that fills its last block goes to disk straight from its cache
+	// copy, whose pin lasts until every replica has settled; any other is
+	// padded into a pooled buffer that goes back at settle.
 	var padded []byte
 	var pad *[]byte
 	if n := blocks * int64(s.desc.BlockSize); pin != nil && int64(pin.Len()) == n {
@@ -629,9 +639,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			if err := dev.WriteAt(padded, dataOff); err != nil {
 				return err
 			}
-			s.inoMu[i].Lock()
-			defer s.inoMu[i].Unlock()
-			return s.table.WriteInode(dev, inode)
+			return s.writeInode(i, dev, inode)
 		}, settled)
 		s.passTicket(inode, gen, later, false) // a no-op if settled already
 	}
@@ -649,6 +657,14 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	s.m.creates.Inc()
 	s.m.bytesIn.Add(size)
 	return capability.Owner(s.port, inode, random), later, nil
+}
+
+// writeInode writes the control block holding inode to replica i's dev,
+// through that replica's buffer, under its inoMu stripe.
+func (s *Server) writeInode(i int, dev disk.Device, inode uint32) error {
+	s.inoMu[i].Lock()
+	defer s.inoMu[i].Unlock()
+	return s.table.WriteInodeBuf(dev, inode, s.inoBuf[i])
 }
 
 // padPool recycles create's block-padded copies (see padBlocks).
@@ -701,8 +717,9 @@ func sameRandom(a, b capability.Random) bool {
 // faultIn coalesces concurrent cache misses on one inode into a single
 // disk read. The first caller becomes the leader and runs loadFile; the
 // rest wait for it and then pin the slot it published, so every caller
-// gets its own pin on the one cached copy and nobody copies. A waiter that
-// finds nothing to pin (the cache refused the leader's reservation, or the
+// gets its own pin on the one cached copy and nobody copies. If the cache
+// refused the leader's reservation, every caller leases the leader's heap
+// copy instead. A waiter that finds nothing to pin and no such copy (the
 // slot is already evicted) faults afresh. waited reports whether THIS
 // caller merged onto another request's in-flight load (the trace's
 // fault-merged attribute: the leader's span is not merged, so two
@@ -745,6 +762,9 @@ func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random
 			if perr != nil || pinned != nil {
 				return pinned, true, perr
 			}
+			if fc.owned != nil {
+				return &ReadLease{data: fc.owned, size: int64(len(fc.owned)), shared: true}, true, nil
+			}
 			continue
 		}
 		fc := &faultCall{random: random}
@@ -758,6 +778,9 @@ func (s *Server) faultIn(tc *trace.Ctx, parent *trace.Span, inode uint32, random
 		s.faultMu.Lock()
 		delete(s.faults, inode)
 		if fc.done != nil {
+			if l != nil && !l.Pinned() {
+				fc.owned, l.shared = l.data, true
+			}
 			close(fc.done)
 		}
 		s.faultMu.Unlock()
@@ -951,9 +974,7 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 	// a full quorum, so this goroutine — still holding mu — writes the inode
 	// block to each replica in turn.
 	later, err = s.replicas.ApplyDeferred(tc, sp, s.replicas.N(), func(i int, dev disk.Device) error {
-		s.inoMu[i].Lock()
-		defer s.inoMu[i].Unlock()
-		return s.table.WriteInode(dev, inode)
+		return s.writeInode(i, dev, inode)
 	}, nil)
 	if err != nil {
 		return later, fmt.Errorf("bullet: persisting delete: %w", err)

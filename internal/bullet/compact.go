@@ -79,9 +79,7 @@ func (s *Server) retarget(n, firstBlock uint32) error {
 		return fmt.Errorf("bullet: retargeting inode %d: %w", n, err)
 	}
 	later, err := s.replicas.ApplyDeferred(nil, nil, s.replicas.N(), func(i int, dev disk.Device) error {
-		s.inoMu[i].Lock()
-		defer s.inoMu[i].Unlock()
-		return s.table.WriteInode(dev, n)
+		return s.writeInode(i, dev, n)
 	}, nil)
 	if later != nil {
 		later()

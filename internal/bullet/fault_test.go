@@ -321,6 +321,108 @@ func TestConcurrentColdReadsShareOneSlot(t *testing.T) {
 	}
 }
 
+// TestConcurrentColdReadsShareOwnedBufferWhenArenaPinnedSolid: with no
+// room in the cache, the fault leader reads the file into the heap, and N
+// concurrent misses on it still cost one disk read: every merged waiter
+// leases the leader's copy. Read, which hands an unshared owned buffer to
+// its caller, copies a shared one, so scribbling on its result leaves the
+// leases intact.
+func TestConcurrentColdReadsShareOwnedBufferWhenArenaPinnedSolid(t *testing.T) {
+	const n = 8
+	w := newHealWorld(t, 2, nil)
+	data := bytes.Repeat([]byte("one read, no room "), 200)
+	c := mustCreate(t, w.srv, data, 2)
+	w.srv.Sync()
+	srv, err := New(w.set, Options{Port: w.port, CacheBytes: 8 << 10, Metrics: w.reg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	hog := mustCreate(t, srv, bytes.Repeat([]byte{1}, 6<<10), 2)
+	srv.Sync()
+	pin, err := srv.ReadView(nil, nil, hog, 0, -1) // 6 of the arena's 8 KiB now immovable
+	if err != nil {
+		t.Fatalf("ReadView: %v", err)
+	}
+	defer pin.Release()
+	base := w.set.Reads(0) + w.set.Reads(1)
+	merges := w.counter("bullet.fault_merges")
+
+	resume, first := stallFault(w, srv, c)
+	rest := make(chan faultResult, n-2)
+	for i := 1; i < n-1; i++ {
+		go func() {
+			l, err := srv.ReadView(nil, nil, c, 0, -1)
+			rest <- faultResult{l, err}
+		}()
+	}
+	type readResult struct {
+		data []byte
+		err  error
+	}
+	copied := make(chan readResult, 1)
+	go func() {
+		b, err := srv.Read(c)
+		copied <- readResult{b, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.faultMu.Lock()
+		waiters := 0
+		if fc := srv.faults[c.Object]; fc != nil {
+			waiters = fc.waiters
+		}
+		srv.faultMu.Unlock()
+		if waiters == n-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d readers merged onto the in-flight fault", waiters, n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resume()
+
+	r := <-copied
+	if r.err != nil || !bytes.Equal(r.data, data) {
+		t.Fatalf("Read: err=%v, bytes ok=%v", r.err, bytes.Equal(r.data, data))
+	}
+	clear(r.data)
+	leases := make([]*ReadLease, 0, n-1)
+	for i := 0; i < n-1; i++ {
+		var r faultResult
+		if i == 0 {
+			r = <-first
+		} else {
+			r = <-rest
+		}
+		if r.err != nil {
+			t.Fatalf("cold read %d: %v", i, r.err)
+		}
+		if r.lease.Pinned() || !bytes.Equal(r.lease.Bytes(), data) {
+			t.Fatalf("cold read %d: pinned=%v, bytes ok=%v", i, r.lease.Pinned(), bytes.Equal(r.lease.Bytes(), data))
+		}
+		leases = append(leases, r.lease)
+		if &r.lease.Bytes()[0] != &leases[0].Bytes()[0] {
+			t.Fatalf("cold read %d was served from a copy of its own", i)
+		}
+	}
+	if got := w.set.Reads(0) + w.set.Reads(1) - base; got != 1 {
+		t.Fatalf("disk reads = %d, want 1", got)
+	}
+	if got := w.counter("bullet.fault_merges") - merges; got != n-1 {
+		t.Fatalf("fault_merges = %d, want %d", got, n-1)
+	}
+	if cacheIndex(t, srv, c.Object) != 0 {
+		t.Fatal("an uncached fault must leave the cache index at 0")
+	}
+	for _, l := range leases {
+		l.Release()
+	}
+	if got := srv.CacheStats().PinnedViews; got != 1 {
+		t.Fatalf("%d pins left, want only the hog's", got)
+	}
+}
+
 // TestUnmergedColdReadAllocs pins what a cache miss nobody merges onto
 // allocates: the singleflight entry, the reservation's View, the lease and
 // the eviction report — 4, under -race too. Two 4 KiB files take turns in

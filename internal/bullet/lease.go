@@ -32,10 +32,11 @@ func errBadSpan(offset, size int64) error {
 // bulletlint pinleak pass enforces this, and handing the lease to the RPC
 // reply path (rpc.Owned) transfers the obligation there.
 type ReadLease struct {
-	data []byte
-	size int64
-	view *cache.View // the pin: &pin on a hit, a fault's reservation on a miss; nil when the lease owns data outright
-	pin  cache.View  // a hit's pin, embedded so that a hit allocates one object, the lease
+	data   []byte
+	size   int64
+	view   *cache.View // the pin: &pin on a hit, a fault's reservation on a miss; nil when the lease owns data outright
+	pin    cache.View  // a hit's pin, embedded so that a hit allocates one object, the lease
+	shared bool        // data is also other leases' (a merged fault the cache refused): read-only
 }
 
 // pinSlot pins the cached copy of inode in slot idx into a new whole-file
@@ -183,15 +184,15 @@ func (s *Server) ReadView(tc *trace.Ctx, parent *trace.Span, c capability.Capabi
 }
 
 // Read is the whole file as a slice the caller keeps: ReadView, one copy
-// out of a pinned lease (counted in bullet.read_copies), Release. A lease
-// that owns its buffer (the cache refused the fault) is handed through
-// without a copy.
+// out of a pinned or shared lease (counted in bullet.read_copies),
+// Release. A lease that alone owns its buffer (the cache refused the
+// fault) is handed through without a copy.
 func (s *Server) Read(c capability.Capability) ([]byte, error) {
 	l, err := s.ReadView(nil, nil, c, 0, -1)
 	if err != nil {
 		return nil, err
 	}
-	if !l.Pinned() {
+	if !l.Pinned() && !l.shared {
 		out := l.Bytes()
 		l.Release()
 		return out, nil

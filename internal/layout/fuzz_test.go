@@ -82,7 +82,11 @@ func FuzzLoadTable(f *testing.F) {
 		desc := tab.Desc()
 		perBlock := uint32(fuzzBlockSize / InodeSize)
 		for b := int64(0); b < desc.CtrlSize; b++ {
-			blockNo, data := tab.EncodeInodeBlock(uint32(b) * perBlock)
+			data := make([]byte, fuzzBlockSize)
+			blockNo, err := tab.copyInodeBlock(uint32(b)*perBlock, data)
+			if err != nil {
+				t.Fatalf("copying control block %d: %v", b, err)
+			}
 			if err := re.WriteAt(data, blockNo*fuzzBlockSize); err != nil {
 				t.Fatalf("re-encoding control block %d: %v", b, err)
 			}

@@ -139,7 +139,7 @@ func TestAllocateGetFree(t *testing.T) {
 	if tab.Live() != 0 {
 		t.Fatalf("Live = %d, want 0", tab.Live())
 	}
-	// Freed inode is reused first (sorted free list).
+	// Freed inode is reused first (lowest free number).
 	n2, err := tab.Allocate(rnd(t), 9, 1)
 	if err != nil {
 		t.Fatalf("Allocate: %v", err)

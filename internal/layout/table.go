@@ -3,6 +3,8 @@ package layout
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,8 +22,19 @@ type Table struct {
 	mu     sync.RWMutex
 	desc   Descriptor // immutable after Load/Format except for UpgradeInPlace
 	inodes []Inode    // guarded by mu; slot i holds inode i; slot 0 unused
-	free   []uint32   // guarded by mu; free inode numbers, ascending so allocation is stable
 	live   int        // guarded by mu
+
+	// image is the control area exactly as the disk holds it: the
+	// descriptor in slot 0, then each inode's 16 bytes with a zero cache
+	// index. Every change to a persisted field rewrites its slot here, so
+	// writing a control block back is a copy, not an encode.
+	image []byte // guarded by mu
+
+	// free has bit n%64 of word n/64 set when inode n is free; every word
+	// below freeHint is zero. Allocation takes the lowest set bit, so the
+	// order in which inodes are handed out is stable.
+	free     []uint64 // guarded by mu
+	freeHint int      // guarded by mu
 
 	// dirtySums holds the 0-based checksum-area block indexes whose RAM
 	// state is newer than disk. Checksums are advisory (an absent entry is
@@ -29,13 +42,6 @@ type Table struct {
 	// FlushSums rather than on the create write-through path, keeping the
 	// commit cost of a create identical to the paper's.
 	dirtySums map[int64]struct{} // guarded by mu
-
-	// spare holds WriteInode's free block buffers: a device is done with a
-	// buffer when WriteAt returns, so each inode write hands its buffer
-	// back instead of leaving a block of garbage per create and delete. It
-	// never holds more buffers than inode writes have run at once.
-	blockMu sync.Mutex
-	spare   [][]byte // guarded by blockMu
 }
 
 // ScanProblem describes one inconsistency found while scanning the table.
@@ -55,7 +61,8 @@ type ScanReport struct {
 // startup consistency checks of paper §3: every file must lie inside the
 // data area and no two files may overlap. Inconsistent inodes are zeroed in
 // RAM (the caller re-persists them). Cache indexes are meaningless on disk
-// and cleared.
+// and cleared. The bytes read become the table's disk image once the scan
+// has zeroed what it dropped.
 func Load(dev disk.Device) (*Table, *ScanReport, error) {
 	desc, err := ReadDescriptor(dev)
 	if err != nil {
@@ -71,7 +78,10 @@ func Load(dev disk.Device) (*Table, *ScanReport, error) {
 	t := &Table{
 		desc:   desc,
 		inodes: make([]Inode, max+1),
+		image:  raw,
+		free:   make([]uint64, max/64+1),
 	}
+	descriptorBytes(desc, raw[:InodeSize])
 	report := &ScanReport{}
 
 	type span struct {
@@ -84,7 +94,7 @@ func Load(dev disk.Device) (*Table, *ScanReport, error) {
 		ino.CacheIndex = 0 // no significance on disk
 		if !ino.InUse() {
 			report.Free++
-			t.free = append(t.free, uint32(n))
+			t.freeLocked(uint32(n))
 			continue
 		}
 		blocks := ino.Blocks(bs)
@@ -93,12 +103,13 @@ func Load(dev disk.Device) (*Table, *ScanReport, error) {
 				Inode:  uint32(n),
 				Reason: fmt.Sprintf("file extends past data area (block %d + %d > %d)", ino.FirstBlock, blocks, desc.DataSize),
 			})
-			t.free = append(t.free, uint32(n))
+			t.freeLocked(uint32(n))
 			report.Free++
 			continue
 		}
 		spans = append(spans, span{start: int64(ino.FirstBlock), count: blocks, n: uint32(n)})
 		t.inodes[n] = ino
+		t.putLocked(uint32(n))
 	}
 
 	// Overlap detection: sort by first block and compare neighbours. A
@@ -119,7 +130,7 @@ func Load(dev disk.Device) (*Table, *ScanReport, error) {
 				Reason: fmt.Sprintf("file at block %d overlaps previous file ending at %d", s.start, end),
 			})
 			t.inodes[s.n] = Inode{}
-			t.free = append(t.free, s.n)
+			t.freeLocked(s.n)
 			report.Free++
 			continue
 		}
@@ -129,7 +140,6 @@ func Load(dev disk.Device) (*Table, *ScanReport, error) {
 		report.Live++
 		t.live++
 	}
-	sort.Slice(t.free, func(i, j int) bool { return t.free[i] < t.free[j] })
 
 	// v2: load the checksum area. Entries are advisory — an absent or
 	// garbage entry only means the checksum will be recomputed on first
@@ -162,12 +172,33 @@ func NewEmpty(desc Descriptor) *Table {
 	t := &Table{
 		desc:   desc,
 		inodes: make([]Inode, max+1),
-		free:   make([]uint32, 0, max),
+		image:  make([]byte, desc.CtrlSize*int64(desc.BlockSize)),
+		free:   make([]uint64, max/64+1),
 	}
-	for n := 1; n <= max; n++ {
-		t.free = append(t.free, uint32(n))
+	descriptorBytes(desc, t.image[:InodeSize])
+	for i := range t.free {
+		t.free[i] = ^uint64(0)
+	}
+	t.free[0] &^= 1 // inode 0 is the descriptor
+	if r := (max + 1) % 64; r != 0 {
+		t.free[len(t.free)-1] &= 1<<r - 1
 	}
 	return t
+}
+
+// putLocked rewrites inode n's slot of the disk image from t.inodes[n].
+func (t *Table) putLocked(n uint32) {
+	ino := t.inodes[n]
+	ino.CacheIndex = 0 // run-time state never reaches disk
+	ino.encode(t.image[int(n)*InodeSize:])
+}
+
+// freeLocked marks inode n free in the bitmap and zeroes its image slot.
+func (t *Table) freeLocked(n uint32) {
+	clear(t.image[int(n)*InodeSize : int(n+1)*InodeSize])
+	w := int(n / 64)
+	t.free[w] |= 1 << (n % 64)
+	t.freeHint = min(t.freeHint, w)
 }
 
 // Desc returns the disk descriptor the table was loaded from.
@@ -191,7 +222,7 @@ func (t *Table) Live() int {
 func (t *Table) FreeCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.free)
+	return len(t.inodes) - 1 - t.live
 }
 
 // Get returns inode n if it is in use.
@@ -217,18 +248,22 @@ func (t *Table) Allocate(r capability.Random, firstBlock uint32, size uint32) (u
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.free) == 0 {
-		return 0, ErrNoFreeInode
+	for ; t.freeHint < len(t.free); t.freeHint++ {
+		if w := t.free[t.freeHint]; w != 0 {
+			b := bits.TrailingZeros64(w)
+			t.free[t.freeHint] = w &^ (1 << b)
+			n := uint32(t.freeHint*64 + b)
+			t.inodes[n] = Inode{Random: r, FirstBlock: firstBlock, Size: size}
+			t.putLocked(n)
+			t.live++
+			return n, nil
+		}
 	}
-	n := t.free[0]
-	t.free = t.free[1:]
-	t.inodes[n] = Inode{Random: r, FirstBlock: firstBlock, Size: size}
-	t.live++
-	return n, nil
+	return 0, ErrNoFreeInode
 }
 
-// Free zeroes inode n, returning it to the free list. The caller writes the
-// change through with WriteInode ("freeing an inode by zeroing it and
+// Free zeroes inode n, returning it to the free bitmap. The caller writes
+// the change through with WriteInode ("freeing an inode by zeroing it and
 // writing it back to the disk", paper §3).
 func (t *Table) Free(n uint32) error {
 	t.mu.Lock()
@@ -237,18 +272,14 @@ func (t *Table) Free(n uint32) error {
 		return fmt.Errorf("freeing inode %d: %w", n, ErrBadInode)
 	}
 	t.inodes[n] = Inode{}
+	t.freeLocked(n)
 	t.live--
-	// Keep the free list sorted so allocation order is deterministic.
-	i := sort.Search(len(t.free), func(i int) bool { return t.free[i] >= n })
-	t.free = append(t.free, 0)
-	copy(t.free[i+1:], t.free[i:])
-	t.free[i] = n
 	return nil
 }
 
 // SetCacheIndex records the rnode slot (plus one) holding inode n's file in
-// the RAM cache; 0 means not cached. The index is never written to disk
-// with meaning — it just rides along inside the inode's block.
+// the RAM cache; 0 means not cached. The index lives in RAM only: the
+// inode's slot on disk carries a zero there.
 func (t *Table) SetCacheIndex(n uint32, idx uint16) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -303,8 +334,8 @@ func (t *Table) SetSum(n uint32, sum uint32) error {
 func (t *Table) SumsPersisted() bool { return t.desc.Version >= 2 }
 
 // EncodeSumBlock renders the checksum-area block holding inode n's entry,
-// re-encoded from the live table like EncodeInodeBlock: free inodes get
-// zero entries, inodes without a computed checksum get a zero flags word.
+// encoded from the live table: free inodes get zero entries, inodes
+// without a computed checksum get a zero flags word.
 func (t *Table) EncodeSumBlock(n uint32) (blockNo int64, data []byte) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -391,6 +422,7 @@ func (t *Table) Retarget(n uint32, firstBlock uint32) error {
 		return fmt.Errorf("retargeting inode %d: %w", n, ErrBadInode)
 	}
 	t.inodes[n].FirstBlock = firstBlock
+	t.putLocked(n)
 	return nil
 }
 
@@ -410,80 +442,62 @@ func (t *Table) InodeBlock(n uint32) int64 {
 	return int64(n) * InodeSize / int64(t.desc.BlockSize)
 }
 
-// EncodeInodeBlock renders the current contents of the control block that
-// holds inode n, ready to be written to disk. Creating or deleting a file
-// writes the whole block containing the inode (paper §3).
-func (t *Table) EncodeInodeBlock(n uint32) (blockNo int64, data []byte) {
-	data = make([]byte, t.desc.BlockSize)
-	return t.encodeInodeBlock(n, data), data
-}
-
-// encodeInodeBlock is EncodeInodeBlock into data, one block long; every
-// byte of it is written.
-func (t *Table) encodeInodeBlock(n uint32, data []byte) (blockNo int64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	bs := t.desc.BlockSize
+// copyInodeBlock copies the current disk image of the control block that
+// holds inode n into buf, which is at least one block long, and returns
+// the block's number. Creating or deleting a file writes the whole block
+// containing the inode (paper §3).
+func (t *Table) copyInodeBlock(n uint32, buf []byte) (blockNo int64, err error) {
+	bs := int64(t.desc.BlockSize)
 	blockNo = t.InodeBlock(n)
-	perBlock := bs / InodeSize
-	first := int(blockNo) * perBlock
-	for i := 0; i < perBlock; i++ {
-		slot := first + i
-		b := data[i*InodeSize : (i+1)*InodeSize]
-		switch {
-		case slot == 0:
-			// Re-encode the descriptor so block 0 round-trips.
-			clear(b)
-			descriptorBytes(t.desc, b)
-		case slot >= len(t.inodes):
-			clear(b)
-		default:
-			ino := t.inodes[slot]
-			ino.CacheIndex = 0 // keep disk copies free of run-time state
-			ino.encode(b)
-		}
+	if blockNo >= t.desc.CtrlSize {
+		return 0, fmt.Errorf("inode %d past the inode table: %w", n, ErrBadInode)
 	}
-	return blockNo
+	t.mu.RLock()
+	copy(buf[:bs], t.image[blockNo*bs:])
+	t.mu.RUnlock()
+	return blockNo, nil
 }
 
-// WriteInode persists the control block containing inode n to dev. The
-// checksum area is deliberately NOT written here: entries self-invalidate
-// via their random-number tag, so create and delete stay one-block writes
-// exactly as in the paper, and checksums reach disk via FlushSums.
+// WriteInode persists the control block containing inode n to dev through
+// a fresh block buffer. The checksum area is deliberately NOT written
+// here: entries self-invalidate via their random-number tag, so create and
+// delete stay one-block writes exactly as in the paper, and checksums
+// reach disk via FlushSums.
 func (t *Table) WriteInode(dev disk.Device, n uint32) error {
-	var buf []byte
-	t.blockMu.Lock()
-	if k := len(t.spare); k > 0 {
-		buf, t.spare = t.spare[k-1], t.spare[:k-1]
-	}
-	t.blockMu.Unlock()
-	if buf == nil {
-		buf = make([]byte, t.desc.BlockSize)
-	}
-	blockNo := t.encodeInodeBlock(n, buf)
-	err := dev.WriteAt(buf, blockNo*int64(t.desc.BlockSize))
-	t.blockMu.Lock()
-	t.spare = append(t.spare, buf)
-	t.blockMu.Unlock()
+	return t.WriteInodeBuf(dev, n, make([]byte, t.desc.BlockSize))
+}
+
+// WriteInodeBuf is WriteInode through buf, at least one block long, which
+// the caller owns for the duration: a device is done with a buffer when
+// WriteAt returns, so a caller that writes many blocks passes the same one
+// each time and allocates nothing.
+func (t *Table) WriteInodeBuf(dev disk.Device, n uint32, buf []byte) error {
+	blockNo, err := t.copyInodeBlock(n, buf)
 	if err != nil {
+		return err
+	}
+	bs := int64(t.desc.BlockSize)
+	if err := dev.WriteAt(buf[:bs], blockNo*bs); err != nil {
 		return fmt.Errorf("layout: writing inode block %d: %w", blockNo, err)
 	}
 	return nil
 }
 
-// WriteInodes persists the control blocks containing the given inodes,
-// writing each distinct block exactly once however many of the inodes
-// share it. Group-committed creates use this: a batch of N small files
-// whose inodes land in the same block costs one block write, not N.
-func (t *Table) WriteInodes(dev disk.Device, ns []uint32) error {
-	written := make(map[int64]bool, len(ns))
+// WriteInodes persists the control blocks containing the given inodes
+// through buf, writing each distinct block exactly once however many of
+// the inodes share it. Group-committed creates use this: a batch of N
+// small files whose inodes land in the same block costs one block write,
+// not N.
+func (t *Table) WriteInodes(dev disk.Device, ns []uint32, buf []byte) error {
+	var seen [8]int64 // a batch's inodes are allocated lowest first, so few distinct blocks
+	written := seen[:0]
 	for _, n := range ns {
 		blockNo := t.InodeBlock(n)
-		if written[blockNo] {
+		if slices.Contains(written, blockNo) {
 			continue
 		}
-		written[blockNo] = true
-		if err := t.WriteInode(dev, n); err != nil {
+		written = append(written, blockNo)
+		if err := t.WriteInodeBuf(dev, n, buf); err != nil {
 			return err
 		}
 	}
@@ -531,6 +545,7 @@ func (t *Table) UpgradeInPlace(dev disk.Device) (bool, error) {
 	t.mu.Lock()
 	t.desc.Version = 2
 	t.desc.DataSize = newDataSize
+	descriptorBytes(t.desc, t.image[:InodeSize])
 	// Any checksums computed while the disk was still v1 lived in RAM
 	// only; mark their blocks dirty so the next FlushSums persists them.
 	for n := 1; n < len(t.inodes); n++ {

@@ -37,9 +37,11 @@ func newRing(n int) ring {
 	return ring{slots: make([]slot, n)}
 }
 
-// put copies t into the next slot. Returns false (dropping t) if the slot
-// is momentarily claimed by a reader or a colliding writer — overwriting
-// history is acceptable, blocking the request path is not.
+// put copies t's header and its N valid spans into the next slot; the
+// spans past N keep an older trace's bytes, which every reader bounds by
+// N. Returns false (dropping t) if the slot is momentarily claimed by a
+// reader or a colliding writer — overwriting history is acceptable,
+// blocking the request path is not.
 func (r *ring) put(t *Trace) bool {
 	i := r.next.Add(1) - 1
 	s := &r.slots[i%uint64(len(r.slots))]
@@ -47,7 +49,8 @@ func (r *ring) put(t *Trace) bool {
 	if v&1 != 0 || !s.ver.CompareAndSwap(v, v+1) {
 		return false
 	}
-	s.t = *t
+	s.t.ID, s.t.Start, s.t.Dropped, s.t.N = t.ID, t.Start, t.Dropped, t.N
+	copy(s.t.Spans[:t.N], t.Spans[:t.N])
 	s.ver.Store(v + 2)
 	return true
 }
@@ -89,7 +92,6 @@ type Recorder struct {
 	// slow classification.
 	slowNS atomic.Int64
 
-	recorded atomic.Int64 // traces flushed into the recent ring
 	slowSeen atomic.Int64 // traces classified slow
 	dropped  atomic.Int64 // ring-slot collisions (trace copy lost)
 
@@ -205,7 +207,6 @@ func (r *Recorder) record(t *Trace) {
 	if !r.recent.put(t) {
 		r.dropped.Add(1)
 	}
-	r.recorded.Add(1)
 
 	thr := r.slowNS.Load()
 	if thr <= 0 {
@@ -248,8 +249,9 @@ func (r *Recorder) Slow() []Trace {
 	return r.slow.snapshot(nil)
 }
 
-// Recorded returns the number of traces flushed since start.
-func (r *Recorder) Recorded() int64 { return r.recorded.Load() }
+// Recorded returns the number of traces flushed since start, dropped
+// ones included: every flush claims a position in the recent ring.
+func (r *Recorder) Recorded() int64 { return int64(r.recent.next.Load()) }
 
 // SlowCount returns the number of traces classified slow since start.
 func (r *Recorder) SlowCount() int64 { return r.slowSeen.Load() }

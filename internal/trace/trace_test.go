@@ -115,6 +115,68 @@ func TestRecorderOverwritesOldest(t *testing.T) {
 	}
 }
 
+// finishTrace records one trace of id with a root and depth-1 nested
+// children.
+func finishTrace(rec *Recorder, id uint64, depth int) {
+	c := rec.AcquireCtx()
+	c.Reset(id)
+	sps := []*Span{c.Begin(nil, LayerRPC, OpRequest)}
+	for i := 1; i < depth; i++ {
+		sps = append(sps, c.Begin(sps[i-1], LayerEngine, OpRead))
+	}
+	for i := len(sps) - 1; i >= 0; i-- {
+		c.End(sps[i])
+	}
+	c.Finish()
+	rec.ReleaseCtx(c)
+}
+
+// TestRecordedCountsDroppedTraces: a flush whose ring slot a reader holds
+// loses its copy but still counts as recorded.
+func TestRecordedCountsDroppedTraces(t *testing.T) {
+	rec := NewRecorder(WithCapacity(2, 1))
+	rec.recent.slots[0].ver.Store(1) // a reader mid-copy of slot 0
+	for i := 1; i <= 4; i++ {
+		finishTrace(rec, uint64(i), 1)
+	}
+	if rec.Recorded() != 4 || rec.DroppedCount() != 2 {
+		t.Fatalf("Recorded/DroppedCount = %d/%d, want 4/2", rec.Recorded(), rec.DroppedCount())
+	}
+	rec.recent.slots[0].ver.Store(0)
+	if got := rec.Recent(); len(got) != 1 || got[0].ID != 4 {
+		t.Fatalf("ring = %+v, want trace 4 alone", got)
+	}
+}
+
+// TestRingSlotReuseBoundsSpans: a short trace written over a longer one
+// leaves the longer one's spans past N in the slot; every reader stops
+// at N.
+func TestRingSlotReuseBoundsSpans(t *testing.T) {
+	rec := NewRecorder(WithCapacity(1, 1))
+	finishTrace(rec, 1, 5)
+	finishTrace(rec, 2, 2)
+	got := rec.Recent()
+	if len(got) != 1 || got[0].ID != 2 || got[0].N != 2 {
+		t.Fatalf("ring = %d traces, first ID %d N %d; want trace 2 with 2 spans", len(got), got[0].ID, got[0].N)
+	}
+	jt := got[0].JSON()
+	if len(jt.Spans) != 2 || jt.Spans[0].Parent != -1 || jt.Spans[1].Parent != int32(jt.Spans[0].ID) {
+		t.Fatalf("JSON spans = %+v, want the root and its child only", jt.Spans)
+	}
+	var buf bytes.Buffer
+	RenderTree(&buf, &jt)
+	if n := strings.Count(buf.String(), "\n"); n != 4 {
+		t.Fatalf("rendered %d lines, want header, 2 spans, summary:\n%s", n, buf.String())
+	}
+	line, err := appendJSONLine(nil, &got[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(line), `"layer"`); n != 2 {
+		t.Fatalf("slow-log line carries %d spans, want 2: %s", n, line)
+	}
+}
+
 func TestSlowClassificationAndLog(t *testing.T) {
 	var buf bytes.Buffer
 	logBuf := &syncWriter{w: &buf}
