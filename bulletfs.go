@@ -126,7 +126,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 	if len(cfg.ReplicaPaths) == 0 {
 		cfg.Format = true
 		for i := 0; i < 2; i++ {
-			mem, err := disk.NewMem(512, cfg.DiskMB<<20/512)
+			mem, err := disk.NewMem(disk.SectorSize, cfg.DiskMB<<20/disk.SectorSize)
 			if err != nil {
 				return nil, err
 			}
@@ -137,9 +137,9 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 			var dev disk.Device
 			var err error
 			if cfg.Format {
-				dev, err = disk.CreateFile(p, 512, cfg.DiskMB<<20/512)
+				dev, err = disk.CreateFile(p, disk.SectorSize, cfg.DiskMB<<20/disk.SectorSize)
 			} else {
-				dev, err = disk.OpenFile(p, 512)
+				dev, err = disk.OpenFile(p, disk.SectorSize)
 			}
 			if err != nil {
 				return nil, err

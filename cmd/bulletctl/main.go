@@ -37,7 +37,6 @@ import (
 	"bulletfs/internal/bulletsvc"
 	"bulletfs/internal/capability"
 	"bulletfs/internal/client"
-	"bulletfs/internal/locate"
 	"bulletfs/internal/rpc"
 	"bulletfs/internal/stats"
 	"bulletfs/internal/trace"
@@ -70,11 +69,9 @@ func usage() error {
 
 func run() error {
 	var (
-		server   = flag.String("server", "localhost:7001", "bulletd TCP address")
-		port     = flag.String("port", "bullet", "service name of the server's capability port")
-		pfactor  = flag.Int("pfactor", 1, "paranoia factor for put/append (0 = reply before disk)")
-		locateAt = flag.String("locate", "", "located registry address; overrides -server by resolving ports dynamically")
-		registry = flag.String("registry", "registry", "registry service name when using -locate")
+		server  = flag.String("server", "localhost:7001", "bulletd TCP address")
+		port    = flag.String("port", "bullet", "service name of the server's capability port")
+		pfactor = flag.Int("pfactor", 1, "paranoia factor for put/append (0 = reply before disk)")
 	)
 	flag.Parse()
 	args := flag.Args()
@@ -91,15 +88,7 @@ func run() error {
 	}
 
 	p := capability.PortFromString(*port)
-	var resolver rpc.Resolver
-	if *locateAt != "" {
-		regPort := capability.PortFromString(*registry)
-		regTr := rpc.NewTCPTransport(rpc.StaticResolver(map[capability.Port]string{regPort: *locateAt}), 30*time.Second)
-		defer regTr.Close() //nolint:errcheck // process exit
-		resolver = locate.NewClient(regTr, regPort).Resolve
-	} else {
-		resolver = rpc.StaticResolver(map[capability.Port]string{p: *server})
-	}
+	resolver := rpc.StaticResolver(map[capability.Port]string{p: *server})
 	tr := rpc.NewTCPTransport(resolver, 30*time.Second)
 	defer tr.Close() //nolint:errcheck // process exit
 	// Trace IDs cost 12 bytes per request and make every bulletctl

@@ -11,6 +11,11 @@
 //
 // The server's capability port is derived from -port (a service name), so
 // clients can reconstruct it; capabilities survive restarts.
+//
+// bulletd ships one configuration: images use disk.SectorSize blocks,
+// requests slower than 50 ms are logged, the scrubber makes one pass an
+// hour at scrub.DefaultBytesPerSec, and the telemetry collector samples
+// every stats.DefaultInterval into stats.DefaultRingSize-deep rings.
 package main
 
 import (
@@ -30,11 +35,16 @@ import (
 	"bulletfs/internal/bulletsvc"
 	"bulletfs/internal/capability"
 	"bulletfs/internal/disk"
-	"bulletfs/internal/locate"
 	"bulletfs/internal/rpc"
 	"bulletfs/internal/scrub"
 	"bulletfs/internal/stats"
 	"bulletfs/internal/trace"
+)
+
+// The fixed configuration: see the package doc.
+const (
+	slowThreshold = 50 * time.Millisecond
+	scrubInterval = time.Hour
 )
 
 // httpGrace bounds the graceful drain of the observability endpoint on
@@ -51,31 +61,26 @@ func main() {
 
 func run() error {
 	var (
-		disks     = flag.String("disks", "", "comma-separated replica image paths (required)")
-		format    = flag.Bool("format", false, "create/format the images before serving")
-		blockSize = flag.Int("blocksize", 512, "sector size in bytes")
-		sizeMB    = flag.Int64("size", 64, "image size in MB when formatting")
-		inodes    = flag.Int("inodes", 10000, "inode table capacity when formatting")
-		listen    = flag.String("listen", ":7001", "TCP listen address")
-		port      = flag.String("port", "bullet", "service name the capability port derives from")
-		cacheMB   = flag.Int64("cache", 64, "RAM file cache size in MB")
-		locateAt  = flag.String("locate", "", "located registry address to announce this server at (optional)")
-		advertise = flag.String("advertise", "", "address to announce (default: the bound listen address)")
-		registry  = flag.String("registry", "registry", "registry service name when announcing")
-		httpAddr  = flag.String("http", "", "expvar-style HTTP address serving GET /debug/stats and /debug/traces (optional, e.g. :7002)")
-		slowMS    = flag.Int64("slowms", 50, "slow-request threshold in milliseconds; slow traces go to the slow ring and stderr as one-line JSON (0 disables)")
-		scrubIvl  = flag.Duration("scrub-interval", time.Hour, "time between background scrub passes over all files (0 disables periodic passes; `bulletctl scrub` still works)")
-		scrubRate = flag.Int64("scrub-rate", scrub.DefaultBytesPerSec, "scrub read budget in bytes per second")
-		maxInFl   = flag.Int("max-inflight", 0, "admission limit on concurrent file operations; past it requests are shed with StatusBusy (0 disables)")
-		gcWindow  = flag.Duration("group-commit", 0, "group-commit flush window: concurrent creates batch their replica sync round-trips for up to this long (0 disables; try 500us-2ms)")
-		gcBatch   = flag.Int("group-commit-batch", 0, "max creates per group-commit batch; a full batch flushes immediately (0 = default 64)")
-		telemIvl  = flag.Duration("telemetry-interval", stats.DefaultInterval, "telemetry sampling interval: the collector snapshots all metrics and pushes one WATCH update per interval")
-		telemRing = flag.Int("telemetry-ring", stats.DefaultRingSize, "telemetry history depth: how many periodic samples each metric retains")
+		disks    = flag.String("disks", "", "comma-separated replica image paths (required)")
+		format   = flag.Bool("format", false, "create/format the images before serving")
+		sizeMB   = flag.Int64("size", 64, "image size in MB when formatting")
+		inodes   = flag.Int("inodes", 10000, "inode table capacity when formatting")
+		listen   = flag.String("listen", ":7001", "TCP listen address")
+		port     = flag.String("port", "bullet", "service name the capability port derives from")
+		cacheMB  = flag.Int64("cache", 64, "RAM file cache size in MB")
+		httpAddr = flag.String("http", "", "expvar-style HTTP address serving GET /debug/stats and /debug/traces (optional, e.g. :7002)")
+		maxInFl  = flag.Int("max-inflight", 0, "admission limit on concurrent file operations; past it requests are shed with StatusBusy (0 disables)")
+		gcWindow = flag.Duration("group-commit", 0, "group-commit flush window: concurrent creates batch their replica sync round-trips for up to this long (0 disables; try 500us-2ms)")
 	)
 	flag.Parse()
 	if *disks == "" {
 		return fmt.Errorf("-disks is required")
 	}
+	// Catch SIGTERM before the address is announced: a supervisor that
+	// stops the server the moment it reads "serving on" must get the
+	// drain below, not the default kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	paths := strings.Split(*disks, ",")
 	devs := make([]disk.Device, 0, len(paths))
@@ -84,9 +89,9 @@ func run() error {
 		var dev disk.Device
 		var err error
 		if *format {
-			dev, err = disk.CreateFile(p, *blockSize, *sizeMB<<20/int64(*blockSize))
+			dev, err = disk.CreateFile(p, disk.SectorSize, *sizeMB<<20/disk.SectorSize)
 		} else {
-			dev, err = disk.OpenFile(p, *blockSize)
+			dev, err = disk.OpenFile(p, disk.SectorSize)
 		}
 		if err != nil {
 			return err
@@ -108,7 +113,6 @@ func run() error {
 		Port:              capability.PortFromString(*port),
 		CacheBytes:        *cacheMB << 20,
 		GroupCommitWindow: *gcWindow,
-		GroupCommitBatch:  *gcBatch,
 	})
 	if err != nil {
 		return err
@@ -116,10 +120,10 @@ func run() error {
 	defer engine.Close() //nolint:errcheck // drained below
 
 	// The flight recorder is always on: every request is traced into a
-	// fixed-memory ring; -slowms additionally classifies slow requests
-	// into their own ring and logs them as one-line JSON on stderr.
+	// fixed-memory ring; requests over slowThreshold also go to their own
+	// ring and to stderr as one-line JSON.
 	recorder := trace.NewRecorder(
-		trace.WithSlowThreshold(time.Duration(*slowMS)*time.Millisecond),
+		trace.WithSlowThreshold(slowThreshold),
 		trace.WithSlowLog(os.Stderr),
 	)
 	defer recorder.Close()
@@ -127,7 +131,7 @@ func run() error {
 	// Background integrity scrubbing: walk all files, verify every replica
 	// copy against its checksum, repair divergence. Rate-limited so it is
 	// invisible next to real traffic.
-	scrubber := scrub.New(engine, scrub.Config{Interval: *scrubIvl, BytesPerSec: *scrubRate})
+	scrubber := scrub.New(engine, scrub.Config{Interval: scrubInterval, BytesPerSec: scrub.DefaultBytesPerSec})
 	scrubber.AttachMetrics(engine.Metrics())
 	scrubber.Start()
 	defer scrubber.Stop()
@@ -135,7 +139,7 @@ func run() error {
 	// The telemetry collector samples every metric on a fixed interval
 	// into fixed-size rings, deriving per-window rates and tail latencies;
 	// the WATCH RPC and /debug/telemetry stream its updates.
-	collector := stats.NewCollector(engine.Metrics(), *telemIvl, *telemRing)
+	collector := stats.NewCollector(engine.Metrics(), stats.DefaultInterval, stats.DefaultRingSize)
 	collector.Start()
 	defer collector.Close()
 
@@ -187,23 +191,6 @@ func run() error {
 	fmt.Printf("capability port: %x (service name %q)\n", engine.Port(), *port)
 	fmt.Printf("files: %d live, max file size %d bytes\n", engine.Live(), engine.MaxFileSize())
 
-	if *locateAt != "" {
-		announced := *advertise
-		if announced == "" {
-			announced = addr
-		}
-		regPort := capability.PortFromString(*registry)
-		regTr := rpc.NewTCPTransport(rpc.StaticResolver(map[capability.Port]string{regPort: *locateAt}), 10*time.Second)
-		defer regTr.Close() //nolint:errcheck // process exit
-		announcer := locate.NewClient(regTr, regPort)
-		if err := announcer.Announce(engine.Port(), announced); err != nil {
-			return fmt.Errorf("announcing at %s: %w", *locateAt, err)
-		}
-		fmt.Printf("announced %s at registry %s\n", announced, *locateAt)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("shutting down")
 	if httpSrv != nil {

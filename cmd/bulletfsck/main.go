@@ -26,17 +26,14 @@ func main() {
 }
 
 func run() error {
-	var (
-		repair    = flag.Bool("repair", false, "write fixes back to the image")
-		blockSize = flag.Int("blocksize", 512, "sector size of the image")
-	)
+	repair := flag.Bool("repair", false, "write fixes back to the image")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		return fmt.Errorf("usage: bulletfsck [-repair] <image> [image...]")
 	}
 	exit := 0
 	for _, path := range flag.Args() {
-		if err := checkImage(path, *blockSize, *repair); err != nil {
+		if err := checkImage(path, *repair); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			exit = 1
 		}
@@ -47,15 +44,15 @@ func run() error {
 	return nil
 }
 
-func checkImage(path string, blockSize int, repair bool) error {
+func checkImage(path string, repair bool) error {
 	var dev disk.Device
 	var err error
 	if repair {
-		dev, err = disk.OpenFile(path, blockSize)
+		dev, err = disk.OpenFile(path, disk.SectorSize)
 	} else {
 		// Load a read-only copy into RAM so a plain check never touches
 		// the image.
-		dev, err = loadReadOnly(path, blockSize)
+		dev, err = loadReadOnly(path)
 	}
 	if err != nil {
 		return err
@@ -104,15 +101,15 @@ func checkImage(path string, blockSize int, repair bool) error {
 }
 
 // loadReadOnly copies an image file into a RAM disk.
-func loadReadOnly(path string, blockSize int) (disk.Device, error) {
+func loadReadOnly(path string) (disk.Device, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) == 0 || len(raw)%blockSize != 0 {
-		return nil, fmt.Errorf("image size %d is not a multiple of block size %d", len(raw), blockSize)
+	if len(raw) == 0 || len(raw)%disk.SectorSize != 0 {
+		return nil, fmt.Errorf("image size %d is not a multiple of block size %d", len(raw), disk.SectorSize)
 	}
-	mem, err := disk.NewMem(blockSize, int64(len(raw)/blockSize))
+	mem, err := disk.NewMem(disk.SectorSize, int64(len(raw)/disk.SectorSize))
 	if err != nil {
 		return nil, err
 	}

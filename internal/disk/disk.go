@@ -13,6 +13,12 @@ import (
 	"sync"
 )
 
+// SectorSize is the block size of every image bulletd, bulletfsck and
+// bulletfs.NewStore create or open: the 512-byte sector of paper §3's
+// disks. An image formatted at another size fails the layout
+// descriptor check on load.
+const SectorSize = 512
+
 // Device is a random-access block storage device.
 type Device interface {
 	// BlockSize returns the physical sector size in bytes.

@@ -253,11 +253,12 @@ func (c *Ctx) End(sp *Span) {
 	sp.Dur = int64(time.Since(c.starts[sp.ID]))
 }
 
-// Add appends an already-measured span under parent and returns it. It is
-// the bridge for timings captured off-arena (e.g. hedged-read attempts
-// measured on worker goroutines and recorded here, on the request
-// goroutine, once a winner returns). A dur of DurPending marks work still
-// in flight when the trace finished — a commit's background replicas.
+// Add appends an already-measured span under parent and returns it: a
+// point event (dur 0) or a timing the caller took itself. Its callers are
+// a replica promotion, the predictive hedge's choice of replica, a disk
+// repair write, a commit's pending background replicas and an admission
+// shed. A dur of DurPending marks work still in flight when the trace
+// finished — the background replicas.
 func (c *Ctx) Add(parent *Span, layer Layer, op Op, start time.Time, dur int64) *Span {
 	sp := c.Begin(parent, layer, op)
 	if sp == nil {
