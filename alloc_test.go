@@ -139,3 +139,38 @@ func TestDeferredCreateDeleteAllocBytes(t *testing.T) {
 		t.Errorf("CreateDeferred + later + Delete: %d bytes allocated per pair, want < 512", per)
 	}
 }
+
+// TestCreateOverTCPRetainsNoRequestBuffer: a 1 MiB CREATE's payload is
+// read off the socket straight into its cache slot, which lives outside
+// the Go heap, so after the create the server holds no buffer the size of
+// the file. The connection's request buffer used to grow to the largest
+// CREATE and keep it for the connection's life.
+func TestCreateOverTCPRetainsNoRequestBuffer(t *testing.T) {
+	eng, cl := allocStack(t)
+	small, err := cl.Create(eng.Port(), []byte("dial and warm"), 2)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	data := bytes.Repeat([]byte{0x1d}, 1<<20)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // twice: the second empties what the first moved to sync.Pool victim caches
+	runtime.ReadMemStats(&before)
+	c, err := cl.Create(eng.Port(), data, 2)
+	if err != nil {
+		t.Fatalf("Create(1 MiB): %v", err)
+	}
+	eng.Sync()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+		t.Errorf("heap grew by %d bytes across one 1 MiB CREATE, want < 64 KiB", grew)
+	}
+	runtime.KeepAlive(data)
+	for _, f := range []capability.Capability{small, c} {
+		if err := cl.Delete(f); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+}

@@ -265,6 +265,11 @@ type Server struct {
 	tickets map[uint32]commitTicket // guarded by faultMu
 	lastGen uint64                  // guarded by faultMu; the newest ticket's gen
 
+	// placed holds the placements Place handed out that no create has
+	// adopted and nobody abandoned yet, by the first byte of their extent.
+	placeMu sync.Mutex
+	placed  map[*byte]*Placement // guarded by placeMu
+
 	// bg accounts background goroutines the engine launches (currently
 	// only StartRecover's replica catch-up); Close waits for them before
 	// closing the disks.
@@ -357,6 +362,7 @@ func New(replicas *disk.ReplicaSet, opts Options) (*Server, error) {
 		capCache: make(map[uint32]map[capability.Capability]capability.Rights),
 		faults:   make(map[uint32]*faultCall),
 		tickets:  make(map[uint32]commitTicket),
+		placed:   make(map[*byte]*Placement),
 	}
 	for i := range s.inoBuf {
 		s.inoBuf[i] = make([]byte, desc.BlockSize)
@@ -483,25 +489,29 @@ func clampUint32(n int64) uint32 {
 	return uint32(n)
 }
 
-// create is the body of CreateDeferred; sp is the enclosing
-// engine-layer create span (nil when untraced) under which the cache
-// insert and per-replica commit spans hang. later is the write-through the
-// P-FACTOR did not wait for (disk.ReplicaSet.ApplyDeferred; nil when there
-// is none, and on every error): the caller replies, then runs it.
-func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int) (_ capability.Capability, later func(), err error) {
+// create is the body of CreateDeferred: it commits p, which it owns, as a
+// new file. sp is the enclosing engine-layer create span (nil when
+// untraced) under which the per-replica commit spans hang. later is the
+// write-through the P-FACTOR did not wait for (disk.ReplicaSet.
+// ApplyDeferred; nil when there is none, and on every error): the caller
+// replies, then runs it.
+func (s *Server) create(tc *trace.Ctx, sp *trace.Span, p *Placement, pfactor int) (_ capability.Capability, later func(), err error) {
+	pin := p.pin // nil: the cache refused the placement, and the create runs uncached
 	if pfactor < 0 || pfactor > s.replicas.N() {
+		s.abandon(pin, 0)
 		return capability.Capability{}, nil, fmt.Errorf("p-factor %d with %d disks: %w",
 			pfactor, s.replicas.N(), ErrBadPFactor)
 	}
-	size := int64(len(data))
-	if size > s.MaxFileSize() {
-		return capability.Capability{}, nil, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
-	}
 	random, err := capability.NewRandom()
 	if err != nil {
+		s.abandon(pin, 0)
 		return capability.Capability{}, nil, err
 	}
+	size := int64(p.size)
 	blocks := s.blocksFor(size)
+	// The file's CRC32C, computed before the lock: nobody else can reach
+	// the placement's bytes.
+	sum := layout.Checksum(p.Bytes())
 
 	s.mu.Lock()
 	// A contiguous extent in the data area, first fit; if fragmentation
@@ -512,6 +522,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		if st := s.dalloc.Stats(); st.Free >= blocks {
 			if cerr := s.compactDiskLocked(); cerr != nil {
 				s.mu.Unlock()
+				s.abandon(pin, 0)
 				return capability.Capability{}, nil, cerr
 			}
 			start, err = s.dalloc.Alloc(blocks)
@@ -519,30 +530,32 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	}
 	if err != nil {
 		s.mu.Unlock()
+		s.abandon(pin, 0)
 		return capability.Capability{}, nil, fmt.Errorf("%d blocks: %w", blocks, ErrDiskFull)
 	}
 	inode, err := s.table.Allocate(random, uint32(start), uint32(size))
 	if err != nil {
 		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback of our own alloc
 		s.mu.Unlock()
+		s.abandon(pin, 0)
 		return capability.Capability{}, nil, err
 	}
-	// Record the file's CRC32C at birth. The entry is only marked dirty
-	// here; it reaches the disk's checksum area in batches (Sync, Close,
-	// the scrubber), so the write-through below stays one inode block per
+	// Record the checksum at birth. The entry is only marked dirty here;
+	// it reaches the disk's checksum area in batches (Sync, Close, the
+	// scrubber), so the write-through below stays one inode block per
 	// create. A lost flush costs a lazy recompute on the next boot's first
 	// fault-in, never correctness.
-	_ = s.table.SetSum(inode, layout.Checksum(data))
+	_ = s.table.SetSum(inode, sum)
 
-	// Into the RAM cache first: BULLET.CREATE with P-FACTOR 0 returns
-	// "immediately after the file has been copied to the file server's RAM
-	// cache, but before it has been stored on disk". The fresh entry is
-	// pinned until every replica holds the bytes — an eviction before then
-	// would let a concurrent cache miss read unwritten disk. If the cache
-	// cannot take the file (arena pinned solid under a write burst), fall
-	// back to an uncached create with at least one synchronous disk write.
-	var pin *cache.View
-	idx, evicted, cerr := s.cache.InsertTraced(tc, sp, inode, data)
+	// The file is in the RAM cache already: BULLET.CREATE with P-FACTOR 0
+	// returns "immediately after the file has been copied to the file
+	// server's RAM cache, but before it has been stored on disk". Binding
+	// the placement's slot to the inode publishes it; its pin lasts until
+	// every replica holds the bytes — an eviction before then would let a
+	// concurrent cache miss read unwritten disk. A placement the cache
+	// refused (arena pinned solid under a write burst) makes an uncached
+	// create with at least one synchronous disk write.
+	var idx uint16
 	// undo gives back the cache slot, the inode and the extent, and mu.
 	undo := func() {
 		if idx != 0 {
@@ -552,11 +565,9 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		s.dalloc.Free(start, blocks) //nolint:errcheck // rollback
 		s.mu.Unlock()
 	}
-	if cerr == nil {
-		s.clearEvicted(evicted)
-		if v, verr := s.cache.Pin(idx, inode); verr == nil {
-			pin = v
-		}
+	if pin != nil {
+		pin.Publish(inode)
+		idx = pin.Slot()
 		if err := s.table.SetCacheIndex(inode, idx); err != nil {
 			pin.Release()
 			undo()
@@ -564,7 +575,6 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		}
 	} else {
 		s.m.uncachedCreates.Inc()
-		idx = 0
 		if pfactor == 0 {
 			pfactor = 1
 		}
@@ -590,23 +600,14 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 	// new inode, per replica — this goroutine writes the first pfactor
 	// replicas (main first), replies, and writes the rest (later). The
 	// inode block is copied from the table's disk image at write time, so
-	// the delayed writes publish current (never stale) metadata. A cached
-	// file that fills its last block goes to disk straight from its cache
-	// copy, whose pin lasts until every replica has settled; any other is
-	// padded into a pooled buffer that goes back at settle.
-	var padded []byte
-	var pad *[]byte
-	if n := blocks * int64(s.desc.BlockSize); pin != nil && int64(pin.Len()) == n {
-		padded = pin.Bytes()
-	} else {
-		pad = padBlocks(data, n)
-		padded = *pad
-	}
+	// the delayed writes publish current (never stale) metadata. Every
+	// replica is written straight from the placement's block-rounded
+	// extent, whose pin lasts until every replica has settled.
+	ext := p.ext
 	settled := func() {
 		// Every replica has finished (or failed): the disk copy is as
 		// durable as it will get, so the cache entry may move again.
 		pin.Release()
-		putPadded(pad)
 		s.passTicket(inode, gen, nil, true)
 	}
 	dataOff := s.desc.DataOffset(start)
@@ -625,7 +626,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 			SyncN: pfactor,
 			Tag:   inode,
 			Op: func(i int, dev disk.Device) error {
-				return dev.WriteAt(padded, dataOff)
+				return dev.WriteAt(ext, dataOff)
 			},
 			OnSettled: settled,
 			OnFlushed: func(later func()) { s.passTicket(inode, gen, later, false) },
@@ -636,7 +637,7 @@ func (s *Server) create(tc *trace.Ctx, sp *trace.Span, data []byte, pfactor int)
 		}
 	} else {
 		later, err = s.replicas.ApplyDeferred(tc, sp, pfactor, func(i int, dev disk.Device) error {
-			if err := dev.WriteAt(padded, dataOff); err != nil {
+			if err := dev.WriteAt(ext, dataOff); err != nil {
 				return err
 			}
 			return s.writeInode(i, dev, inode)
@@ -665,34 +666,6 @@ func (s *Server) writeInode(i int, dev disk.Device, inode uint32) error {
 	s.inoMu[i].Lock()
 	defer s.inoMu[i].Unlock()
 	return s.table.WriteInodeBuf(dev, inode, s.inoBuf[i])
-}
-
-// padPool recycles create's block-padded copies (see padBlocks).
-var padPool sync.Pool
-
-// Pooled padding buffers start at padPoolMin bytes, so small files share
-// one size; buffers over padPoolMax are left to the collector.
-const padPoolMin, padPoolMax = 64 << 10, 1 << 20
-
-// padBlocks returns data zero-padded to n bytes in a pooled buffer, which
-// the caller hands back with putPadded once no write reads it.
-func padBlocks(data []byte, n int64) *[]byte {
-	bp, _ := padPool.Get().(*[]byte)
-	if bp == nil || int64(cap(*bp)) < n {
-		b := make([]byte, max(n, padPoolMin))
-		bp = &b
-	}
-	*bp = (*bp)[:n]
-	copy(*bp, data)
-	clear((*bp)[len(data):])
-	return bp
-}
-
-// putPadded returns a padBlocks buffer to the pool; nil is a no-op.
-func putPadded(bp *[]byte) {
-	if bp != nil && cap(*bp) <= padPoolMax {
-		padPool.Put(bp)
-	}
 }
 
 // clearEvicted clears the cache-index field of inodes whose cached copies
@@ -827,10 +800,12 @@ func (s *Server) abandon(view *cache.View, inode uint32) {
 // loadFile is the fault leader's body: read the whole file contiguously
 // from disk straight into the cache arena (§3: "the file can be read into
 // the RAM cache" in one transfer), then publish it. The protocol is
-// reserve → fill → revalidate → publish:
+// reserve → fill → revalidate → publish, the one a create's placement
+// runs too (place.go):
 //
 //   - reserve: after the file's commit, claim a pinned, unfilled,
-//     unpublished slot of the file's size (cache.Reserve). Nobody else
+//     unpublished slot of the file's size (cache.Reserve; unlike a
+//     create's, it needs no block-rounded tail). Nobody else
 //     knows its number and lookups refuse it, so its bytes are this
 //     goroutine's alone.
 //   - fill: the replica read (and, for checksummed files, the CRC32C
@@ -872,11 +847,13 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 		// held across that wait.
 		s.awaitCommit(inode)
 
-		view, evicted, cerr := s.cache.ReserveTraced(tc, parent, inode, int64(ino.Size))
+		view := new(cache.View)
+		evicted, cerr := s.cache.ReserveTraced(tc, parent, view, inode, int64(ino.Size), int64(ino.Size))
 		s.clearEvicted(evicted)
 		var data []byte
 		if cerr != nil {
 			// Cache refusal is not fatal to the read itself; serve uncached.
+			view = nil
 			data = make([]byte, ino.Size)
 		} else {
 			data = view.Bytes()
@@ -928,7 +905,7 @@ func (s *Server) loadFile(tc *trace.Ctx, parent *trace.Span, inode uint32, rando
 		}
 		l = &ReadLease{data: data, size: int64(len(data))}
 		if view != nil {
-			view.Publish()
+			view.Publish(inode)
 			if ok, _ := s.table.SetCacheIndexIf(inode, 0, view.Slot()); !ok {
 				// The inode names another slot. The singleflight makes this
 				// leader the only publisher for the inode, so it should not
@@ -988,7 +965,7 @@ func (s *Server) delete(tc *trace.Ctx, sp *trace.Span, c capability.Capability) 
 
 // modify is the body of Modify; sp is the enclosing engine-layer modify
 // span (the derived file's create hangs under it). The old bytes are
-// copied straight from the lease into the new file's buffer, and the
+// copied straight from the lease into the new file's placement, and the
 // lease is released before the create.
 func (s *Server) modify(tc *trace.Ctx, sp *trace.Span, c capability.Capability, offset int64, data []byte, newSize int64, pfactor int) (capability.Capability, func(), error) {
 	if offset < 0 {
@@ -1019,12 +996,20 @@ func (s *Server) modify(tc *trace.Ctx, sp *trace.Span, c capability.Capability, 
 		return capability.Capability{}, nil, fmt.Errorf("splice [%d,%d) past size %d: %w",
 			offset, offset+int64(len(data)), size, ErrBadOffset)
 	}
-	merged := make([]byte, size)
-	copy(merged, old.Bytes())
+	// The derived file is built where it will live, in a placement that
+	// its create adopts.
+	p, err := s.Place(tc, sp, int(size))
+	if err != nil {
+		old.Release()
+		return capability.Capability{}, nil, err
+	}
+	merged := p.Bytes()
+	clear(merged[copy(merged, old.Bytes()):]) // a slot holds an earlier file's bytes
 	old.Release()
 	copy(merged[offset:], data)
 
 	nc, later, err := s.CreateDeferred(tc, sp, merged, pfactor)
+	p.Abandon() // a no-op: the create adopted it
 	if err != nil {
 		return capability.Capability{}, nil, err
 	}

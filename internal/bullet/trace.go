@@ -35,16 +35,32 @@ func annotate(sp *trace.Span, inode uint32, bytes int64, pfactor int, err error)
 // after k disks hold both the file and its inode. The write-through to
 // every disk always happens (paper §3); P-FACTOR only moves the reply.
 //
-// The metadata lock is held only while claiming the extent, the inode and
-// the cache slot. The write-through itself runs outside it — the caller
-// writes its P-FACTOR quorum, main replica first — so concurrent creates
-// overlap their disk time and readers are never blocked behind a commit.
-// later, when non-nil, is the rest of the write-through: call it once the
-// reply is out, on any goroutine. A request on the same file that gets
-// there first writes it itself (see awaitCommit), and later is then a no-op.
+// When data is exactly the Bytes of a placement this server handed out
+// (Place) that nobody has adopted or abandoned, the create adopts it and
+// the bytes stay where they are; otherwise the file is placed here and
+// data copied in. Either way its checksum is computed before the
+// metadata lock, which is held only to claim the extent and the inode and
+// to publish the cache slot. The write-through itself runs outside it,
+// straight from that slot — the caller writes its P-FACTOR quorum, main
+// replica first — so concurrent creates overlap their disk time and
+// readers are never blocked behind a commit. later, when non-nil, is the
+// rest of the write-through: call it once the reply is out, on any
+// goroutine. A request on the same file that gets there first writes it
+// itself (see awaitCommit), and later is then a no-op.
 func (s *Server) CreateDeferred(tc *trace.Ctx, parent *trace.Span, data []byte, pfactor int) (capability.Capability, func(), error) {
 	sp := tc.Begin(parent, trace.LayerEngine, trace.OpCreate)
-	c, later, err := s.create(tc, sp, data, pfactor)
+	var c capability.Capability
+	var later func()
+	var err error
+	p := s.adopt(data)
+	if p == nil {
+		if p, err = s.place(tc, sp, len(data)); err == nil {
+			copy(p.Bytes(), data)
+		}
+	}
+	if err == nil {
+		c, later, err = s.create(tc, sp, p, pfactor)
+	}
 	annotate(sp, c.Object, int64(len(data)), pfactor, err)
 	tc.End(sp)
 	return c, later, err

@@ -288,20 +288,41 @@ func (s *Service) AttachCollector(c *stats.Collector) { s.coll = c }
 // transport. TCP writes each frame as it is emitted; in-process
 // transports (rpc.Local, simnet) see the frames assembled for them by the
 // mux. Span contexts thread through either way, so every layer hangs its
-// spans under the RPC root span.
+// spans under the RPC root span. A CREATE's payload is placed (place).
 func (s *Service) Register(mux *rpc.Mux) {
-	mux.RegisterStream(s.engine.Port(), s.HandleStream)
+	mux.RegisterPlaced(s.engine.Port(), s.HandleStream, s.place)
+}
+
+// place is the service's rpc.Placer: a CREATE's payload is read straight
+// into a placement in the engine's cache (bullet.Server.Place), which the
+// create then adopts, so the file's bytes land in memory once; the rpc
+// layer abandons the placement if the request never reaches the create.
+// Every other payload goes to the transport's buffer.
+func (s *Service) place(req rpc.Header, n int) rpc.Placement {
+	if req.Command != CmdCreate {
+		return nil
+	}
+	// Like CREATE itself, a placement needs no capability: it sets memory
+	// aside for an object that does not exist yet (it may evict cached
+	// copies to make room, as any cache fill does).
+	//lint:ignore rightscheck a CREATE's placement precedes the object it is for; nothing pre-existing to check
+	p, err := s.engine.Place(nil, nil, n)
+	if err != nil {
+		return nil // too large: read it anyway, and the create refuses it
+	}
+	return p
 }
 
 // HandleStream processes one Bullet transaction, emitting one or more
 // reply frames. Every command first passes enter (deadline shed, then
-// admission). READ and READ_RANGE replies borrow the engine's pinned cache
-// bytes (the RPC layer writes them to the socket and releases the pin
-// afterwards — zero payload copies); READSTREAM and WATCH emit a sequence
-// of frames. CREATE, CREATE-COMMIT, MODIFY and APPEND reply once the
-// P-FACTOR quorum holds the new file and leave the rest of the
-// write-through to the RPC layer as the reply's After. Every other command
-// is a single frame built by handle.
+// admission). A CREATE's payload may be a placement (place), which
+// CreateDeferred adopts. READ and READ_RANGE replies borrow the engine's
+// pinned cache bytes (the RPC layer writes them to the socket and
+// releases the pin afterwards — zero payload copies); READSTREAM and
+// WATCH emit a sequence of frames. CREATE, CREATE-COMMIT, MODIFY and
+// APPEND reply once the P-FACTOR quorum holds the new file and leave the
+// rest of the write-through to the RPC layer as the reply's After. Every
+// other command is a single frame built by handle.
 func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte, emit rpc.Emitter) {
 	held, ok := s.enter(tc, parent, req.Command, emit)
 	if !ok {

@@ -73,13 +73,14 @@ var (
 type rnode struct {
 	inode    uint32
 	off      int64
-	size     int64
+	size     int64 // the file's bytes, what readers see
+	span     int64 // the arena extent: size, or size rounded up by Reserve
 	used     bool
 	doomed   bool // removed while pinned; reclaim on last Release
 	unfilled bool // reserved, bytes not yet valid; lookups refuse it until Publish
 }
 
-// bytes returns the rnode's extent of the arena.
+// bytes returns the rnode's file bytes in the arena.
 func (rn *rnode) bytes(buf []byte) []byte {
 	if rn.size == 0 {
 		return []byte{}
@@ -103,7 +104,7 @@ type slotState struct {
 // Stats reports cache behaviour since creation.
 type Stats struct {
 	Files       int   // cached files right now
-	UsedBytes   int64 // arena bytes holding cached files
+	UsedBytes   int64 // arena bytes holding cached files, block-rounded tails included
 	TotalBytes  int64 // arena size
 	Insertions  int64 // successful Inserts and Reserves
 	Evictions   int64 // files evicted to make room
@@ -120,7 +121,8 @@ type Stats struct {
 // side tables, so concurrent readers proceed in parallel; Insert, Reserve,
 // Remove and Compact hold it exclusively. The bytes of a reserved slot are
 // the one exception to "buf is guarded by mu": until Publish they belong to
-// the reserving caller alone (see Reserve).
+// the reserving caller alone, and its pin keeps them in place after (see
+// Reserve).
 type Cache struct {
 	mu       sync.RWMutex
 	buf      []byte           // guarded by mu (shared: read bytes; exclusive: move/overwrite); the mapped arena
@@ -245,7 +247,8 @@ type Evicted struct {
 func (c *Cache) Insert(inode uint32, data []byte) (idx uint16, evicted []Evicted, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, evicted, err = c.placeLocked(inode, int64(len(data)))
+	n := int64(len(data))
+	idx, evicted, err = c.placeLocked(inode, n, n)
 	if err != nil {
 		return 0, evicted, err
 	}
@@ -254,35 +257,45 @@ func (c *Cache) Insert(inode uint32, data []byte) (idx uint16, evicted []Evicted
 	return idx, evicted, nil
 }
 
-// Reserve places a size-byte file for inode exactly as Insert does, but
-// copies nothing: the returned view is pinned and its bytes are the
-// caller's to fill (a disk read lands in them directly). Until the view's
+// Reserve places a size-byte file in a span-byte extent (span >= size;
+// a create rounds it up to whole disk blocks) exactly as Insert places
+// one, but copies nothing: it pins the slot into v, whose Bytes are the
+// caller's to fill (a socket or disk read lands in them directly) and
+// whose Extent is those bytes plus a zeroed tail up to span. Until
 // Publish the slot is unfilled — GetView, Pin and Get refuse it — and the
 // caller has told nobody its number, so no other goroutine can reach the
 // extent: the pin keeps eviction and compaction away, and the fill needs
-// no lock. A caller that gives up calls Remove and then Release, which
+// no lock. inode may be 0 (no inode has been allocated yet) if Publish
+// names it. A caller that gives up calls Remove and then Release, which
 // returns the extent. Evictions are reported even when the reservation
-// itself fails.
-func (c *Cache) Reserve(inode uint32, size int64) (v *View, evicted []Evicted, err error) {
+// itself fails, which leaves v untouched.
+func (c *Cache) Reserve(v *View, inode uint32, size, span int64) (evicted []Evicted, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx, evicted, err := c.placeLocked(inode, size)
+	idx, evicted, err := c.placeLocked(inode, size, span)
 	if err != nil {
-		return nil, evicted, err
+		return evicted, err
 	}
 	rn := &c.rnodes[idx-1]
 	rn.unfilled = true
 	c.slots[idx-1].pins.Add(1)
-	return &View{c: c, idx: idx, data: rn.bytes(c.buf)}, evicted, nil
+	data := []byte{}
+	if span > 0 {
+		data = c.buf[rn.off : rn.off+size : rn.off+span]
+		clear(data[size:span])
+	}
+	runtime.KeepAlive(c) // the mapping must outlive the clear
+	*v = View{c: c, idx: idx, data: data}
+	return evicted, nil
 }
 
-// placeLocked claims an rnode and a size-byte arena extent for inode — the
-// one placement routine behind Insert and Reserve: evict the LRU file if
-// the rnode table is full, evict further until first fit succeeds, and
-// compact once if what is free is shattered.
-func (c *Cache) placeLocked(inode uint32, size int64) (idx uint16, evicted []Evicted, err error) {
-	if size > c.arena.Total() {
-		return 0, nil, fmt.Errorf("%d bytes into %d-byte arena: %w", size, c.arena.Total(), ErrTooLarge)
+// placeLocked claims an rnode and a span-byte arena extent for a size-byte
+// file of inode — the one placement routine behind Insert and Reserve:
+// evict the LRU file if the rnode table is full, evict further until first
+// fit succeeds, and compact once if what is free is shattered.
+func (c *Cache) placeLocked(inode uint32, size, span int64) (idx uint16, evicted []Evicted, err error) {
+	if span > c.arena.Total() {
+		return 0, nil, fmt.Errorf("%d bytes into %d-byte arena: %w", span, c.arena.Total(), ErrTooLarge)
 	}
 	// Claim an rnode, evicting the LRU file if the table is full.
 	if len(c.freeSlot) == 0 {
@@ -298,9 +311,9 @@ func (c *Cache) placeLocked(inode uint32, size int64) (idx uint16, evicted []Evi
 	}
 
 	var off int64 = -1
-	if size > 0 {
+	if span > 0 {
 		for {
-			start, allocErr := c.arena.Alloc(size)
+			start, allocErr := c.arena.Alloc(span)
 			if allocErr == nil {
 				off = start
 				break
@@ -320,23 +333,23 @@ func (c *Cache) placeLocked(inode uint32, size int64) (idx uint16, evicted []Evi
 			// Nothing left to evict. If the space exists but is shattered,
 			// compact and retry once; otherwise give up (cannot happen when
 			// size <= arena, but guard anyway).
-			if st := c.arena.Stats(); st.Free >= size {
+			if st := c.arena.Stats(); st.Free >= span {
 				if cerr := c.compactLocked(); cerr != nil {
 					return 0, evicted, cerr
 				}
-				start, allocErr = c.arena.Alloc(size)
+				start, allocErr = c.arena.Alloc(span)
 				if allocErr == nil {
 					off = start
 					break
 				}
 			}
-			return 0, evicted, fmt.Errorf("%d bytes: %w", size, ErrTooLarge)
+			return 0, evicted, fmt.Errorf("%d bytes: %w", span, ErrTooLarge)
 		}
 	}
 
 	slotNum := c.freeSlot[len(c.freeSlot)-1]
 	c.freeSlot = c.freeSlot[:len(c.freeSlot)-1]
-	c.rnodes[slotNum-1] = rnode{inode: inode, off: off, size: size, used: true}
+	c.rnodes[slotNum-1] = rnode{inode: inode, off: off, size: size, span: span, used: true}
 	age := c.tick()
 	c.slots[slotNum-1].age.Store(age)
 	c.queueLocked(slotNum, age)
@@ -373,9 +386,9 @@ func (c *Cache) removeLocked(idx uint16) (uint32, error) {
 func (c *Cache) reclaimLocked(idx uint16) error {
 	rn := &c.rnodes[idx-1]
 	var err error
-	if rn.size > 0 {
-		if ferr := c.arena.Free(rn.off, rn.size); ferr != nil {
-			err = fmt.Errorf("freeing [%d,%d): %v: %w", rn.off, rn.off+rn.size, ferr, ErrCorrupt)
+	if rn.span > 0 {
+		if ferr := c.arena.Free(rn.off, rn.span); ferr != nil {
+			err = fmt.Errorf("freeing [%d,%d): %v: %w", rn.off, rn.off+rn.span, ferr, ErrCorrupt)
 		}
 	}
 	if rn.doomed {
@@ -411,20 +424,26 @@ type View struct {
 // unpublished view may write to it.
 func (v *View) Bytes() []byte { return v.data }
 
+// Extent returns the pinned file's whole arena extent: Bytes and, on a
+// reserved view, the zeroed tail up to the span Reserve was given. It is
+// valid only until Release.
+func (v *View) Extent() []byte { return v.data[:cap(v.data)] }
+
 // Slot returns the rnode slot number the view pins.
 func (v *View) Slot() uint16 { return v.idx }
 
-// Publish declares a reserved view's bytes filled: from here on GetView,
-// Pin and Get resolve the slot. The caller's pin is untouched. A no-op on
-// views that were never reserved, and on released ones (the slot may
+// Publish declares a reserved view's bytes filled and the file inode's:
+// from here on GetView, Pin and Get resolve the slot for that inode. The
+// caller's pin is untouched. A no-op on released views (the slot may
 // already be someone else's reservation).
-func (v *View) Publish() {
+func (v *View) Publish(inode uint32) {
 	if v.done {
 		return
 	}
 	c := v.c
 	c.mu.Lock()
-	c.rnodes[v.idx-1].unfilled = false
+	rn := &c.rnodes[v.idx-1]
+	rn.inode, rn.unfilled = inode, false
 	c.mu.Unlock()
 }
 
@@ -593,9 +612,9 @@ func (c *Cache) compactLocked() error {
 	var used []alloc.Used
 	for i := range c.rnodes {
 		rn := &c.rnodes[i]
-		if rn.used && rn.size > 0 {
+		if rn.used && rn.span > 0 {
 			used = append(used, alloc.Used{
-				Extent: alloc.Extent{Start: rn.off, Count: rn.size},
+				Extent: alloc.Extent{Start: rn.off, Count: rn.span},
 				Tag:    uint16(i + 1),
 			})
 		}
@@ -609,8 +628,8 @@ func (c *Cache) compactLocked() error {
 	var after []alloc.Extent
 	for i := range c.rnodes {
 		rn := &c.rnodes[i]
-		if rn.used && rn.size > 0 {
-			after = append(after, alloc.Extent{Start: rn.off, Count: rn.size})
+		if rn.used && rn.span > 0 {
+			after = append(after, alloc.Extent{Start: rn.off, Count: rn.span})
 		}
 	}
 	if err := c.arena.Reset(after); err != nil {
@@ -634,7 +653,7 @@ func (c *Cache) Stats() Stats {
 			if !c.rnodes[i].doomed {
 				s.Files++
 			}
-			s.UsedBytes += c.rnodes[i].size
+			s.UsedBytes += c.rnodes[i].span
 		}
 	}
 	return s

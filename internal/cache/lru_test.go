@@ -152,7 +152,7 @@ func (d *lruDriver) place(reserve bool) error {
 	)
 	if reserve {
 		var v *View
-		v, evicted, err = d.c.Reserve(inode, size)
+		v, evicted, err = reserveView(d.c, inode, size)
 		if err == nil {
 			slot = v.Slot()
 			d.reserved = append(d.reserved, reservation{v: v, inode: inode})
@@ -203,7 +203,7 @@ func (d *lruDriver) step() (string, error) {
 			r.v.Release()
 			return "abandon", nil
 		}
-		r.v.Publish()
+		r.v.Publish(r.inode)
 		d.live[r.inode] = r.v.Slot()
 		d.held = append(d.held, r.v)
 		return "publish", nil
@@ -349,7 +349,7 @@ func TestConcurrentEvictWhileHitting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				inode := uint32(w*rounds + i + 1)
-				v, _, err := c.Reserve(inode, size)
+				v, _, err := reserveView(c, inode, size)
 				if err != nil {
 					continue // every slot pinned at this instant
 				}
@@ -357,7 +357,7 @@ func TestConcurrentEvictWhileHitting(t *testing.T) {
 				for j := range b {
 					b[j] = byte(inode)
 				}
-				v.Publish()
+				v.Publish(inode)
 				names[v.Slot()-1].Store(inode)
 				v.Release()
 			}
@@ -415,11 +415,11 @@ func BenchmarkPlaceEvictFullTable(b *testing.B) {
 	}
 	var slots [rnodes]uint16 // inode % rnodes -> slot
 	place := func(inode uint32) {
-		v, _, err := c.Reserve(inode, size)
+		v, _, err := reserveView(c, inode, size)
 		if err != nil {
 			b.Fatal(err)
 		}
-		v.Publish()
+		v.Publish(inode)
 		slots[inode%rnodes] = v.Slot()
 		v.Release()
 	}

@@ -21,15 +21,25 @@ func place(t *testing.T, c *Cache, reserve bool, inode uint32, size int) (uint16
 		}
 		return idx, evicted
 	}
-	v, evicted, err := c.Reserve(inode, int64(size))
+	v, evicted, err := reserveView(c, inode, int64(size))
 	if err != nil {
 		t.Fatalf("Reserve(%d): %v", inode, err)
 	}
 	copy(v.Bytes(), fill)
-	v.Publish()
+	v.Publish(inode)
 	idx := v.Slot()
 	v.Release()
 	return idx, evicted
+}
+
+// reserveView is Reserve into a fresh View, with no tail past size.
+func reserveView(c *Cache, inode uint32, size int64) (*View, []Evicted, error) {
+	v := new(View)
+	evicted, err := c.Reserve(v, inode, size, size)
+	if err != nil {
+		return nil, evicted, err
+	}
+	return v, evicted, nil
 }
 
 func evictedInodes(ev []Evicted) []uint32 {
@@ -99,7 +109,7 @@ func TestReservePlacesLikeInsert(t *testing.T) {
 			c := mustNew(t, 100, 8)
 			var err error
 			if reserve {
-				_, _, err = c.Reserve(1, 101)
+				_, _, err = reserveView(c, 1, 101)
 			} else {
 				_, _, err = c.Insert(1, make([]byte, 101))
 			}
@@ -114,7 +124,7 @@ func TestReservePlacesLikeInsert(t *testing.T) {
 // even one that guesses its number, until the holder says the bytes are in.
 func TestReservedSlotInvisibleUntilPublished(t *testing.T) {
 	c := mustNew(t, 1024, 8)
-	v, evicted, err := c.Reserve(7, 16)
+	v, evicted, err := reserveView(c, 7, 16)
 	if err != nil || len(evicted) != 0 {
 		t.Fatalf("Reserve = %v, evicted %v", err, evicted)
 	}
@@ -136,7 +146,7 @@ func TestReservedSlotInvisibleUntilPublished(t *testing.T) {
 	}
 
 	copy(v.Bytes(), "filled in place!")
-	v.Publish()
+	v.Publish(7)
 	got, err := c.GetView(v.Slot(), 7)
 	if err != nil {
 		t.Fatalf("GetView after Publish: %v", err)
@@ -156,7 +166,7 @@ func TestReservedSlotInvisibleUntilPublished(t *testing.T) {
 // however old it is, and compaction refuses to slide the arena under it.
 func TestReservedSlotSkippedByLRUAndBlocksCompaction(t *testing.T) {
 	c := mustNew(t, 300, 8)
-	v, _, err := c.Reserve(1, 100) // oldest entry in the cache
+	v, _, err := reserveView(c, 1, 100) // oldest entry in the cache
 	if err != nil {
 		t.Fatalf("Reserve: %v", err)
 	}
@@ -177,11 +187,11 @@ func TestReservedSlotSkippedByLRUAndBlocksCompaction(t *testing.T) {
 	}
 	// With everything else gone and the reservation immovable, a request
 	// for the whole arena is refused rather than served at its expense.
-	if _, _, err := c.Reserve(5, 300); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := reserveView(c, 5, 300); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Reserve of the whole arena = %v, want ErrTooLarge", err)
 	}
 
-	v.Publish()
+	v.Publish(1)
 	v.Release()
 	if _, evicted, err = c.Insert(6, make([]byte, 300)); err != nil {
 		t.Fatalf("Insert after release: %v", err)
@@ -195,7 +205,7 @@ func TestReservedSlotSkippedByLRUAndBlocksCompaction(t *testing.T) {
 // holder's Release reclaims it, and the extent is free again.
 func TestAbandonedReservationReturnsExtent(t *testing.T) {
 	c := mustNew(t, 100, 4)
-	v, _, err := c.Reserve(1, 100)
+	v, _, err := reserveView(c, 1, 100)
 	if err != nil {
 		t.Fatalf("Reserve: %v", err)
 	}
@@ -205,7 +215,7 @@ func TestAbandonedReservationReturnsExtent(t *testing.T) {
 	if st := c.Stats(); st.Files != 0 || st.UsedBytes != 100 {
 		t.Fatalf("doomed but still pinned: %+v", st)
 	}
-	v.Publish() // a late publish must not resurrect a doomed slot
+	v.Publish(1) // a late publish must not resurrect a doomed slot
 	if _, err := c.GetView(v.Slot(), 1); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("GetView of a doomed reservation = %v, want ErrBadSlot", err)
 	}
@@ -238,7 +248,7 @@ func TestConcurrentReserveFillPublish(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				inode := uint32(w*rounds + i + 1)
-				v, _, err := c.Reserve(inode, size)
+				v, _, err := reserveView(c, inode, size)
 				if err != nil {
 					continue // arena pinned solid by the other workers
 				}
@@ -252,7 +262,7 @@ func TestConcurrentReserveFillPublish(t *testing.T) {
 					peek.Release()
 					t.Errorf("unpublished slot %d resolved", slot)
 				}
-				v.Publish()
+				v.Publish(inode)
 				got, err := c.GetView(slot, inode)
 				if err != nil {
 					t.Errorf("own pinned slot did not resolve: %v", err)
@@ -298,5 +308,48 @@ func TestConcurrentReserveFillPublish(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.PinnedViews != 0 {
 		t.Fatalf("pins leaked: %+v", st)
+	}
+}
+
+// A reservation's extent may run past the file (a create rounds it up to
+// whole disk blocks): Bytes is the file, Extent the whole extent with the
+// tail zeroed even where an earlier file left its bytes, and readers of
+// the published slot see the file alone. The arena accounts for the
+// whole extent until the slot is gone.
+func TestReserveSpanZeroesTail(t *testing.T) {
+	c := mustNew(t, 1024, 4)
+	mustInsert(t, c, 1, bytes.Repeat([]byte{0xee}, 1024))
+	if err := c.Remove(1, 1); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	var v View
+	if _, err := c.Reserve(&v, 0, 700, 1024); err != nil {
+		t.Fatalf("Reserve: %v", err)
+	}
+	if v.Len() != 700 || len(v.Extent()) != 1024 {
+		t.Fatalf("Bytes %d, Extent %d; want 700, 1024", v.Len(), len(v.Extent()))
+	}
+	if !bytes.Equal(v.Extent()[700:], make([]byte, 324)) {
+		t.Fatal("the tail past the file holds an earlier file's bytes")
+	}
+	copy(v.Bytes(), bytes.Repeat([]byte{0x11}, 700))
+	v.Publish(9)
+	got, err := c.GetView(v.Slot(), 9)
+	if err != nil {
+		t.Fatalf("GetView after Publish(9): %v", err)
+	}
+	if got.Len() != 700 || len(got.Extent()) != 700 {
+		t.Fatalf("a reader sees %d bytes (extent %d), want the 700-byte file", got.Len(), len(got.Extent()))
+	}
+	got.Release()
+	if st := c.Stats(); st.UsedBytes != 1024 || st.Files != 1 {
+		t.Fatalf("stats with one rounded slot: %+v", st)
+	}
+	if err := c.Remove(v.Slot(), 9); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	v.Release()
+	if st := c.Stats(); st.UsedBytes != 0 || st.PinnedViews != 0 {
+		t.Fatalf("stats after the slot is gone: %+v", st)
 	}
 }

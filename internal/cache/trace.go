@@ -26,31 +26,18 @@ func (c *Cache) ViewInto(tc *trace.Ctx, parent *trace.Span, v *View, idx uint16,
 	return err
 }
 
-// InsertTraced is Insert with a cache-insert span recording the inode and
-// the bytes admitted. tc may be nil.
-func (c *Cache) InsertTraced(tc *trace.Ctx, parent *trace.Span, inode uint32, data []byte) (uint16, []Evicted, error) {
-	if !tc.Active() {
-		return c.Insert(inode, data)
-	}
-	sp := tc.Begin(parent, trace.LayerCache, trace.OpCacheInsert)
-	idx, evicted, err := c.Insert(inode, data)
-	stampInsertSpan(sp, inode, int64(len(data)), err)
-	tc.End(sp)
-	return idx, evicted, err
-}
-
-// ReserveTraced is Reserve under the same cache-insert span InsertTraced
-// records: a trace shows one placement per fault whichever call made it.
+// ReserveTraced is Reserve under a cache-insert span recording the inode
+// and the file's size: a trace shows one placement per fault or create.
 // tc may be nil.
-func (c *Cache) ReserveTraced(tc *trace.Ctx, parent *trace.Span, inode uint32, size int64) (*View, []Evicted, error) {
+func (c *Cache) ReserveTraced(tc *trace.Ctx, parent *trace.Span, v *View, inode uint32, size, span int64) ([]Evicted, error) {
 	if !tc.Active() {
-		return c.Reserve(inode, size)
+		return c.Reserve(v, inode, size, span)
 	}
 	sp := tc.Begin(parent, trace.LayerCache, trace.OpCacheInsert)
-	v, evicted, err := c.Reserve(inode, size)
+	evicted, err := c.Reserve(v, inode, size, span)
 	stampInsertSpan(sp, inode, size, err)
 	tc.End(sp)
-	return v, evicted, err
+	return evicted, err
 }
 
 // stampInsertSpan fills in a cache-insert span's attributes (the caller

@@ -23,9 +23,9 @@ func TestDeadlineTLVRoundTrip(t *testing.T) {
 		t.Fatalf("frame magic %08x, want v2 %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	txid, traceID, gotBudget, gotPort, h, payload, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
+	txid, traceID, gotBudget, gotPort, h, payload, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:])
 	if err != nil {
-		t.Fatalf("readFrameScratch: %v", err)
+		t.Fatalf("readFrame: %v", err)
 	}
 	if txid != 9 || traceID != 0xabcd || gotBudget != budget || gotPort != port || h.Command != 5 || string(payload) != "p" {
 		t.Fatalf("round trip lost fields: txid=%d traceID=%x budget=%v cmd=%d payload=%q",
@@ -45,7 +45,7 @@ func TestDeadlineWithoutTraceStaysV2(t *testing.T) {
 		t.Fatalf("frame magic %08x, want v2 %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	_, traceID, budget, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
+	_, traceID, budget, _, _, _, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fixed [prologueLen + extScratchLen]byte
-		txid, traceID, _, port, h, payload, _, err := readFrameScratch(bytes.NewReader(data), magicRequest, fixed[:], nil)
+		txid, traceID, _, port, h, payload, _, err := readFrame(bytes.NewReader(data), magicRequest, fixed[:])
 		if err != nil {
 			return
 		}
@@ -60,7 +60,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err := writeFrameExt(&out, magicRequest, txid, traceID, 0, port, h, payload); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		txid2, traceID2, _, port2, h2, payload2, _, err := readFrameScratch(bytes.NewReader(out.Bytes()), magicRequest, fixed[:], nil)
+		txid2, traceID2, _, port2, h2, payload2, _, err := readFrame(bytes.NewReader(out.Bytes()), magicRequest, fixed[:])
 		if err != nil {
 			t.Fatalf("re-read: %v", err)
 		}

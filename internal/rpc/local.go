@@ -22,11 +22,13 @@ func (l *Local) Trans(port capability.Port, req Header, payload []byte) (Header,
 	return l.Call(port, CallOpts{}, req, payload, nil)
 }
 
-// Call implements Caller in-process. The span arena is armed exactly as
-// the TCP server arms it for a request off the wire; frames reach the sink
-// as the handler emits them, or, with no sink, are copied into one reply.
-// That reply is this call's return value, so the final frame's After
-// cannot follow it on this goroutine: it is started on its own.
+// Call implements Caller in-process. The payload is placed and the span
+// arena armed exactly as the TCP server does for a request off the wire,
+// the payload copied into its placement where the port's Placer makes one;
+// frames reach the sink as the handler emits them, or, with no sink, are
+// copied into one reply. That reply is this call's return value, so the
+// final frame's After cannot follow it on this goroutine: it is started on
+// its own.
 func (l *Local) Call(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (h Header, data []byte, err error) {
 	deliver := func(fh Header, frame []byte, last bool) error {
 		h = fh
@@ -36,9 +38,15 @@ func (l *Local) Call(port capability.Port, opts CallOpts, req Header, payload []
 		data = append(data, frame...)
 		return nil
 	}
+	pl := l.mux.place(port, req, len(payload))
+	if pl != nil {
+		copy(pl.Bytes(), payload)
+		payload = pl.Bytes()
+	}
 	a := l.mux.newArena()
 	tc := a.arm(opts.TraceID, opts.Budget)
 	after, err := l.mux.dispatch(l.mux.newStreamState(deliver), tc, port, opts.TxID, req, payload)
+	abandon(pl)
 	tc.Finish()
 	a.release()
 	if after != nil {

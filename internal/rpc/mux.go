@@ -41,10 +41,37 @@ type Mux struct {
 	dedupEvictions atomic.Int64 // entries evicted to stay within the count/byte budget
 }
 
-// muxEntry is one registered server: exactly one of plain/stream is set.
+// muxEntry is one registered server: exactly one of plain/stream is set,
+// and place only beside stream.
 type muxEntry struct {
 	plain  Handler
 	stream StreamHandler
+	place  Placer
+}
+
+// Placement is memory a handler set aside for one request's payload
+// before the payload arrived: the transport reads (TCP) or copies (Local)
+// the payload straight into Bytes and hands Bytes to the handler as the
+// payload. The handler may adopt the placement — keep the bytes, as a
+// create keeps the file it was sent — and whatever it did not adopt the
+// rpc layer gives back with Abandon once the dispatch is over, or when
+// the payload never fully arrived. Abandon does nothing to an adopted
+// placement, and a second Abandon nothing at all.
+type Placement interface {
+	Bytes() []byte // exactly the payload's length
+	Abandon()
+}
+
+// Placer names where a request's payload goes, once the request's header
+// and payload length are known: a Placement, or nil for the transport's
+// own buffer.
+type Placer func(req Header, n int) Placement
+
+// abandon gives back pl unless its handler adopted it; nil is a no-op.
+func abandon(pl Placement) {
+	if pl != nil {
+		pl.Abandon()
+	}
 }
 
 type cachedReply struct {
@@ -116,6 +143,30 @@ func (m *Mux) Register(port capability.Port, h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.handlers[port] = muxEntry{plain: h}
+}
+
+// RegisterPlaced installs sh as the server for port, as RegisterStream
+// does, with place naming where the port's request payloads are read to.
+func (m *Mux) RegisterPlaced(port capability.Port, sh StreamHandler, place Placer) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.handlers[port] = muxEntry{stream: sh, place: place}
+}
+
+// place asks port's Placer where a request's n-byte payload goes; nil
+// means the transport's own buffer, as it does for an empty payload and a
+// port with no Placer.
+func (m *Mux) place(port capability.Port, req Header, n int) Placement {
+	if n == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	place := m.handlers[port].place
+	m.mu.Unlock()
+	if place == nil {
+		return nil
+	}
+	return place(req, n)
 }
 
 // Unregister removes the server for port.

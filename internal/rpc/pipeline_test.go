@@ -74,7 +74,7 @@ type fakeReq struct {
 
 func readFakeReq(br *bufio.Reader) (fakeReq, error) {
 	var fixed [prologueLen + extScratchLen]byte
-	_, _, _, port, h, payload, _, err := readFrameScratch(br, magicRequest, fixed[:], nil)
+	_, _, _, port, h, payload, _, err := readFrame(br, magicRequest, fixed[:])
 	return fakeReq{port, h, payload}, err
 }
 

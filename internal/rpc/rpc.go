@@ -164,9 +164,11 @@ func DecodeHeader(src []byte) (Header, []byte, error) {
 }
 
 // Handler processes one transaction addressed to a port. Implementations
-// must not retain req or payload past the call — the TCP server recycles
-// request payload buffers through a pool, so bytes reachable after the
-// handler returns will be overwritten by a later request. The returned
+// must not retain req or payload past the call — the TCP server reads
+// request payloads into a buffer the connection reuses, so bytes
+// reachable after the handler returns will be overwritten by a later
+// request (a stream handler may keep a payload its port placed; see
+// Placer). The returned
 // reply payload must be owned by the reply (neither aliasing the request
 // payload nor server state that can mutate; copy at the boundary): the
 // duplicate-suppression cache retains it indefinitely.

@@ -68,9 +68,10 @@ func (p Payload) release() {
 type Emitter func(h Header, p Payload, last bool) error
 
 // StreamHandler serves one transaction by emitting one or more reply
-// frames. The request payload contract matches Handler: it is pooled and
-// must not be retained past the call. Errors are reported in-band, as a
-// single emitted frame whose header carries the status.
+// frames. The request payload contract matches Handler: it must not be
+// retained past the call, unless it is a Placement's bytes the handler
+// adopts (RegisterPlaced). Errors are reported in-band, as a single
+// emitted frame whose header carries the status.
 type StreamHandler func(tc *trace.Ctx, parent *trace.Span, req Header, payload []byte, emit Emitter)
 
 // RegisterStream installs sh as the server for port. A stream handler
@@ -100,13 +101,16 @@ type FrameSink func(h Header, data []byte, last bool) error
 // goroutine. The returned error is transport-level: ErrNoServer for an
 // unserved port, or the sink's own error propagated back.
 func (m *Mux) DispatchStream(tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte, sink FrameSink) error {
-	return m.serve(m.newStreamState(sink), tc, port, txid, req, payload)
+	return m.serve(m.newStreamState(sink), tc, port, txid, req, payload, nil)
 }
 
 // serve is DispatchStream on a streamState its caller keeps across
-// requests (a TCP connection): dispatch, then the final frame's After.
-func (m *Mux) serve(st *streamState, tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte) error {
+// requests (a TCP connection): dispatch, abandon the payload's placement
+// (pl, nil when the payload was not placed) unless the handler adopted it,
+// then run the final frame's After.
+func (m *Mux) serve(st *streamState, tc *trace.Ctx, port capability.Port, txid uint64, req Header, payload []byte, pl Placement) error {
 	after, err := m.dispatch(st, tc, port, txid, req, payload)
+	abandon(pl)
 	if after != nil {
 		after()
 	}
@@ -135,12 +139,12 @@ func (m *Mux) dispatch(st *streamState, tc *trace.Ctx, port capability.Port, txi
 	}
 	m.mu.Unlock()
 
-	root := tc.Begin(nil, trace.LayerRPC, trace.OpRequest)
+	start := time.Now() // the root span's start and the latency histogram's
+	root := tc.BeginAt(nil, trace.LayerRPC, trace.OpRequest, start)
 	if root != nil {
 		root.Cmd = req.Command
 		root.Bytes = int64(len(payload))
 	}
-	start := time.Now()
 	st.arm(txid, tc, root)
 	if e.stream != nil {
 		e.stream(tc, root, req, payload, st.emitFn)

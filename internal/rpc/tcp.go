@@ -71,10 +71,11 @@ const (
 )
 
 // scratchPayloadCap bounds the request payloads a server connection reads
-// into its reusable buffer (see readFrameScratch); larger requests fall
-// back to one-shot allocations rather than pinning megabytes per
-// connection.
-const scratchPayloadCap = 1 << 20
+// into its reusable buffer (see serveConn); larger requests fall back to
+// one-shot allocations rather than pinning megabytes per connection. A
+// CREATE's payload goes to its placement instead (Placer), whatever its
+// size.
+const scratchPayloadCap = 64 << 10
 
 // encodePrologue fills dst (length prologueLen) with everything before
 // the payload.
@@ -141,60 +142,63 @@ func encodeExt(dst []byte, traceID uint64, budget time.Duration) int {
 	return n
 }
 
-// readFrameScratch is the one frame decoder, both directions: fixed
+// readFrame reads one whole frame, both directions: readPrologue, then
+// the payload into a buffer of its own, which is the caller's. The server
+// reads the prologue itself and picks the payload's destination (see
+// serveConn).
+func readFrame(r io.Reader, wantMagic uint32, fixed []byte) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte, last bool, err error) {
+	var n int
+	txid, traceID, budget, port, h, n, last, err = readPrologue(r, wantMagic, fixed)
+	if err != nil {
+		return 0, 0, 0, port, h, nil, false, err
+	}
+	payload = make([]byte, n)
+	if _, err = io.ReadFull(r, payload); err != nil {
+		return 0, 0, 0, port, h, nil, false, err
+	}
+	return txid, traceID, budget, port, h, payload, last, nil
+}
+
+// readPrologue is the one frame decoder, both directions, up to the
+// payload: it returns the payload's length for the caller to read. fixed
 // (length >= prologueLen; bytes past that are inbound-extension scratch)
-// is caller-provided, and with scratch non-nil a payload of up to
-// scratchPayloadCap bytes is read into *scratch, grown as needed — it is
-// then only valid until the next call with the same scratch; the server
-// relies on the Handler contract (payloads are not retained) for that.
-// Otherwise the payload is freshly allocated and the caller's.
+// is caller-provided.
 //
 // When wantMagic is magicRequest, v2 request frames are accepted too:
 // their extension is parsed for a trace ID (traceID 0 = none carried)
 // and a deadline budget (0 = none), and unknown extension fields are
 // skipped. When it is magicReply, so is a non-final stream frame (AMRS),
 // reported as last == false.
-func readFrameScratch(r io.Reader, wantMagic uint32, fixed []byte, scratch *[]byte) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, payload []byte, last bool, err error) {
+func readPrologue(r io.Reader, wantMagic uint32, fixed []byte) (txid, traceID uint64, budget time.Duration, port capability.Port, h Header, paylen int, last bool, err error) {
 	pro := fixed[:prologueLen]
 	if _, err = io.ReadFull(r, pro); err != nil {
-		return 0, 0, 0, port, h, nil, false, err
+		return 0, 0, 0, port, h, 0, false, err
 	}
 	got := binary.BigEndian.Uint32(pro[0:4])
 	v2 := wantMagic == magicRequest && got == magicRequestV2
 	more := wantMagic == magicReply && got == magicReplyMore
 	if got != wantMagic && !v2 && !more {
-		return 0, 0, 0, port, h, nil, false, fmt.Errorf("magic %08x: %w", got, ErrBadFrame)
+		return 0, 0, 0, port, h, 0, false, fmt.Errorf("magic %08x: %w", got, ErrBadFrame)
 	}
 	txid = binary.BigEndian.Uint64(pro[4:12])
 	copy(port[:], pro[12:12+capability.PortLen])
 	h, _, err = DecodeHeader(pro[12+capability.PortLen : 12+capability.PortLen+HeaderLen])
 	if err != nil {
-		return 0, 0, 0, port, h, nil, false, err
+		return 0, 0, 0, port, h, 0, false, err
 	}
-	paylen := binary.BigEndian.Uint32(pro[len(pro)-4:])
-	if paylen > MaxPayload {
-		return 0, 0, 0, port, h, nil, false, fmt.Errorf("%d bytes: %w", paylen, ErrPayloadTooLarge)
+	n := binary.BigEndian.Uint32(pro[len(pro)-4:])
+	if n > MaxPayload {
+		return 0, 0, 0, port, h, 0, false, fmt.Errorf("%d bytes: %w", n, ErrPayloadTooLarge)
 	}
 	if v2 {
 		// pro is fully decoded by now, so its first bytes double as the
 		// extlen scratch.
 		traceID, budget, err = readExt(r, pro[0:2], fixed[prologueLen:])
 		if err != nil {
-			return 0, 0, 0, port, h, nil, false, err
+			return 0, 0, 0, port, h, 0, false, err
 		}
 	}
-	if scratch != nil && paylen <= scratchPayloadCap {
-		if cap(*scratch) < int(paylen) {
-			*scratch = make([]byte, paylen)
-		}
-		payload = (*scratch)[:paylen]
-	} else {
-		payload = make([]byte, paylen)
-	}
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, 0, port, h, nil, false, err
-	}
-	return txid, traceID, budget, port, h, payload, !more, nil
+	return txid, traceID, budget, port, h, int(n), !more, nil
 }
 
 // readExt consumes a v2 prologue extension: extlen, then TLV fields.
@@ -324,10 +328,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// fixed holds the prologue plus scratch for the v2 extension, so a
 	// traced request costs no more allocation than an untraced one.
 	var fixed [prologueLen + extScratchLen]byte
-	// Request payloads are read into one buffer the connection reuses: the
-	// dispatch (and the Handlers under it) must not retain them. Reply
-	// payloads are never reused — the duplicate-suppression cache retains
-	// them.
+	// A request payload the port's Placer places is read into its
+	// placement; any other is read into one buffer the connection reuses,
+	// up to scratchPayloadCap: the dispatch (and the Handlers under it)
+	// must not retain it. Reply payloads are never reused — the
+	// duplicate-suppression cache retains them.
 	var reqBuf []byte
 	// The connection owns one span arena for its lifetime; each request
 	// re-arms it. With no recorder attached and no budget on the request,
@@ -339,13 +344,30 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	rep := &connReplier{conn: conn}
 	st := s.mux.newStreamState(rep.frame)
 	for {
-		txid, traceID, budget, port, req, payload, _, err := readFrameScratch(br, magicRequest, fixed[:], &reqBuf)
+		txid, traceID, budget, port, req, n, _, err := readPrologue(br, magicRequest, fixed[:])
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
+		var payload []byte
+		pl := s.mux.place(port, req, n)
+		switch {
+		case pl != nil:
+			payload = pl.Bytes()
+		case n <= scratchPayloadCap:
+			if cap(reqBuf) < n {
+				reqBuf = make([]byte, n)
+			}
+			payload = reqBuf[:n]
+		default:
+			payload = make([]byte, n)
+		}
+		if _, err = io.ReadFull(br, payload); err != nil {
+			abandon(pl)
+			return // the client went away mid-payload: drop the connection
+		}
 		cur := a.arm(traceID, budget)
 		rep.txid, rep.port = txid, port
-		err = s.mux.serve(st, cur, port, txid, req, payload)
+		err = s.mux.serve(st, cur, port, txid, req, payload, pl)
 		cur.Finish()
 		if err != nil {
 			// A dispatch error before any frame went out still gets a
@@ -427,7 +449,7 @@ type tcpConn struct {
 	dead  error     // guarded by rmu; sticky, set by the first failed transaction
 
 	br  *bufio.Reader     // the turn holder's, from enter to passTurn; no lock
-	pro [prologueLen]byte // likewise: readFrameScratch's prologue buffer
+	pro [prologueLen]byte // likewise: readFrame's prologue buffer
 }
 
 var _ Caller = (*TCPTransport)(nil)
@@ -557,7 +579,7 @@ func (t *TCPTransport) Call(port capability.Port, opts CallOpts, req Header, pay
 	err = c.enter(t.timeout, port, opts, req, payload)
 	for err == nil {
 		var last bool
-		_, _, _, _, h, data, last, err = readFrameScratch(c.br, magicReply, c.pro[:], nil)
+		_, _, _, _, h, data, last, err = readFrame(c.br, magicReply, c.pro[:])
 		if err == nil && sink == nil && !last {
 			err = fmt.Errorf("stream frame in a single-frame reply: %w", ErrBadFrame)
 		}

@@ -22,9 +22,9 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 		t.Fatalf("traced frame magic %08x, want %08x", got, magicRequestV2)
 	}
 	var fixed [prologueLen + extScratchLen]byte
-	txid, traceID, _, gotPort, h, payload, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
+	txid, traceID, _, gotPort, h, payload, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:])
 	if err != nil {
-		t.Fatalf("readFrameScratch: %v", err)
+		t.Fatalf("readFrame: %v", err)
 	}
 	if txid != 7 || traceID != 0xdeadbeefcafe || gotPort != port || h.Command != 3 || h.Arg != 9 || string(payload) != "hi" {
 		t.Fatalf("round trip lost fields: txid=%d traceID=%x cmd=%d payload=%q", txid, traceID, h.Command, payload)
@@ -87,9 +87,9 @@ func TestUnknownExtensionFieldsSkipped(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var fixed [prologueLen + extScratchLen]byte
-			_, traceID, _, _, gotH, payload, _, err := readFrameScratch(bytes.NewReader(build(tc.ext, 3)), magicRequest, fixed[:], nil)
+			_, traceID, _, _, gotH, payload, _, err := readFrame(bytes.NewReader(build(tc.ext, 3)), magicRequest, fixed[:])
 			if err != nil {
-				t.Fatalf("readFrameScratch: %v", err)
+				t.Fatalf("readFrame: %v", err)
 			}
 			if traceID != tc.wantID {
 				t.Fatalf("traceID = %#x, want %#x", traceID, tc.wantID)
@@ -114,7 +114,7 @@ func TestTruncatedExtensionRejected(t *testing.T) {
 	buf.Write(two[:])
 	buf.Write([]byte{extTypeTraceID, 8, 0x01}) // claims 8 value bytes, has 1
 	var fixed [prologueLen + extScratchLen]byte
-	_, _, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
+	_, _, _, _, _, _, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:])
 	if err == nil {
 		t.Fatal("truncated TLV accepted")
 	}
@@ -144,9 +144,9 @@ func TestLargeExtensionBeyondScratch(t *testing.T) {
 	buf.Write(two[:])
 	buf.Write(ext)
 	var fixed [prologueLen + extScratchLen]byte
-	_, traceID, _, _, _, _, _, err := readFrameScratch(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:], nil)
+	_, traceID, _, _, _, _, _, err := readFrame(bytes.NewReader(buf.Bytes()), magicRequest, fixed[:])
 	if err != nil {
-		t.Fatalf("readFrameScratch: %v", err)
+		t.Fatalf("readFrame: %v", err)
 	}
 	if traceID != 0xabc {
 		t.Fatalf("traceID = %#x, want 0xabc", traceID)

@@ -215,6 +215,16 @@ func (c *Ctx) TraceID() uint64 {
 // End(nil) is a no-op, so call sites never branch.
 func (c *Ctx) Begin(parent *Span, layer Layer, op Op) *Span {
 	if c == nil || c.finished {
+		return nil // no clock read for an untraced request
+	}
+	return c.BeginAt(parent, layer, op, time.Now())
+}
+
+// BeginAt is Begin for a span that starts at now, a time the caller has
+// read already (the dispatch layer's request start also feeds its latency
+// histogram, so the one clock read serves both).
+func (c *Ctx) BeginAt(parent *Span, layer Layer, op Op, now time.Time) *Span {
+	if c == nil || c.finished {
 		return nil
 	}
 	if c.t.N >= MaxSpans {
@@ -223,7 +233,6 @@ func (c *Ctx) Begin(parent *Span, layer Layer, op Op) *Span {
 	}
 	i := c.t.N
 	c.t.N = i + 1
-	now := time.Now()
 	sp := &c.t.Spans[i]
 	*sp = Span{
 		ID:      uint16(i),
@@ -260,11 +269,10 @@ func (c *Ctx) End(sp *Span) {
 // shed. A dur of DurPending marks work still in flight when the trace
 // finished — the background replicas.
 func (c *Ctx) Add(parent *Span, layer Layer, op Op, start time.Time, dur int64) *Span {
-	sp := c.Begin(parent, layer, op)
+	sp := c.BeginAt(parent, layer, op, start)
 	if sp == nil {
 		return nil
 	}
-	sp.Start = start.UnixNano()
 	sp.Dur = dur
 	return sp
 }
