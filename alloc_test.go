@@ -23,10 +23,16 @@ import (
 
 // allocStack is one engine behind a TCP server and a client dialled to it.
 func allocStack(t *testing.T) (*bullet.Server, *client.Client) {
+	return allocStackSized(t, 1<<20, 8192)
+}
+
+// allocStackSized is allocStack with a cacheBytes arena (also the largest
+// file) over two MemDisks of diskBlocks 512-byte blocks.
+func allocStackSized(t *testing.T, cacheBytes, diskBlocks int64) (*bullet.Server, *client.Client) {
 	t.Helper()
 	devs := make([]disk.Device, 2)
 	for i := range devs {
-		mem, err := disk.NewMem(512, 8192)
+		mem, err := disk.NewMem(512, diskBlocks)
 		if err != nil {
 			t.Fatalf("NewMem: %v", err)
 		}
@@ -39,7 +45,7 @@ func allocStack(t *testing.T) (*bullet.Server, *client.Client) {
 	if err := bullet.Format(set, 500); err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	eng, err := bullet.New(set, bullet.Options{CacheBytes: 1 << 20})
+	eng, err := bullet.New(set, bullet.Options{CacheBytes: cacheBytes})
 	if err != nil {
 		t.Fatalf("bullet.New: %v", err)
 	}
@@ -140,37 +146,55 @@ func TestDeferredCreateDeleteAllocBytes(t *testing.T) {
 	}
 }
 
-// TestCreateOverTCPRetainsNoRequestBuffer: a 1 MiB CREATE's payload is
-// read off the socket straight into its cache slot, which lives outside
-// the Go heap, so after the create the server holds no buffer the size of
-// the file. The connection's request buffer used to grow to the largest
-// CREATE and keep it for the connection's life.
+// TestCreateOverTCPRetainsNoRequestBuffer: a CREATE's payload is read off
+// the socket straight into its cache slot, which lives outside the Go
+// heap, so after the create the server holds no buffer the size of the
+// file. The connection's request buffer used to grow to the largest
+// CREATE and keep it for the connection's life. One frame is the
+// large-file path: 16 MiB goes as one CREATE like 1 MiB does, and reads
+// back byte-exact.
 func TestCreateOverTCPRetainsNoRequestBuffer(t *testing.T) {
-	eng, cl := allocStack(t)
-	small, err := cl.Create(eng.Port(), []byte("dial and warm"), 2)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	data := bytes.Repeat([]byte{0x1d}, 1<<20)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC() // twice: the second empties what the first moved to sync.Pool victim caches
-	runtime.ReadMemStats(&before)
-	c, err := cl.Create(eng.Port(), data, 2)
-	if err != nil {
-		t.Fatalf("Create(1 MiB): %v", err)
-	}
-	eng.Sync()
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
-		t.Errorf("heap grew by %d bytes across one 1 MiB CREATE, want < 64 KiB", grew)
-	}
-	runtime.KeepAlive(data)
-	for _, f := range []capability.Capability{small, c} {
-		if err := cl.Delete(f); err != nil {
-			t.Fatalf("Delete: %v", err)
-		}
+	for _, tc := range []struct {
+		name                   string
+		size                   int
+		cacheBytes, diskBlocks int64
+	}{
+		{"1MiB", 1 << 20, 1 << 20, 8192},
+		{"16MiB", 16 << 20, 17 << 20, 36 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, cl := allocStackSized(t, tc.cacheBytes, tc.diskBlocks)
+			small, err := cl.Create(eng.Port(), []byte("dial and warm"), 2)
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			data := make([]byte, tc.size)
+			for i := range data {
+				data[i] = byte(i ^ i>>11)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC() // twice: the second empties what the first moved to sync.Pool victim caches
+			runtime.ReadMemStats(&before)
+			c, err := cl.Create(eng.Port(), data, 2)
+			if err != nil {
+				t.Fatalf("Create(%s): %v", tc.name, err)
+			}
+			eng.Sync()
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+				t.Errorf("heap grew by %d bytes across one %s CREATE, want < 64 KiB", grew, tc.name)
+			}
+			if got, err := cl.Read(c); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("Read back %d of %d bytes, %v; match = %v", len(got), len(data), err, bytes.Equal(got, data))
+			}
+			for _, f := range []capability.Capability{small, c} {
+				if err := cl.Delete(f); err != nil {
+					t.Fatalf("Delete: %v", err)
+				}
+			}
+		})
 	}
 }

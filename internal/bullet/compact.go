@@ -95,7 +95,9 @@ func (s *Server) retarget(n, firstBlock uint32) error {
 // the RAM cache from time to time"). The exclusive metadata lock keeps new
 // reads from pinning views mid-compaction; if views are already pinned
 // (readers mid-copy-out), the cache skips the compaction rather than
-// sliding bytes out from under them. A non-nil error is cache.ErrCorrupt.
+// sliding bytes out from under them. No wire command reaches it; a
+// program embedding the engine calls it from time to time, as the paper
+// suggests. A non-nil error is cache.ErrCorrupt.
 func (s *Server) CompactCache() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -52,17 +52,19 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 		stop      = make(chan struct{})
 		bounded   sync.WaitGroup // readers + creators: fixed iteration counts
 		unbounded sync.WaitGroup // deleter + compactor: run until stop
+		compacted atomic.Bool    // the cache has been compacted under the readers
 	)
 
 	// Readers hammer the shared-lock path over the stable set and, racily,
 	// over the churned pool (a pool read may hit a deleted file, which is
-	// a legitimate ErrNoSuchFile, not a failure).
+	// a legitimate ErrNoSuchFile, not a failure). They go on past their
+	// count until the cache compactor has once found a moment with no pin.
 	for r := 0; r < 4; r++ {
 		bounded.Add(1)
 		go func(seed int64) {
 			defer bounded.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 400; i++ {
+			for i := 0; i < 400 || !compacted.Load(); i++ {
 				e := stable[rng.Intn(len(stable))]
 				switch rng.Intn(4) {
 				case 3:
@@ -193,6 +195,9 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 				t.Errorf("CompactCache: %v", err)
 				return
 			}
+			if w.srv.CacheStats().Compactions > 0 {
+				compacted.Store(true)
+			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -208,7 +213,7 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 	select {
 	case <-finished:
 	case <-time.After(60 * time.Second):
-		t.Fatal("stress test wedged: readers/creators did not finish")
+		t.Fatal("stress test wedged: readers/creators did not finish, or the cache never compacted")
 	}
 	close(stop)
 	unbounded.Wait()
@@ -247,6 +252,9 @@ func stressReadersCreatorsDeleterCompaction(t *testing.T, opts Options, cold boo
 	}
 	if cold && (st.Misses == 0 || st.Evictions == 0) {
 		t.Fatalf("the cold stress never missed or evicted: %+v", st)
+	}
+	if st.Compactions == 0 {
+		t.Fatalf("the cache was never compacted: %+v", st)
 	}
 	named := 0
 	for _, obj := range w.srv.Objects() {

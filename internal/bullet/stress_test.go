@@ -128,6 +128,9 @@ func TestStressMixedOperationsWithCompaction(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+	if n := w.srv.CacheStats().Compactions; n == 0 {
+		t.Fatal("the cache was never compacted: the race this test is for did not run")
+	}
 
 	// The engine survives a restart after all that.
 	w.srv.Sync()

@@ -16,10 +16,11 @@ import (
 // limit the service answers StatusBusy immediately instead of queueing,
 // and clients back off on the Retrier's jittered schedule (SetRetryBusy).
 //
-// Only file operations (CREATE, SIZE, READ, READ_RANGE, DELETE, MODIFY,
-// APPEND) are admission-controlled. The observability and maintenance
-// surface (STAT, STATS, TRACE, SALVAGE, SYNC, the compactors) bypasses the
-// limiter so operators can inspect and drain a saturated server.
+// Only file operations (CREATE, SIZE, READ, READ_RANGE, READSTREAM,
+// DELETE, MODIFY, APPEND) are admission-controlled. The observability
+// and maintenance surface (STAT, STATS, TRACE, SALVAGE, SYNC,
+// COMPACT-DISK) bypasses the limiter so operators can inspect and drain
+// a saturated server.
 //
 // All methods are safe for concurrent use.
 type Admission struct {
@@ -106,9 +107,7 @@ func (a *Admission) AttachMetrics(reg *stats.Registry) {
 func admissionControlled(cmd uint32) bool {
 	switch cmd {
 	case CmdCreate, CmdSize, CmdRead, CmdDelete, CmdModify, CmdAppend, CmdReadRange,
-		CmdReadStream, CmdCreateStart, CmdCreateWrite, CmdCreateCommit:
-		// CmdCreateAbort stays unthrottled: refusing a cleanup would
-		// strand session buffers on a saturated server.
+		CmdReadStream:
 		return true
 	default:
 		return false

@@ -140,7 +140,6 @@ func TestWriteBehindReplyLeavesBeforeHeldReplica(t *testing.T) {
 	}{
 		{"pfactor0", CmdCreate, 0},
 		{"pfactor1", CmdCreate, 1},
-		{"commit-pfactor1", CmdCreateCommit, 1},
 		{"modify-pfactor0", CmdModify, 0},
 		{"modify-pfactor1", CmdModify, 1},
 		{"append-pfactor0", CmdAppend, 0},
@@ -154,17 +153,11 @@ func TestWriteBehindReplyLeavesBeforeHeldReplica(t *testing.T) {
 			payload, size := data, len(data)
 			// The first request also dials, so the connection's serving
 			// goroutine exists before goroutines are counted below.
-			h, _, err := tr.Trans(w.port, rpc.Header{Command: CmdCreateStart}, nil)
+			h, _, err := tr.Trans(w.port, rpc.Header{Command: CmdStat}, nil)
 			if err != nil || h.Status != rpc.StatusOK {
-				t.Fatalf("CREATE-START: %+v %v", h, err)
+				t.Fatalf("STAT: %+v %v", h, err)
 			}
 			switch tc.cmd {
-			case CmdCreateCommit:
-				id := h.Arg
-				if h, _, err = tr.Trans(w.port, rpc.Header{Command: CmdCreateWrite, Arg: id}, data); err != nil || h.Status != rpc.StatusOK {
-					t.Fatalf("CREATE-WRITE: %+v %v", h, err)
-				}
-				req, payload = rpc.Header{Command: CmdCreateCommit, Arg: id, Arg2: tc.pfactor}, nil
 			case CmdModify, CmdAppend:
 				// The file to derive from, on both replicas before the reply.
 				base := []byte("the old version")

@@ -29,31 +29,27 @@ import (
 	"bulletfs/internal/trace"
 )
 
-// Command codes of the Bullet protocol.
+// Command codes of the Bullet protocol. A retired code is never reused:
+// 11 (COMPACT-CACHE) and 16-19 (the create-session commands) answer
+// StatusBadCommand like any unknown code (docs/PROTOCOL.md).
 const (
-	CmdCreate       uint32 = 1  // payload=data, Arg=p-factor -> reply Cap
-	CmdSize         uint32 = 2  // Cap -> reply Arg=size
-	CmdRead         uint32 = 3  // Cap -> reply payload=data
-	CmdDelete       uint32 = 4  // Cap
-	CmdModify       uint32 = 5  // Cap, Arg=offset, Arg2=packed(newSize,pf), payload=patch -> reply Cap
-	CmdAppend       uint32 = 6  // Cap, Arg=p-factor, payload=data -> reply Cap
-	CmdReadRange    uint32 = 7  // Cap, Arg=offset, Arg2=n -> reply payload
-	CmdStat         uint32 = 8  // -> reply payload=JSON ServerStats
-	CmdSync         uint32 = 9  // wait for background write-through
-	CmdCompactDisk  uint32 = 10 // run the 3 a.m. compactor now
-	CmdCompactCache uint32 = 11 // defragment the RAM cache
-	CmdStats        uint32 = 12 // Cap (read right) -> reply payload=JSON stats.Snapshot
-	CmdTrace        uint32 = 13 // Cap (read right), Arg=selector (TraceRecent/TraceSlow) -> reply payload=JSON []trace.JSONTrace
-	CmdSalvage      uint32 = 14 // Cap, Arg=selector (SalvageHealth/SalvageScrub/SalvageRecover), Arg2=replica -> reply payload=JSON HealthReport
+	CmdCreate      uint32 = 1  // payload=data, Arg=p-factor -> reply Cap
+	CmdSize        uint32 = 2  // Cap -> reply Arg=size
+	CmdRead        uint32 = 3  // Cap -> reply payload=data
+	CmdDelete      uint32 = 4  // Cap
+	CmdModify      uint32 = 5  // Cap, Arg=offset, Arg2=packed(newSize,pf), payload=patch -> reply Cap
+	CmdAppend      uint32 = 6  // Cap, Arg=p-factor, payload=data -> reply Cap
+	CmdReadRange   uint32 = 7  // Cap, Arg=offset, Arg2=n -> reply payload
+	CmdStat        uint32 = 8  // -> reply payload=JSON ServerStats
+	CmdSync        uint32 = 9  // wait for background write-through
+	CmdCompactDisk uint32 = 10 // run the 3 a.m. compactor now
+	CmdStats       uint32 = 12 // Cap (read right) -> reply payload=JSON stats.Snapshot
+	CmdTrace       uint32 = 13 // Cap (read right), Arg=selector (TraceRecent/TraceSlow) -> reply payload=JSON []trace.JSONTrace
+	CmdSalvage     uint32 = 14 // Cap, Arg=selector (SalvageHealth/SalvageScrub/SalvageRecover), Arg2=replica -> reply payload=JSON HealthReport
 
 	// Streaming extension (see docs/PROTOCOL.md): a chunked read serving
-	// large files as a sequence of ranged frames off one cache pin, and a
-	// create session accumulating chunks into one contiguous file.
-	CmdReadStream   uint32 = 15 // Cap, Arg=offset, Arg2=chunk-size hint -> frames: Arg=chunk offset, Arg2=file size, payload=chunk
-	CmdCreateStart  uint32 = 16 // Arg=size hint -> reply Arg=session id
-	CmdCreateWrite  uint32 = 17 // Arg=session id, Arg2=offset (== bytes so far), payload=chunk
-	CmdCreateCommit uint32 = 18 // Arg=session id, Arg2=p-factor -> reply Cap
-	CmdCreateAbort  uint32 = 19 // Arg=session id
+	// large files as a sequence of ranged frames off one cache pin.
+	CmdReadStream uint32 = 15 // Cap, Arg=offset, Arg2=chunk-size hint -> frames: Arg=chunk offset, Arg2=file size, payload=chunk
 
 	// Streaming telemetry subscription: one frame per collector tick
 	// until the client disconnects or the requested count is served.
@@ -99,8 +95,6 @@ func CommandName(cmd uint32) string {
 		return "sync"
 	case CmdCompactDisk:
 		return "compactdisk"
-	case CmdCompactCache:
-		return "compactcache"
 	case CmdStats:
 		return "stats"
 	case CmdTrace:
@@ -109,14 +103,6 @@ func CommandName(cmd uint32) string {
 		return "salvage"
 	case CmdReadStream:
 		return "readstream"
-	case CmdCreateStart:
-		return "createstart"
-	case CmdCreateWrite:
-		return "createwrite"
-	case CmdCreateCommit:
-		return "createcommit"
-	case CmdCreateAbort:
-		return "createabort"
 	case CmdWatch:
 		return "watch"
 	default:
@@ -221,7 +207,6 @@ type Service struct {
 	scrubber *scrub.Scrubber  // optional; SALVAGE's scrub trigger, paused during compaction
 	adm      *Admission       // optional; bounds in-flight file operations, sheds with StatusBusy
 	coll     *stats.Collector // optional; serves CmdWatch when non-nil
-	sess     sessionTable     // open streaming-create sessions
 
 	// deadlineSheds counts requests refused at the door because their
 	// deadline budget was already spent on arrival (queueing, transport).
@@ -319,10 +304,10 @@ func (s *Service) place(req rpc.Header, n int) rpc.Placement {
 // CreateDeferred adopts. READ and READ_RANGE replies borrow the engine's
 // pinned cache bytes (the RPC layer writes them to the socket and
 // releases the pin afterwards — zero payload copies); READSTREAM and
-// WATCH emit a sequence of frames. CREATE, CREATE-COMMIT, MODIFY and
-// APPEND reply once the P-FACTOR quorum holds the new file and leave the
-// rest of the write-through to the RPC layer as the reply's After. Every
-// other command is a single frame built by handle.
+// WATCH emit a sequence of frames. CREATE, MODIFY and APPEND reply once
+// the P-FACTOR quorum holds the new file and leave the rest of the
+// write-through to the RPC layer as the reply's After. Every other
+// command is a single frame built by handle.
 func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte, emit rpc.Emitter) {
 	held, ok := s.enter(tc, parent, req.Command, emit)
 	if !ok {
@@ -348,26 +333,17 @@ func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header
 		// frame's bytes have been written.
 		_ = emit(rpc.ReplyOK(), rpc.Owned(lease.Bytes(), lease), true)
 
-	case CmdCreate, CmdCreateCommit, CmdModify, CmdAppend:
+	case CmdCreate, CmdModify, CmdAppend:
 		var c capability.Capability
 		var later func()
 		var err error
 		switch req.Command {
-		case CmdCreate, CmdCreateCommit:
-			data, pfactor := payload, int(req.Arg)
-			if req.Command == CmdCreateCommit {
-				if data, ok = s.sess.take(req.Arg); !ok {
-					_ = emit(rpc.ReplyErr(rpc.StatusNotFound), rpc.Plain(nil), true)
-					return
-				}
-				pfactor = int(req.Arg2)
-			}
+		case CmdCreate:
 			// CREATE mints a brand-new object and returns its capability;
 			// there is no pre-existing capability to verify (paper §2.2 —
-			// possession of the server port is the only admission, and a
-			// session's opener proved no more than that).
+			// possession of the server port is the only admission).
 			//lint:ignore rightscheck CREATE mints the object and its capability; nothing pre-existing to check
-			c, later, err = s.engine.CreateDeferred(tc, parent, data, pfactor)
+			c, later, err = s.engine.CreateDeferred(tc, parent, payload, int(req.Arg))
 		case CmdModify:
 			newSize, pfactor := UnpackModifyArg2(req.Arg2)
 			c, later, err = s.engine.Modify(tc, parent, req.Cap, int64(req.Arg), payload, newSize, pfactor)
@@ -387,7 +363,7 @@ func (s *Service) HandleStream(tc *trace.Ctx, parent *trace.Span, req rpc.Header
 		s.handleWatch(tc, parent, req, emit)
 
 	default:
-		h, p := s.handle(tc, parent, req, payload)
+		h, p := s.handle(tc, parent, req)
 		_ = emit(h, rpc.Plain(p), true)
 	}
 }
@@ -418,7 +394,7 @@ func (s *Service) enter(tc *trace.Ctx, parent *trace.Span, cmd uint32, emit rpc.
 }
 
 // handle builds the reply to a single-frame command.
-func (s *Service) handle(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payload []byte) (rpc.Header, []byte) {
+func (s *Service) handle(tc *trace.Ctx, parent *trace.Span, req rpc.Header) (rpc.Header, []byte) {
 	switch req.Command {
 	case CmdSize:
 		n, err := s.engine.Size(tc, parent, req.Cap)
@@ -432,9 +408,6 @@ func (s *Service) handle(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payl
 			return rpc.ReplyErr(StatusOf(err)), nil
 		}
 		return rpc.ReplyOK(), nil
-
-	case CmdCreateStart, CmdCreateWrite, CmdCreateAbort:
-		return s.handleSession(tc, parent, req, payload)
 
 	case CmdTrace:
 		return s.handleTrace(tc, parent, req)
@@ -468,11 +441,11 @@ func (s *Service) handle(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payl
 		return rpc.ReplyOK(), body
 
 	case CmdSync:
-		// SYNC, COMPACT_DISK and COMPACT_CACHE are the operator
-		// maintenance surface and predate the admin right (PR 5 added it
-		// for SALVAGE only). They destroy no data — sync flushes, the
-		// compactors reorganize — so they stay open until the planned
-		// admin-capability migration; see docs/STATIC_ANALYSIS.md.
+		// SYNC and COMPACT_DISK are the operator maintenance surface and
+		// predate the admin right, which only SALVAGE demands. They
+		// destroy no data — sync flushes, the compactor reorganizes — so
+		// they stay open until the planned admin-capability migration;
+		// see docs/STATIC_ANALYSIS.md.
 		//lint:ignore rightscheck operator maintenance command from before the admin right; flushes but never destroys data
 		s.engine.Sync()
 		return rpc.ReplyOK(), nil
@@ -484,13 +457,6 @@ func (s *Service) handle(tc *trace.Ctx, parent *trace.Span, req rpc.Header, payl
 		}
 		//lint:ignore rightscheck operator maintenance command from before the admin right; compaction moves data but never destroys it
 		if err := s.engine.CompactDisk(); err != nil {
-			return rpc.ReplyErr(StatusOf(err)), nil
-		}
-		return rpc.ReplyOK(), nil
-
-	case CmdCompactCache:
-		//lint:ignore rightscheck operator maintenance command from before the admin right; cache compaction is loss-free by construction
-		if err := s.engine.CompactCache(); err != nil {
 			return rpc.ReplyErr(StatusOf(err)), nil
 		}
 		return rpc.ReplyOK(), nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"time"
 
 	"bulletfs/internal/bullet"
 	"bulletfs/internal/cache"
@@ -183,10 +184,6 @@ func TestHandleStatAndAdmin(t *testing.T) {
 	if rep.Status != rpc.StatusOK {
 		t.Fatalf("compact-disk status = %v", rep.Status)
 	}
-	rep, _ = call(svc, rpc.Header{Command: CmdCompactCache}, nil)
-	if rep.Status != rpc.StatusOK {
-		t.Fatalf("compact-cache status = %v", rep.Status)
-	}
 }
 
 func TestStatusErrorRoundTrip(t *testing.T) {
@@ -288,26 +285,55 @@ func TestHandleStats(t *testing.T) {
 	}
 }
 
+// TestCommandName pins the command table: the 15 live codes and their
+// names, and the retired codes (11, COMPACT-CACHE; 16-19, the
+// create-session commands), which have no name and answer
+// StatusBadCommand over TCP and over rpc.Local like any unknown code.
 func TestCommandName(t *testing.T) {
 	known := map[uint32]string{
 		CmdCreate: "create", CmdSize: "size", CmdRead: "read",
 		CmdDelete: "delete", CmdModify: "modify", CmdAppend: "append",
 		CmdReadRange: "readrange", CmdStat: "stat", CmdSync: "sync",
-		CmdCompactDisk: "compactdisk", CmdCompactCache: "compactcache",
-		CmdStats: "stats",
+		CmdCompactDisk: "compactdisk", CmdStats: "stats",
+		CmdTrace: "trace", CmdSalvage: "salvage", CmdReadStream: "readstream", CmdWatch: "watch",
+		11: "", 16: "", 17: "", 18: "", 19: "", 999: "",
 	}
+	svc, eng := newService(t)
+	mux := rpc.NewMux(0)
+	svc.Register(mux)
+	srv := rpc.NewTCPServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() }) //nolint:errcheck // test cleanup
+	tcp := rpc.NewTCPTransport(rpc.StaticResolver(map[capability.Port]string{eng.Port(): addr}), 10*time.Second)
+	t.Cleanup(func() { tcp.Close() }) //nolint:errcheck // test cleanup
+	transports := map[string]rpc.Transport{"tcp": tcp, "local": rpc.NewLocal(mux)}
+
 	seen := make(map[string]bool)
+	live := 0
 	for cmd, want := range known {
 		got := CommandName(cmd)
 		if got != want {
 			t.Errorf("CommandName(%d) = %q, want %q", cmd, got, want)
 		}
-		if seen[got] {
-			t.Errorf("duplicate command name %q", got)
+		if want != "" {
+			live++
+			if seen[got] {
+				t.Errorf("duplicate command name %q", got)
+			}
+			seen[got] = true
+			continue
 		}
-		seen[got] = true
+		for name, tr := range transports {
+			rep, _, err := tr.Trans(eng.Port(), rpc.Header{Command: cmd, Arg: 1}, []byte("payload"))
+			if err != nil || rep.Status != rpc.StatusBadCommand {
+				t.Errorf("command %d over %s = %v, %v; want StatusBadCommand", cmd, name, rep.Status, err)
+			}
+		}
 	}
-	if got := CommandName(999); got != "" {
-		t.Errorf("CommandName(999) = %q, want empty", got)
+	if live != 15 {
+		t.Errorf("%d live command codes, want 15", live)
 	}
 }

@@ -149,30 +149,57 @@ func TestPlacementAbandonedWhenClientDropsMidPayload(t *testing.T) {
 	}
 }
 
+// TestPlacementDedupReplayLeavesOneFile: the retry of a CREATE whose reply
+// was lost is a replay of the retained reply, not a second create, and it
+// takes no placement either: with the arena full of unpinned cached files,
+// placing the replay's payload would evict one of them for nothing.
 func TestPlacementDedupReplayLeavesOneFile(t *testing.T) {
-	w := newPlaceWorld(t, 1<<20)
+	const size = 40<<10 + 7 // a 41 472-byte slot: 81 blocks of 512
+	const fillers = 4
+	w := newPlaceWorld(t, (fillers+1)*81*512)
 	b := w.baseline()
+	port := w.eng.Port()
+	creates := w.eng.Stats().Creates
+	filler := client.New(w.dial(t))
+	var fill []capability.Capability
+	for i := 0; i < fillers; i++ {
+		c, err := filler.Create(port, bytes.Repeat([]byte{byte(i)}, size), 2)
+		if err != nil {
+			t.Fatalf("Create filler %d: %v", i, err)
+		}
+		fill = append(fill, c)
+	}
+
 	flaky := rpc.NewFlaky(w.dial(t), 0, 0, 1)
 	flaky.ScriptDrops([]bool{false, false}, []bool{true, false}) // the first reply is lost
+	// The retry's injected delay is where its evictions start to count.
+	flaky.ScriptDelays([]time.Duration{0, time.Nanosecond})
+	var beforeReplay int64 = -1
+	flaky.SetSleep(func(time.Duration) { beforeReplay = w.eng.CacheStats().Evictions })
 	retrier := rpc.NewRetrier(flaky, 3)
 	retrier.SetBackoff(time.Millisecond, time.Millisecond)
 	cl := client.New(retrier)
-	data := bytes.Repeat([]byte{0x5e}, 40<<10+7)
-	c, err := cl.Create(w.eng.Port(), data, 2)
+	data := bytes.Repeat([]byte{0x5e}, size)
+	c, err := cl.Create(port, data, 2)
 	if err != nil {
 		t.Fatalf("Create through a lost reply: %v", err)
 	}
-	if flaky.Requests != 2 {
-		t.Fatalf("%d attempts, want 2 (the retry is the replay)", flaky.Requests)
+	if flaky.Requests != 2 || beforeReplay < 0 {
+		t.Fatalf("%d attempts, want 2 (the retry is the replay): %s", flaky.Requests, flaky.Schedule())
 	}
-	if n := w.eng.Stats().Creates; n != 1 {
-		t.Fatalf("%d creates, want 1: the retry must replay, not create again", n)
+	if n := w.eng.CacheStats().Evictions - beforeReplay; n != 0 {
+		t.Fatalf("the replay evicted %d cached files: it made room for a placement it never used", n)
+	}
+	if n := w.eng.Stats().Creates - creates; n != fillers+1 {
+		t.Fatalf("%d creates, want %d: the retry must replay, not create again", n, fillers+1)
 	}
 	if got, err := cl.Read(c); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("Read = %d bytes, %v", len(got), err)
 	}
-	if err := cl.Delete(c); err != nil {
-		t.Fatalf("Delete: %v", err)
+	for _, f := range append(fill, c) {
+		if err := cl.Delete(f); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
 	}
 	w.settle(t, b)
 }

@@ -233,12 +233,6 @@ func (c *Client) CompactDisk(port capability.Port) error {
 	return err
 }
 
-// CompactCache triggers the server's RAM-cache compactor.
-func (c *Client) CompactCache(port capability.Port) error {
-	_, _, err := c.call(port, rpc.Header{Command: bulletsvc.CmdCompactCache}, nil)
-	return err
-}
-
 // CacheStats reports the client cache state (zero value when disabled).
 type CacheStats struct {
 	Files int

@@ -164,9 +164,6 @@ func TestClientStatSyncCompact(t *testing.T) {
 	if err := cl.CompactDisk(eng.Port()); err != nil {
 		t.Fatalf("CompactDisk: %v", err)
 	}
-	if err := cl.CompactCache(eng.Port()); err != nil {
-		t.Fatalf("CompactCache: %v", err)
-	}
 }
 
 func TestClientCacheServesRepeatReads(t *testing.T) {

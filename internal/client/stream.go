@@ -9,14 +9,10 @@ import (
 	"bulletfs/internal/rpc"
 )
 
-// Streaming stubs: READSTREAM downloads (a large file as a sequence of
-// ranged frames, written straight to an io.Writer) and session creates
-// (a large or incrementally produced file uploaded in chunks and
-// committed as ONE ordinary create on the server).
-
-// defaultUploadChunk is the CreateFrom chunk size when the caller passes
-// chunkSize <= 0. It stays comfortably under rpc.MaxPayload.
-const defaultUploadChunk = 256 << 10
+// The streaming stub: READSTREAM downloads a large file as a sequence of
+// ranged frames, written straight to an io.Writer. Uploads need no
+// counterpart: one CREATE frame of any size up to rpc.MaxPayload is read
+// on the server straight into the file's cache slot.
 
 // ReadStream streams the file from offset onward into w and returns the
 // number of payload bytes written. On a streaming transport (TCP, Local)
@@ -52,58 +48,4 @@ func (c *Client) ReadStream(cp capability.Capability, offset int64, w io.Writer)
 		return written, fmt.Errorf("bullet client: readstream sink: %w", werr)
 	}
 	return written, nil
-}
-
-// CreateFrom uploads r's contents in chunks through a create session and
-// commits them as one immutable file, returning its owner capability.
-// chunkSize <= 0 picks a default. The file lands in a single contiguous
-// extent with the usual checksum and replication semantics — exactly as
-// if it had been sent as one CREATE — so CreateFrom is how clients store
-// files larger than one request payload. On any error after the session
-// opens, the session is aborted (best effort) so the server's buffer is
-// freed immediately rather than idling out.
-func (c *Client) CreateFrom(port capability.Port, r io.Reader, chunkSize int, pfactor int) (capability.Capability, error) {
-	if chunkSize <= 0 {
-		chunkSize = defaultUploadChunk
-	}
-	if chunkSize > rpc.MaxPayload {
-		chunkSize = rpc.MaxPayload
-	}
-	rep, _, err := c.call(port, rpc.Header{Command: bulletsvc.CmdCreateStart}, nil)
-	if err != nil {
-		return capability.Capability{}, err
-	}
-	id := rep.Arg
-
-	abort := func() {
-		_, _, _ = c.call(port, rpc.Header{Command: bulletsvc.CmdCreateAbort, Arg: id}, nil)
-	}
-
-	buf := make([]byte, chunkSize)
-	var off int64
-	for {
-		n, rerr := io.ReadFull(r, buf)
-		if n > 0 {
-			req := rpc.Header{Command: bulletsvc.CmdCreateWrite, Arg: id, Arg2: uint64(off)}
-			if _, _, err := c.call(port, req, buf[:n]); err != nil {
-				abort()
-				return capability.Capability{}, err
-			}
-			off += int64(n)
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			break
-		}
-		if rerr != nil {
-			abort()
-			return capability.Capability{}, fmt.Errorf("bullet client: reading upload source: %w", rerr)
-		}
-	}
-
-	rep, _, err = c.call(port, rpc.Header{Command: bulletsvc.CmdCreateCommit, Arg: id, Arg2: uint64(pfactor)}, nil)
-	if err != nil {
-		abort()
-		return capability.Capability{}, err
-	}
-	return rep.Cap, nil
 }

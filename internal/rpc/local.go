@@ -38,7 +38,7 @@ func (l *Local) Call(port capability.Port, opts CallOpts, req Header, payload []
 		data = append(data, frame...)
 		return nil
 	}
-	pl := l.mux.place(port, req, len(payload))
+	pl := l.mux.place(port, opts.TxID, req, len(payload))
 	if pl != nil {
 		copy(pl.Bytes(), payload)
 		payload = pl.Bytes()

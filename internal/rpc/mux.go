@@ -154,14 +154,19 @@ func (m *Mux) RegisterPlaced(port capability.Port, sh StreamHandler, place Place
 }
 
 // place asks port's Placer where a request's n-byte payload goes; nil
-// means the transport's own buffer, as it does for an empty payload and a
-// port with no Placer.
-func (m *Mux) place(port capability.Port, req Header, n int) Placement {
+// means the transport's own buffer, as it does for an empty payload, a
+// port with no Placer and a retry whose reply is retained: dispatch
+// replays that reply and never runs the handler, so a placement would
+// only be given back, after making room it did not need.
+func (m *Mux) place(port capability.Port, txid uint64, req Header, n int) Placement {
 	if n == 0 {
 		return nil
 	}
 	m.mu.Lock()
 	place := m.handlers[port].place
+	if _, dup := m.dedup[txid]; dup && txid != 0 {
+		place = nil
+	}
 	m.mu.Unlock()
 	if place == nil {
 		return nil

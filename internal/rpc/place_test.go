@@ -119,13 +119,14 @@ func TestPlacedPayloadAdoptedOrAbandoned(t *testing.T) {
 			if _, _, err := tr.Call(w.port, CallOpts{}, Header{Command: cmdPlaceAdopt}, nil, nil); err != nil {
 				t.Fatalf("empty payload: %v", err)
 			}
-			// A duplicate is replayed, its placement abandoned.
+			// A duplicate is replayed without a placement: its reply is
+			// retained, so the handler never runs.
 			for i := 0; i < 2; i++ {
 				if _, _, err := tr.Call(w.port, CallOpts{TxID: 99}, Header{Command: cmdPlaceAdopt}, payload, nil); err != nil {
 					t.Fatalf("txid 99, attempt %d: %v", i, err)
 				}
 			}
-			w.waitTally(t, 4, 2) // the ignored one and the replayed one are given back
+			w.waitTally(t, 3, 1) // the ignored one is given back
 		})
 	}
 }

@@ -172,8 +172,8 @@ func (r *Retrier) Call(port capability.Port, opts CallOpts, req Header, payload 
 				return Header{}, nil, err
 			}
 		} else {
-			if errors.Is(err, ErrNoServer) {
-				return Header{}, nil, err // no point retrying an unknown port
+			if errors.Is(err, ErrNoServer) || errors.Is(err, ErrPayloadTooLarge) {
+				return Header{}, nil, err // an unknown port or an oversized payload fails every attempt alike
 			}
 			lastErr, gotBusy = err, false
 		}

@@ -349,7 +349,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			return // EOF or protocol error: drop the connection
 		}
 		var payload []byte
-		pl := s.mux.place(port, req, n)
+		pl := s.mux.place(port, txid, req, n)
 		switch {
 		case pl != nil:
 			payload = pl.Bytes()
@@ -565,8 +565,13 @@ func (t *TCPTransport) Trans(port capability.Port, req Header, payload []byte) (
 // to it as it arrives off the wire, under the receive turn and the
 // per-transaction deadline; without one the reply must be a single frame,
 // whose payload is returned. A sink that fails or panics drops the
-// connection: frames in flight and callers queued behind die with it.
+// connection: frames in flight and callers queued behind die with it. A
+// payload over MaxPayload is refused before it touches the connection, so
+// the calls sharing it go on undisturbed.
 func (t *TCPTransport) Call(port capability.Port, opts CallOpts, req Header, payload []byte, sink FrameSink) (h Header, data []byte, err error) {
+	if len(payload) > MaxPayload {
+		return Header{}, nil, fmt.Errorf("%d bytes: %w", len(payload), ErrPayloadTooLarge)
+	}
 	addr, err := t.resolve(port)
 	if err != nil {
 		return Header{}, nil, err

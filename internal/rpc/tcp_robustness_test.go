@@ -3,11 +3,14 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"bulletfs/internal/capability"
+	"bulletfs/internal/stats"
 )
 
 // These tests point raw sockets at the TCP server: a production file
@@ -152,5 +155,74 @@ func TestTCPClientReconnectsAfterServerRestart(t *testing.T) {
 	rep, body, err := retr.Trans(port, Header{}, []byte("two"))
 	if err != nil || rep.Status != StatusOK || !bytes.Equal(body, []byte("two")) {
 		t.Fatalf("Trans after restart: %v %v %q", err, rep.Status, body)
+	}
+}
+
+// TestOversizedCallLeavesSharedConnectionAlone: a payload over MaxPayload
+// is refused at the client before it touches the pooled connection, so a
+// call already in flight on that connection still gets its reply, the
+// connection serves the next call, and no transport error is counted.
+func TestOversizedCallLeavesSharedConnectionAlone(t *testing.T) {
+	mux := NewMux(0)
+	port := capability.PortFromString("oversized")
+	entered, release := make(chan struct{}), make(chan struct{})
+	mux.Register(port, func(req Header, payload []byte) (Header, []byte) {
+		if req.Command == 1 {
+			close(entered)
+			<-release
+		}
+		return ReplyOK(), []byte("done")
+	})
+	srv := NewTCPServer(mux)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer srv.Close() //nolint:errcheck // test cleanup
+	tr := NewTCPTransport(StaticResolver(map[capability.Port]string{port: addr}), 10*time.Second)
+	defer tr.Close() //nolint:errcheck // test cleanup
+	reg := stats.NewRegistry()
+	tr.AttachMetrics(reg)
+	var once sync.Once
+	letGo := func() { once.Do(func() { close(release) }) }
+	defer letGo() // before srv.Close, which waits for the handler
+
+	inflight := make(chan error, 1)
+	go func() {
+		_, body, err := tr.Trans(port, Header{Command: 1}, []byte("in flight"))
+		if err == nil && string(body) != "done" {
+			err = errors.New("wrong reply")
+		}
+		inflight <- err
+	}()
+	<-entered
+	tr.mu.Lock()
+	conn := tr.conns[addr]
+	tr.mu.Unlock()
+
+	oversized := make([]byte, MaxPayload+1)
+	if _, _, err := tr.Trans(port, Header{Command: 2}, oversized); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("oversized call: %v, want ErrPayloadTooLarge", err)
+	}
+	// A retrying caller gives up at once: every attempt would fail alike.
+	counted := NewFlaky(tr, 0, 0, 1)
+	if _, _, err := NewRetrier(counted, 3).Trans(port, Header{Command: 2}, oversized); !errors.Is(err, ErrPayloadTooLarge) || counted.Requests != 1 {
+		t.Fatalf("oversized call through a Retrier: %v after %d attempts, want ErrPayloadTooLarge after 1", err, counted.Requests)
+	}
+	letGo()
+	if err := <-inflight; err != nil {
+		t.Fatalf("the call in flight on the shared connection: %v", err)
+	}
+	if _, body, err := tr.Trans(port, Header{Command: 2}, nil); err != nil || string(body) != "done" {
+		t.Fatalf("next call: %q, %v", body, err)
+	}
+	tr.mu.Lock()
+	reused := tr.conns[addr] == conn
+	tr.mu.Unlock()
+	if !reused {
+		t.Fatal("the oversized call cost the connection: the next call dialled a new one")
+	}
+	if n := reg.Snapshot().Counters["rpc.transport_errors"]; n != 0 {
+		t.Fatalf("rpc.transport_errors = %d, want 0", n)
 	}
 }

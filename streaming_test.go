@@ -136,30 +136,13 @@ func TestReadStreamOverWire(t *testing.T) {
 	}
 }
 
-func TestCreateFromOverWire(t *testing.T) {
-	st, cl := newWireStore(t)
-	data := make([]byte, 300_000)
-	for i := range data {
-		data[i] = byte(i ^ (i >> 9))
-	}
-	// A chunk size that doesn't divide the file exercises the final short
-	// chunk.
-	c, err := cl.CreateFrom(st.Port(), bytes.NewReader(data), 64<<10, 1)
-	if err != nil {
-		t.Fatalf("CreateFrom: %v", err)
-	}
-	got, err := cl.Read(c)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Read back after CreateFrom: %d bytes, %v; match = %v",
-			len(got), err, bytes.Equal(got, data))
-	}
-}
-
 // TestConcurrentStreamReadsUnderCompaction races the pinned-View reply
 // path against cache eviction and both compactors: streaming readers
 // hold pins across socket writes while churn (create/delete) and
-// explicit compaction runs try to move everything underneath them. Run
-// under -race in CI's race-stress step.
+// explicit compaction runs try to move everything underneath them. The
+// disk compactor runs over the wire (COMPACT-DISK); the cache compactor
+// has no wire command, so it runs on the store's engine. Run under -race
+// in CI's race-stress step.
 func TestConcurrentStreamReadsUnderCompaction(t *testing.T) {
 	st, cl := newWireStore(t)
 	// Stable files the readers hammer.
@@ -240,7 +223,7 @@ func TestConcurrentStreamReadsUnderCompaction(t *testing.T) {
 				return
 			default:
 			}
-			if err := cl.CompactCache(st.Port()); err != nil {
+			if err := st.Engine().CompactCache(); err != nil {
 				t.Errorf("CompactCache: %v", err)
 				return
 			}
@@ -254,6 +237,9 @@ func TestConcurrentStreamReadsUnderCompaction(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	if n := st.Engine().CacheStats().Compactions; n == 0 {
+		t.Fatal("the cache was never compacted: the race this test is for did not run")
+	}
 
 	for i, f := range files {
 		got, err := cl.Read(f)
